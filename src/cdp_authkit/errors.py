@@ -32,6 +32,3 @@ class TrainingError(RuntimeError):
 class AttackError(RuntimeError):
     """A simulated copy attack could not be carried out on the given input."""
 
-
-class UndefinedRateError(ValueError):
-    """An error rate was requested over an empty hypothesis class."""

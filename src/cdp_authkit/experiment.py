@@ -187,10 +187,16 @@ def _synthesize_worker(args) -> list:
     return _synthesize_template(DatasetConfig.from_dict(config_dict), index, Path(out_dir))
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+
+
 def synthesize_dataset(
     config: DatasetConfig, out_dir: Union[str, Path], jobs: int = 1
 ) -> DatasetManifest:
     """Write templates, codes, and manifest.json under out_dir. Deterministic."""
+    _check_jobs(jobs)
     out = Path(out_dir)
     (out / "templates").mkdir(parents=True, exist_ok=True)
     (out / "codes").mkdir(parents=True, exist_ok=True)
@@ -482,17 +488,17 @@ def codes_in_split(data: Dataset, assignment: dict, split: str, labels) -> list:
     return out
 
 
-def _rates_from_accepts(codes: Sequence[ObservedCode], accepted: np.ndarray) -> dict:
-    """P_miss over originals and per-fake-class P_fa from accept decisions."""
+def _rates_from_accepts(setup: str, codes: Sequence[ObservedCode], accepted: np.ndarray) -> dict:
+    """P_miss over originals and per-fake-class P_fa of one setup from accept decisions."""
     labels = np.array([c.label for c in codes])
     rates = {}
     orig = labels == "original"
     if orig.any():
-        rates[("originals", "p_miss")] = float(1.0 - accepted[orig].mean())
+        rates[(setup, "originals", "p_miss")] = float(1.0 - accepted[orig].mean())
     for fake in FAKE_LABELS:
         mask = labels == fake
         if mask.any():
-            rates[(fake, "p_fa")] = float(accepted[mask].mean())
+            rates[(setup, fake, "p_fa")] = float(accepted[mask].mean())
     return rates
 
 
@@ -550,8 +556,7 @@ def _run_supervised_5class(data: Dataset, assignment: dict, run_seed: int) -> tu
 def _run_supervised_binary(data: Dataset, assignment: dict, run_seed: int) -> tuple:
     rates = {}
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
-    x_test, test_names = _supervised_features(test_codes, augmented=False)
-    test_labels = np.array(test_names)
+    x_test, _ = _supervised_features(test_codes, augmented=False)
     for fake in FAKE_LABELS:
         train_codes = codes_in_split(data, assignment, "train", ("original", fake))
         x_train, names = _supervised_features(train_codes, augmented=True)
@@ -564,15 +569,7 @@ def _run_supervised_binary(data: Dataset, assignment: dict, run_seed: int) -> tu
             class_names=("original", fake),
         )
         pred, _ = predict(model, x_test)
-        decided_original = pred == 0
-        setup = f"trained-vs-{fake}"
-        orig_mask = test_labels == "original"
-        rates[(setup, "originals", "p_miss")] = float(
-            1.0 - decided_original[orig_mask].mean()
-        )
-        for probe_fake in FAKE_LABELS:
-            mask = test_labels == probe_fake
-            rates[(setup, probe_fake, "p_fa")] = float(decided_original[mask].mean())
+        rates.update(_rates_from_accepts(f"trained-vs-{fake}", test_codes, pred == 0))
     return rates, {}
 
 
@@ -584,6 +581,16 @@ OCSVM_SPATIAL_VARIANTS = (
 )
 
 
+def _reference(data: Dataset, code: ObservedCode, reference: str):
+    """The digital template or the enrolled physical reference a code is compared to."""
+    if reference == "digital":
+        return data.templates[code.template_id]
+    ref = data.codes.get((code.template_id, "physical_reference"))
+    if ref is None:
+        raise DataError(f"{code.template_id}: no physical reference enrolled")
+    return ref
+
+
 def spatial_pair_features(
     data: Dataset, codes: Sequence[ObservedCode], reference: str, color: str
 ) -> np.ndarray:
@@ -591,13 +598,7 @@ def spatial_pair_features(
     use_planes = color == "rgb"
     out = np.empty((len(codes), 2))
     for i, code in enumerate(codes):
-        if reference == "digital":
-            ref = data.templates[code.template_id]
-        else:
-            ref = data.codes.get((code.template_id, "physical_reference"))
-            if ref is None:
-                raise DataError(f"{code.template_id}: no physical reference enrolled")
-        fv = feature_vector(code, ref, use_planes=use_planes)
+        fv = feature_vector(code, _reference(data, code, reference), use_planes=use_planes)
         out[i] = (fv.pearson, fv.hamming_sym)
     return out
 
@@ -624,10 +625,7 @@ def _run_ocsvm_spatial(
         feats = spatial_pair_features(data, test_codes, reference, color)
         accepted = rule_ocsvm(model, feats)
         setup = f"{reference}-{color}"
-        for (class_label, metric), value in _rates_from_accepts(
-            test_codes, accepted
-        ).items():
-            rates[(setup, class_label, metric)] = value
+        rates.update(_rates_from_accepts(setup, test_codes, accepted))
         val_accept = rule_ocsvm(model, val)
         rates[(setup, "originals-val", "p_miss")] = float(1.0 - val_accept.mean())
         extras[f"{setup}/selected_nu"] = nu
@@ -672,10 +670,7 @@ def _run_deep(
 
     def record(rule: str, accepted: np.ndarray, val_accepted: np.ndarray) -> None:
         setup = f"scenario-{scenario}/rule-{rule}"
-        for (class_label, metric), value in _rates_from_accepts(
-            test_codes, accepted
-        ).items():
-            rates[(setup, class_label, metric)] = value
+        rates.update(_rates_from_accepts(setup, test_codes, accepted))
         rates[(setup, "originals-val", "p_miss")] = float(1.0 - val_accepted.mean())
 
     thr1 = calibrate(val_feats["hamming_sym"])
@@ -712,38 +707,28 @@ def _run_deep(
 # presets and the runner
 
 
-def _deep_runner(scenario: int):
-    def run(data, assignment, run_seed, ae_config=None):
-        return _run_deep(data, assignment, run_seed, scenario, ae_config)
-
-    return run
-
-
-def _ocsvm_runner(reference: str, color: str):
-    def run(data, assignment, run_seed, ae_config=None):
-        return _run_ocsvm_spatial(data, assignment, run_seed, ((reference, color),))
-
-    return run
-
-
+# preset -> (runner, fixed keyword arguments); deep runners also get ae_config
 PRESETS = {
-    "supervised-5class": lambda d, a, s, ae_config=None: _run_supervised_5class(d, a, s),
-    "supervised-binary-per-fake": lambda d, a, s, ae_config=None: _run_supervised_binary(d, a, s),
-    "ocsvm-spatial": lambda d, a, s, ae_config=None: _run_ocsvm_spatial(d, a, s),
-    "ocsvm-spatial-digital-gray": _ocsvm_runner("digital", "gray"),
-    "ocsvm-spatial-digital-rgb": _ocsvm_runner("digital", "rgb"),
-    "ocsvm-spatial-physical-gray": _ocsvm_runner("physical", "gray"),
-    "ocsvm-spatial-physical-rgb": _ocsvm_runner("physical", "rgb"),
-    "deep-scenario-1": _deep_runner(1),
-    "deep-scenario-2": _deep_runner(2),
-    "deep-scenario-3": _deep_runner(3),
-    "deep-scenario-4": _deep_runner(4),
+    "supervised-5class": (_run_supervised_5class, {}),
+    "supervised-binary-per-fake": (_run_supervised_binary, {}),
+    "ocsvm-spatial": (_run_ocsvm_spatial, {}),
+    "ocsvm-spatial-digital-gray": (_run_ocsvm_spatial, {"variants": (("digital", "gray"),)}),
+    "ocsvm-spatial-digital-rgb": (_run_ocsvm_spatial, {"variants": (("digital", "rgb"),)}),
+    "ocsvm-spatial-physical-gray": (_run_ocsvm_spatial, {"variants": (("physical", "gray"),)}),
+    "ocsvm-spatial-physical-rgb": (_run_ocsvm_spatial, {"variants": (("physical", "rgb"),)}),
+    "deep-scenario-1": (_run_deep, {"scenario": 1}),
+    "deep-scenario-2": (_run_deep, {"scenario": 2}),
+    "deep-scenario-3": (_run_deep, {"scenario": 3}),
+    "deep-scenario-4": (_run_deep, {"scenario": 4}),
 }
 
 
 def _single_run(data: Dataset, preset: str, run_seed: int, ae_config) -> tuple:
     assignment = split_by_template(data.template_ids, run_seed)
-    return PRESETS[preset](data, assignment, run_seed, ae_config=ae_config)
+    runner, kwargs = PRESETS[preset]
+    if runner is _run_deep:
+        kwargs = {**kwargs, "ae_config": ae_config}
+    return runner(data, assignment, run_seed, **kwargs)
 
 
 def _run_worker(args) -> tuple:
@@ -773,6 +758,7 @@ def run_experiment(
         )
     if runs < 1:
         raise ParameterError("runs must be positive")
+    _check_jobs(jobs)
     data = dataset if isinstance(dataset, Dataset) else load_dataset(dataset)
     run_seeds = [derive_seed(seed, "run", r) for r in range(runs)]
 
@@ -852,13 +838,7 @@ def spatial_feature_table(
         if entry["label"] == "physical_reference":
             continue
         code = data.codes[(entry["template_id"], entry["label"])]
-        if reference == "digital":
-            ref = data.templates[code.template_id]
-        else:
-            ref = data.codes.get((code.template_id, "physical_reference"))
-            if ref is None:
-                raise DataError(f"{code.template_id}: no physical reference enrolled")
-        fv = feature_vector(code, ref, use_planes=use_planes)
+        fv = feature_vector(code, _reference(data, code, reference), use_planes=use_planes)
         rows.append(
             (
                 entry["template_id"],

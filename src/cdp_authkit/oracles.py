@@ -142,20 +142,6 @@ def pgd_dual(kernels: list[np.ndarray], uppers: list[float], iters: int = 100_00
     return [float(o) for o in obj]
 
 
-def pca_eigh(x: np.ndarray, dims: int):
-    """PCA by direct eigendecomposition of the covariance matrix.
-
-    Returns (eigenvalues desc, components rows) without any sign convention;
-    used to check subspaces and reconstruction errors, not signs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    return evals[order][:dims], evecs[:, order][:, :dims].T
-
-
 def ocsvm_kkt_violation(model, train_points: np.ndarray) -> float:
     """Maximal-violating-pair KKT residual of a trained one-class SVM.
 

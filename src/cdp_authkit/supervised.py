@@ -16,28 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError, TrainingError, UndefinedRateError
+from .errors import DataError, ParameterError, TrainingError
 from .imageio import read_json, write_json
 from .nn import Dense, relu
 from .rng import rng_for
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    """One class in a K-way problem, with its one-hot encoding."""
-
-    index: int
-    n_classes: int
-    name: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.n_classes:
-            raise ParameterError("index must lie in [0, n_classes)")
-
-    def one_hot(self) -> np.ndarray:
-        vec = np.zeros(self.n_classes, dtype=np.int64)
-        vec[self.index] = 1
-        return vec
 
 
 @dataclass
@@ -200,38 +182,6 @@ def predict(model: ClassifierModel, features: np.ndarray):
     logits = h @ model.output_layer.w + model.output_layer.b
     logp = _log_softmax(logits)
     return np.argmax(logits, axis=1), logp
-
-
-@dataclass(frozen=True)
-class BinaryRates:
-    """Empirical miss / false-acceptance rates for original-vs-rest decisions."""
-
-    p_miss: float  # P{decide not-original | original}
-    p_fa: float  # P{decide original | fake}
-    n_original: int
-    n_fake: int
-
-
-def binary_rates(
-    true_is_original: np.ndarray, decided_original: np.ndarray
-) -> BinaryRates:
-    """Rates from aligned boolean arrays (hypothesis, decision).
-
-    Raises UndefinedRateError if either hypothesis class is empty.
-    """
-    truth = np.asarray(true_is_original, dtype=bool)
-    decision = np.asarray(decided_original, dtype=bool)
-    if truth.shape != decision.shape:
-        raise DataError("aligned arrays required")
-    n_orig = int(truth.sum())
-    n_fake = int((~truth).sum())
-    if n_orig == 0:
-        raise UndefinedRateError("no genuine probes: P_miss undefined")
-    if n_fake == 0:
-        raise UndefinedRateError("no fake probes: P_fa undefined")
-    p_miss = float((~decision[truth]).mean())
-    p_fa = float(decision[~truth].mean())
-    return BinaryRates(p_miss=p_miss, p_fa=p_fa, n_original=n_orig, n_fake=n_fake)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 One test per criterion, in order. Each prints a single summary line with
 capture suspended so a plain pytest run reads as a checklist; failures
 surface through the usual pytest report. Wall-clock budgets are asserted
-where a criterion states one.
+where a criterion states one. The checks themselves live in
+cdp_authkit.checks, which `cdp-authkit selftest` runs at reduced size.
 """
 
 import json
@@ -12,33 +13,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from cdp_authkit.channel import (
-    AttackParams,
-    acquire,
-    estimate_template_binary,
-    print_template,
-    strong_dot_gain_params,
-)
+from cdp_authkit import checks
 from cdp_authkit.cli import main
-from cdp_authkit.decision import Thresholds, calibrate, rule_one_metric, rule_two_metric
-from cdp_authkit.deepfeat import AeConfig, build_ae_model, gradient_check, train_ae
+from cdp_authkit.deepfeat import AeConfig, train_ae
 from cdp_authkit.experiment import DatasetConfig, run_experiment, synthesize_dataset
-from cdp_authkit.metrics import hamming_symbols, lp_distances, otsu_threshold, pearson
 from cdp_authkit.nn import weighted_layers
-from cdp_authkit.ocsvm import decision_function, dual_objective, train_ocsvm
-from cdp_authkit.oracles import (
-    hamming_naive,
-    lp_naive,
-    ocsvm_kkt_violation,
-    otsu_exhaustive,
-    pearson_naive,
-    pgd_dual,
-)
-from cdp_authkit.rng import rng_for
-from cdp_authkit.supervised import estimate_mi_lower_bound
-from cdp_authkit.template import Template, generate_template, upsample_symbols
 
 GOLDEN = Path(__file__).parent / "golden" / "deep_scenario3_report.json"
 
@@ -48,126 +28,32 @@ def _line(capsys, n, name, detail):
         print(f"criterion {n} ({name}): PASS ({detail})", flush=True)
 
 
-def _random_image(rng):
-    """Random 8-bit image; clumped palettes force threshold ties."""
-    side_y = int(rng.integers(12, 49))
-    side_x = side_y if rng.random() < 0.7 else int(rng.integers(12, 49))
-    if rng.random() < 0.4:
-        levels = rng.integers(0, 256, size=int(rng.integers(2, 9)))
-        img = rng.choice(levels, size=(side_y, side_x))
-    else:
-        img = rng.integers(0, 256, size=(side_y, side_x))
-    img = img.astype(np.float64) / 255.0
-    if img.max() == img.min():  # degenerate draws are out of scope
-        img.flat[0] = (img.flat[0] + 128 / 255.0) % 1.0
-    return img
-
-
 def test_c01_otsu_matches_exhaustive_argmax(capsys):
     t0 = time.monotonic()
-    rng = rng_for(1, "acceptance", "otsu")
-    for _ in range(1000):
-        img = _random_image(rng)
-        assert otsu_threshold(img) == otsu_exhaustive(img)
+    checks.otsu_oracle((1, "acceptance"), 1000)
     dt = time.monotonic() - t0
     assert dt < 10.0
     _line(capsys, 1, "otsu oracle equivalence", f"1000 images exact in {dt:.1f}s")
 
 
 def test_c02_intensity_and_hamming_match_naive_recomputation(capsys):
-    rng = rng_for(2, "acceptance", "metrics")
-    worst = 0.0
-    for _ in range(1000):
-        side = int(rng.integers(4, 25))
-        a = rng.random((side, side))
-        b = np.clip(a + rng.normal(0, 0.3, a.shape), 0, 1)
-        b.flat[0] = 1.0 - a.flat[0]  # never constant, never identical
-        worst = max(worst, abs(pearson(a, b) - pearson_naive(a, b)))
-        l1, l2 = lp_distances(a, b)
-        n1, n2 = lp_naive(a, b)
-        worst = max(worst, abs(l1 - n1), abs(l2 - n2))
-
-        t = generate_template(6, 3, 0.5, int(rng.integers(1 << 31)))
-        grid = (rng.random((18, 18)) < 0.5).astype(np.uint8)
-        # independent majority reduction, ties to ink
-        reduced = (grid.reshape(6, 3, 6, 3).sum(axis=(1, 3)) * 2 >= 9).astype(np.uint8)
-        assert hamming_symbols(grid, t) == hamming_naive(reduced, t.symbols)
-    assert worst < 1e-12
+    worst = checks.metric_oracles((2, "acceptance"), 1000)
     _line(capsys, 2, "metric oracles", f"1000 pairs, worst gap {worst:.2e}")
 
 
 def test_c03_ocsvm_constraints_kkt_oracle_and_nu_property(capsys):
     t0 = time.monotonic()
-    kernels, uppers, objectives = [], [], []
-    for i in range(50):
-        rng = rng_for(3, "acceptance", "ocsvm", i)
-        n = int(rng.integers(3, 9))
-        x = rng.normal(size=(n, int(rng.integers(2, 5))))
-        nu = float(rng.uniform(max(0.3, 1.0 / n), 1.0))
-        model = train_ocsvm(x, nu=nu, rbf_gamma=float(rng.uniform(0.05, 2.0)))
-
-        upper = 1.0 / (nu * model.n_train)
-        assert abs(model.alphas.sum() - 1.0) < 1e-8
-        assert model.alphas.min() > -1e-8
-        assert model.alphas.max() < upper + 1e-8
-        assert ocsvm_kkt_violation(model, x) < 1e-6
-
-        z = model.standardize(x)
-        d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
-        kernels.append(np.exp(-model.rbf_gamma * d2))
-        uppers.append(upper)
-        objectives.append(dual_objective(model))
-
-    oracle = pgd_dual(kernels, uppers)
-    worst = max(abs(a - b) for a, b in zip(objectives, oracle))
-    assert worst < 1e-6
-
-    fractions = []
-    for nu in (0.05, 0.1, 0.5):
-        rng = rng_for(3, "acceptance", "blobs", str(nu))
-        x = np.concatenate([
-            rng.normal(loc=(0, 0), scale=0.6, size=(150, 2)),
-            rng.normal(loc=(4, 1), scale=0.8, size=(50, 2)),
-        ])
-        model = train_ocsvm(x, nu=nu, rbf_gamma=0.5)
-        outliers = float(np.mean(decision_function(model, x) < 0.0))
-        sv_frac = len(model.alphas) / 200.0
-        assert outliers <= nu + 0.02
-        assert sv_frac >= nu - 0.02
-        fractions.append((nu, outliers, sv_frac))
-
+    worst = checks.ocsvm_dual_oracle((3, "acceptance"), 50)
+    fractions = checks.ocsvm_nu_property((3, "acceptance"), 200)
     dt = time.monotonic() - t0
     assert dt < 60.0
     _line(capsys, 3, "ocsvm correctness",
           f"50 duals within {worst:.2e} of oracle, nu property {fractions}, {dt:.1f}s")
 
 
-def _toy_batch(seed, n=8, n_sym=4, spx=3):
-    rng = rng_for(seed, "acceptance", "toy")
-    symbols = (rng.random((n, n_sym, n_sym)) < 0.5).astype(np.uint8)
-    base = 0.9 - 0.7 * np.repeat(np.repeat(symbols, spx, axis=1), spx, axis=2)
-    images = np.clip(base + rng.normal(0, 0.05, base.shape), 0, 1)
-    return images, symbols
-
-
 def test_c04_scenario_loss_gradients_match_finite_differences(capsys):
     t0 = time.monotonic()
-    worst = 0.0
-    for scenario in (1, 2, 3, 4):
-        for point in range(10):
-            cfg = AeConfig(
-                epochs=2, batch_size=4, channels=2, disc_hidden=4,
-                beta=0.5, seed=100 * scenario + point,
-            )
-            images, symbols = _toy_batch(cfg.seed, n=6)
-            if point % 2:
-                # a generic point reached by a couple of update steps
-                model = train_ae(images, symbols, scenario, cfg)
-            else:
-                model = build_ae_model(scenario, 4, 3, cfg)
-            err = gradient_check(model, images, symbols)
-            worst = max(worst, err)
-            assert err < 1e-4
+    worst = checks.ae_gradients((0, "acceptance"), 10)
     dt = time.monotonic() - t0
     assert dt < 120.0
     _line(capsys, 4, "gradient checks", f"4 scenarios x 10 points, worst {worst:.2e}, {dt:.1f}s")
@@ -178,7 +64,7 @@ def _group_weights(layers):
 
 
 def test_c05_beta_zero_collapses_to_template_only_scenarios(capsys):
-    images, symbols = _toy_batch(5)
+    images, symbols = checks.toy_batch((5, "acceptance"), 8)
     cfg = AeConfig(epochs=50, batch_size=8, channels=2, disc_hidden=4, beta=0.0, seed=3)
     for plain, gated in ((1, 3), (2, 4)):
         m_plain = train_ae(images, symbols, plain, cfg)
@@ -197,47 +83,12 @@ def test_c05_beta_zero_collapses_to_template_only_scenarios(capsys):
 
 
 def test_c06_mi_bound_reference_values_and_entropy_cap(capsys):
-    y = np.repeat([0, 1], 500)
-    perfect = np.full((1000, 2), -np.inf)
-    perfect[np.arange(1000), y] = 0.0
-    est = estimate_mi_lower_bound(y, perfect)
-    assert abs(est.lower_bound - np.log(2.0)) < 1e-9
-
-    uniform = np.full((1000, 2), np.log(0.5))
-    est = estimate_mi_lower_bound(y, uniform)
-    assert abs(est.lower_bound) < 1e-9
-
-    rng = rng_for(6, "acceptance", "mi")
-    for _ in range(1000):
-        k = int(rng.integers(2, 7))
-        n = int(rng.integers(20, 200))
-        labels = rng.integers(0, k, size=n)
-        probs = rng.dirichlet(np.full(k, 0.7), size=n)
-        est = estimate_mi_lower_bound(labels, np.log(probs))
-        assert est.lower_bound <= est.h_c + 1e-12
+    checks.mi_bounds((6, "acceptance"), 1000)
     _line(capsys, 6, "mi bound sanity", "ln 2 and 0 within 1e-9, cap held on 1000 sets")
 
 
 def test_c07_decision_boundaries_and_calibration_optimality(capsys):
-    rng = rng_for(7, "acceptance", "decision")
-    for _ in range(1000):
-        gamma1 = int(rng.integers(0, 21))
-        assert rule_one_metric(gamma1, gamma1) is True
-        assert rule_one_metric(gamma1 + 1, gamma1) is False
-        thr = Thresholds(gamma1=gamma1, gamma2=float(rng.uniform(0.0, 2.0)))
-        assert rule_two_metric(gamma1, thr.gamma2, thr) is True
-        assert rule_two_metric(gamma1, np.nextafter(thr.gamma2, np.inf), thr) is False
-
-    for _ in range(200):
-        n = int(rng.integers(2, 51))
-        h = rng.integers(0, 12, size=n)
-        h[int(rng.integers(n))] = 13  # unique maximum
-        r = rng.uniform(0.0, 1.0, size=n)
-        thr = calibrate(h, r)
-        accepted = rule_two_metric(h, r, thr)
-        assert accepted.all()  # validation miss rate is zero
-        # one step tighter rejects exactly the unique-max sample
-        assert int(np.sum(~rule_one_metric(h, thr.gamma1 - 1))) == 1
+    checks.decision_rules((7, "acceptance"), 1000)
     _line(capsys, 7, "decision rule fidelity", "1000 boundary and 200 calibration fixtures")
 
 
@@ -268,24 +119,7 @@ def test_c08_end_to_end_deep_scenario3_regression(tmp_path, capsys):
 
 
 def test_c09_dot_gain_grows_black_and_closes_enclosed_white(capsys):
-    symbols = np.ones((15, 15), dtype=np.uint8)
-    symbols[7, 7] = 0  # white symbol fully enclosed by ink
-    symbols[:6, 9:] = 0  # substrate patch clear of the enclosed symbol
-    symbols[3, 11] = 1  # isolated black symbol on substrate
-    t = Template(
-        symbols=symbols, symbol_px=3, pixels=upsample_symbols(symbols, 3),
-        seed=0, marker_width_px=0,
-    )
-    params = strong_dot_gain_params()
-    observed = acquire(print_template(t, params, "asym"), params, "original")
-    recovered = estimate_template_binary(
-        observed, AttackParams(binarize_mode="otsu", morph_cleanup=False)
-    )
-    white_area = int((recovered[21:24, 21:24] == 0).sum())
-    # window stays >= 4px from any other ink, so all its ink is this symbol's
-    black_area = int((recovered[5:16, 29:43] == 1).sum())
-    assert white_area == 0
-    assert black_area >= 9
+    white_area, black_area = checks.dot_gain_asymmetry()
     _line(capsys, 9, "dot gain asymmetry",
           f"white area {white_area}, black area {black_area} vs template 9")
 

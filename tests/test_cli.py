@@ -11,7 +11,8 @@ import subprocess
 
 import pytest
 
-from cdp_authkit.cli import SELFTEST_SUITES, main
+from cdp_authkit import checks
+from cdp_authkit.cli import main
 from cdp_authkit.experiment import DatasetConfig, config_hash
 
 from conftest import SMALL_CONFIG
@@ -72,6 +73,19 @@ def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_d
     code, _, err = run_cli(["gen", "--config", str(tmp_path / "absent.json")], capsys)
     assert code == 1
     assert "cannot read config file" in err
+
+    for argv in (["dataset", "--templates", "3", "--jobs", "0"],
+                 ["eval", "--dataset", str(small_dataset_dir),
+                  "--preset", "supervised-5class", "--jobs", "-3"]):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "jobs")], capsys)
+        assert code == 1
+        assert "jobs must be at least 1" in err
+    assert not (tmp_path / "jobs").exists()
+    cfg.write_text(json.dumps({"jobs": 0}))
+    code, _, err = run_cli(["dataset", "--templates", "3", "--config", str(cfg),
+                            "--out", str(tmp_path / "jobs")], capsys)
+    assert code == 1
+    assert "jobs must be at least 1, got 0" in err
 
     monkeypatch.setenv("CDP_AUTHKIT_SEED", "not-a-number")
     code, _, err = run_cli(["gen", "--out", str(tmp_path / "t")], capsys)
@@ -241,9 +255,20 @@ def test_log_file_keeps_stdout_clean(tmp_path, capsys):
 def test_selftest_all_suites_pass(capsys):
     code, text, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    for name, _ in SELFTEST_SUITES:
+    for name, _, _ in checks.SELFTEST_SUITES:
         assert f"{name}: pass" in text
-    assert f"all {len(SELFTEST_SUITES)} suites passed" in text
+    assert f"all {len(checks.SELFTEST_SUITES)} suites passed" in text
+
+
+def test_selftest_reports_failing_suite(capsys, monkeypatch):
+    fast = checks.otsu_threshold
+    monkeypatch.setattr(checks, "otsu_threshold", lambda img: fast(img) + 1 / 256)  # one bin off
+    monkeypatch.setattr(checks, "SELFTEST_SUITES", checks.SELFTEST_SUITES[:2])
+    code, text, _ = run_cli(["selftest"], capsys)
+    assert code == 2
+    assert re.search(r"^otsu-oracle: FAIL \(otsu mismatch on image \d+\)$", text, re.M)
+    assert "metric-oracles: pass" in text
+    assert "1 of 2 suites failed" in text
 
 
 def test_console_script(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdp_authkit.checks import toy_batch
 from cdp_authkit.deepfeat import (
     AeConfig,
     build_ae_model,
@@ -17,19 +18,9 @@ from cdp_authkit.deepfeat import (
 )
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.nn import weighted_layers
-from cdp_authkit.rng import rng_for
 from cdp_authkit.template import generate_template
 
 TINY = dict(batch_size=4, channels=2, disc_hidden=4)
-
-
-def _toy_batch(seed, n=8, n_sym=4, spx=3):
-    rng = rng_for(seed, "toy")
-    symbols = (rng.random((n, n_sym, n_sym)) < 0.5).astype(np.uint8)
-    # images loosely follow their template: dark where ink, plus noise
-    base = 0.9 - 0.7 * np.repeat(np.repeat(symbols, spx, axis=1), spx, axis=2)
-    images = np.clip(base + rng.normal(0, 0.05, base.shape), 0, 1)
-    return images, symbols
 
 
 def _weights(layers):
@@ -73,7 +64,7 @@ def test_scenario_weight_groups():
 
 
 def test_training_traces_follow_scenario():
-    images, symbols = _toy_batch(0)
+    images, symbols = toy_batch((0,), 8)
     for scenario in (1, 2, 3, 4):
         model = train_ae(images, symbols, scenario, AeConfig(epochs=3, seed=1, **TINY))
         trace = model.loss_trace
@@ -86,7 +77,7 @@ def test_training_traces_follow_scenario():
 
 
 def test_training_learns_template_recovery():
-    images, symbols = _toy_batch(1, n=16)
+    images, symbols = toy_batch((1,), 16)
     model = train_ae(images, symbols, 1, AeConfig(epochs=40, seed=0, **TINY))
     trace = model.loss_trace["template_rms"]
     assert trace[-1] < trace[0] * 0.7
@@ -95,7 +86,7 @@ def test_training_learns_template_recovery():
 
 
 def test_training_determinism():
-    images, symbols = _toy_batch(2)
+    images, symbols = toy_batch((2,), 8)
     cfg = AeConfig(epochs=2, seed=5, **TINY)
     a = train_ae(images, symbols, 4, cfg)
     b = train_ae(images, symbols, 4, cfg)
@@ -105,7 +96,7 @@ def test_training_determinism():
 
 
 def test_shape_validation():
-    images, symbols = _toy_batch(3)
+    images, symbols = toy_batch((3,), 8)
     with pytest.raises(ParameterError):
         train_ae(images[:4], symbols[:3], 1, AeConfig(epochs=1, **TINY))
     with pytest.raises(ParameterError):
@@ -115,7 +106,7 @@ def test_shape_validation():
 
 
 def test_beta_zero_collapses_to_base_scenarios():
-    images, symbols = _toy_batch(4)
+    images, symbols = toy_batch((4,), 8)
     for base, extended in ((1, 3), (2, 4)):
         cfg0 = AeConfig(epochs=10, seed=3, beta=0.0, **TINY)
         cfg = AeConfig(epochs=10, seed=3, **TINY)
@@ -131,14 +122,14 @@ def test_beta_zero_collapses_to_base_scenarios():
 
 
 def test_gradient_check_all_scenarios():
-    images, symbols = _toy_batch(5, n=4)
+    images, symbols = toy_batch((5,), 4)
     for scenario in (1, 2, 3, 4):
         model = build_ae_model(scenario, 4, 3, AeConfig(seed=scenario, **TINY))
         assert gradient_check(model, images[:4], symbols[:4]) < 1e-4
 
 
 def test_encode_decode_shapes_and_ranges():
-    images, symbols = _toy_batch(6)
+    images, symbols = toy_batch((6,), 8)
     model = train_ae(images, symbols, 3, AeConfig(epochs=2, seed=0, **TINY))
     t_hat = encode(model, images)
     assert t_hat.shape == (8, 4, 4)
@@ -154,7 +145,7 @@ def test_encode_decode_shapes_and_ranges():
 
 
 def test_features_follow_scenario():
-    images, symbols = _toy_batch(7)
+    images, symbols = toy_batch((7,), 8)
     presence = {
         1: (False, False, False),
         2: (False, True, False),
@@ -175,7 +166,7 @@ def test_features_follow_scenario():
 
 
 def test_single_probe_extraction_matches_batch():
-    images, symbols = _toy_batch(8)
+    images, symbols = toy_batch((8,), 8)
     model = train_ae(images, symbols, 4, AeConfig(epochs=1, seed=0, **TINY))
     t = generate_template(4, 3, 0.5, seed=1)
     single = extract_features(model, images[0], t)
@@ -186,7 +177,7 @@ def test_single_probe_extraction_matches_batch():
 
 
 def test_save_load_roundtrip(tmp_path):
-    images, symbols = _toy_batch(9)
+    images, symbols = toy_batch((9,), 8)
     model = train_ae(images, symbols, 4, AeConfig(epochs=2, seed=6, **TINY))
     save_ae(model, tmp_path / "ae.json")
     back = load_ae(tmp_path / "ae.json")

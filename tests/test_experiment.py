@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cdp_authkit import checks
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.experiment import (
     AUGMENT_TAGS,
@@ -33,7 +34,7 @@ from conftest import SMALL_CONFIG
 
 
 def test_config_hash_stable_and_sensitive():
-    assert config_hash(DatasetConfig()) == "8f2799fcc5659df2"
+    checks.seed_stability()
     base = DatasetConfig()
     for change in (
         dict(n_templates=299),

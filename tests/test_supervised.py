@@ -1,17 +1,17 @@
-"""Multiclass MLP classifier, rate computation, and the MI lower bound."""
+"""Multiclass MLP classifier and the MI lower bound."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cdp_authkit.errors import DataError, ParameterError, UndefinedRateError
+from cdp_authkit import checks
+from cdp_authkit.errors import DataError
 from cdp_authkit.nn import Dense
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
     TrainConfig,
     _ce_loss_and_grads,
-    binary_rates,
     estimate_mi_lower_bound,
     images_to_features,
     load_classifier,
@@ -78,23 +78,7 @@ def test_zero_init_output_starts_at_uniform_loss():
 
 
 def test_hidden_layer_gradient_matches_finite_differences():
-    rng = rng_for(3, "grad")
-    hidden = Dense(rng_for(3, "h"), 6, 5)
-    output = Dense(rng_for(3, "o"), 5, 3)
-    x = rng.random((12, 6))
-    y = rng.integers(0, 3, 12)
-    _ce_loss_and_grads(hidden, output, x, y)
-    analytic = hidden.gw.copy()
-    h = 1e-6
-    for idx in ((0, 0), (2, 3), (5, 4)):
-        orig = hidden.w[idx]
-        hidden.w[idx] = orig + h
-        up = _ce_loss_and_grads(hidden, output, x, y)
-        hidden.w[idx] = orig - h
-        down = _ce_loss_and_grads(hidden, output, x, y)
-        hidden.w[idx] = orig
-        fd = (up - down) / (2 * h)
-        assert abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(fd))
+    checks.supervised_gradient((3,), 12)
 
 
 def test_pooling_and_feature_shapes():
@@ -107,21 +91,6 @@ def test_pooling_and_feature_shapes():
     assert np.array_equal(pool_image(small, max_side=32), small)
     feats = images_to_features([img, rng.random((64, 64))])
     assert feats.shape == (2, 1024)
-
-
-def test_binary_rates():
-    truth = np.array([True, True, True, False, False])
-    decided = np.array([True, False, True, True, False])
-    r = binary_rates(truth, decided)
-    assert r.p_miss == pytest.approx(1 / 3)
-    assert r.p_fa == pytest.approx(1 / 2)
-    assert r.n_original == 3 and r.n_fake == 2
-    with pytest.raises(UndefinedRateError):
-        binary_rates(np.array([True, True]), np.array([True, True]))
-    with pytest.raises(UndefinedRateError):
-        binary_rates(np.array([False]), np.array([True]))
-    with pytest.raises(DataError):
-        binary_rates(np.array([True]), np.array([True, False]))
 
 
 def test_mi_bound_reference_values():
