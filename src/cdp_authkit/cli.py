@@ -31,9 +31,9 @@ from .deepfeat import AeConfig, load_ae, save_ae, train_ae
 from .errors import ParameterError
 from .imageio import read_json, write_json
 from .metrics import lp_distances, otsu_threshold, pearson
-from .ocsvm import decision_function, save_model, select_nu, train_ocsvm
+from .ocsvm import decision_function, save_model, train_ocsvm
 from .rng import derive_seed, rng_for
-from .supervised import TrainConfig, save_classifier, train_classifier
+from .supervised import TrainConfig, save_classifier
 from .template import add_markers, generate_template, save_template
 from .experiment import (
     PRESETS,
@@ -42,10 +42,11 @@ from .experiment import (
     ae_training_arrays,
     codes_in_split,
     deep_features,
+    fit_classifier,
+    fit_spatial_ocsvm,
     load_dataset,
     pca_embed,
     run_experiment,
-    spatial_pair_features,
     spatial_feature_table,
     synthesize_dataset,
     write_embedding_csv,
@@ -57,36 +58,20 @@ LOG = logging.getLogger("cdp_authkit.cli")
 
 TOP_KEYS = {"seed", "out_dir", "jobs", "template", "dataset", "model", "experiment"}
 
-SECTION_KEYS = {
-    "template": {"count", "n_sym", "symbol_px", "black_fraction", "marker_width"},
-    "dataset": {
-        "templates",
-        "n_sym",
-        "symbol_px",
-        "black_fraction",
-        "physical_refs",
-        "plane_jitter",
-    },
-    "model": {
-        "nu",
-        "rbf_gamma",
-        "reference",
-        "color",
-        "epochs",
-        "batch_size",
-        "lr",
-        "hidden",
-        "scenario",
-        "channels",
-        "disc_hidden",
-        "lambda1",
-        "lambda2",
-        "beta",
-    },
-    "experiment": {"preset", "runs"},
-}
-
+# Config keys per command; each is also the dest of the command's flag.
+TEMPLATE_KEYS = ("count", "n_sym", "symbol_px", "black_fraction", "marker_width")
+DATASET_KEYS = ("templates", "n_sym", "symbol_px", "black_fraction", "physical_refs", "plane_jitter")
+OCSVM_KEYS = ("nu", "rbf_gamma", "reference", "color")
+CLASSIFIER_KEYS = ("epochs", "batch_size", "lr", "hidden")
 AE_KEYS = ("epochs", "batch_size", "lr", "lambda1", "lambda2", "beta", "channels", "disc_hidden")
+EXPERIMENT_KEYS = ("preset", "runs")
+
+SECTION_KEYS = {
+    "template": set(TEMPLATE_KEYS),
+    "dataset": set(DATASET_KEYS),
+    "model": {*OCSVM_KEYS, *CLASSIFIER_KEYS, *AE_KEYS, "scenario"},
+    "experiment": set(EXPERIMENT_KEYS),
+}
 
 
 class CliParser(argparse.ArgumentParser):
@@ -119,11 +104,21 @@ def _load_config(path) -> dict:
     return obj
 
 
-def _opt(flag_value, config: dict, section: str, key: str, default):
-    """Flag > config section > default."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(section, {}).get(key, default)
+def _settings(args, config: dict, section: str, keys) -> dict:
+    """Flag > config section for each key; keys set by neither are left out.
+
+    Leaving a key out lets the receiving dataclass or function apply its own
+    default, so defaults live in one place.
+    """
+    from_config = config.get(section, {})
+    out = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None:
+            value = from_config.get(key)
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def _seed(args, config: dict) -> int:
@@ -162,11 +157,12 @@ def _manifest_assignment(data) -> dict:
 
 def cmd_gen(args, config) -> int:
     seed = _seed(args, config)
-    count = _opt(args.count, config, "template", "count", 1)
-    n_sym = _opt(args.n_sym, config, "template", "n_sym", 24)
-    symbol_px = _opt(args.symbol_px, config, "template", "symbol_px", 3)
-    black = _opt(args.black_fraction, config, "template", "black_fraction", 0.5)
-    marker = _opt(args.marker_width, config, "template", "marker_width", 0)
+    opts = _settings(args, config, "template", TEMPLATE_KEYS)
+    count = opts.get("count", 1)
+    n_sym = opts.get("n_sym", DatasetConfig.n_sym)
+    symbol_px = opts.get("symbol_px", DatasetConfig.symbol_px)
+    black = opts.get("black_fraction", DatasetConfig.black_fraction)
+    marker = opts.get("marker_width", 0)
     out = _out_path(args, config, "templates")
     out.mkdir(parents=True, exist_ok=True)
     for i in range(count):
@@ -179,15 +175,10 @@ def cmd_gen(args, config) -> int:
 
 
 def cmd_dataset(args, config) -> int:
-    cfg = DatasetConfig(
-        n_templates=_opt(args.templates, config, "dataset", "templates", 300),
-        n_sym=_opt(args.n_sym, config, "dataset", "n_sym", 24),
-        symbol_px=_opt(args.symbol_px, config, "dataset", "symbol_px", 3),
-        black_fraction=_opt(args.black_fraction, config, "dataset", "black_fraction", 0.5),
-        physical_refs=_opt(args.physical_refs, config, "dataset", "physical_refs", True),
-        plane_jitter=_opt(args.plane_jitter, config, "dataset", "plane_jitter", 0.03),
-        seed=_seed(args, config),
-    )
+    opts = _settings(args, config, "dataset", DATASET_KEYS)
+    if "templates" in opts:
+        opts["n_templates"] = opts.pop("templates")
+    cfg = DatasetConfig(**opts, seed=_seed(args, config))
     out = _out_path(args, config, "dataset")
     manifest = synthesize_dataset(cfg, out, jobs=_jobs(args, config))
     print(
@@ -211,20 +202,10 @@ def cmd_train(args, config) -> int:
     assignment = _manifest_assignment(data)
 
     if args.kind == "ocsvm":
-        reference = _opt(args.reference, config, "model", "reference", "digital")
-        color = _opt(args.color, config, "model", "color", "gray")
-        rbf_gamma = _opt(args.rbf_gamma, config, "model", "rbf_gamma", 0.1)
-        nu = _opt(args.nu, config, "model", "nu", None)
-        train = spatial_pair_features(
-            data, codes_in_split(data, assignment, "train", ("original",)), reference, color
-        )
-        val = spatial_pair_features(
-            data, codes_in_split(data, assignment, "val", ("original",)), reference, color
-        )
-        if nu is None:
-            model, nu, _ = select_nu(train, val, rbf_gamma=rbf_gamma)
-        else:
-            model = train_ocsvm(train, nu=nu, rbf_gamma=rbf_gamma)
+        opts = _settings(args, config, "model", OCSVM_KEYS)
+        reference = opts.pop("reference", "digital")
+        color = opts.pop("color", "gray")
+        model, nu, val = fit_spatial_ocsvm(data, assignment, reference, color, **opts)
         val_miss = float(np.mean(decision_function(model, val) < 0.0))
         out = _out_path(args, config, "model-ocsvm.json")
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -236,20 +217,8 @@ def cmd_train(args, config) -> int:
         return 0
 
     if args.kind == "supervised":
-        from .experiment import CLASS_ORDER, _supervised_features
-
-        cfg = TrainConfig(
-            epochs=_opt(args.epochs, config, "model", "epochs", 40),
-            batch_size=_opt(args.batch_size, config, "model", "batch_size", 32),
-            lr=_opt(args.lr, config, "model", "lr", 0.05),
-            hidden=_opt(args.hidden, config, "model", "hidden", 128),
-            seed=seed,
-        )
-        train_codes = codes_in_split(data, assignment, "train", CLASS_ORDER)
-        x, names = _supervised_features(train_codes, augmented=True)
-        index = {label: i for i, label in enumerate(CLASS_ORDER)}
-        y = np.array([index[n] for n in names])
-        model = train_classifier(x, y, n_classes=5, config=cfg, class_names=CLASS_ORDER)
+        cfg = TrainConfig(**_settings(args, config, "model", CLASSIFIER_KEYS), seed=seed)
+        model = fit_classifier(data, assignment, cfg)
         out = _out_path(args, config, "model-supervised.json")
         out.parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out)
@@ -257,20 +226,11 @@ def cmd_train(args, config) -> int:
         return 0
 
     # autoencoder
-    scenario = _opt(args.scenario, config, "model", "scenario", None)
+    opts = _settings(args, config, "model", AE_KEYS + ("scenario",))
+    scenario = opts.pop("scenario", None)
     if scenario is None:
         raise ParameterError("train ae requires --scenario (1..4)")
-    cfg = AeConfig(
-        epochs=_opt(args.epochs, config, "model", "epochs", 30),
-        batch_size=_opt(args.batch_size, config, "model", "batch_size", 16),
-        lr=_opt(args.lr, config, "model", "lr", 1e-3),
-        lambda1=_opt(args.lambda1, config, "model", "lambda1", 1.0),
-        lambda2=_opt(args.lambda2, config, "model", "lambda2", 1.0),
-        beta=_opt(args.beta, config, "model", "beta", 0.01),
-        channels=_opt(args.channels, config, "model", "channels", 8),
-        disc_hidden=_opt(args.disc_hidden, config, "model", "disc_hidden", 64),
-        seed=seed,
-    )
+    cfg = AeConfig(**opts, seed=seed)
     images, symbols = ae_training_arrays(data, assignment)
     model = train_ae(images, symbols, scenario, cfg)
     out = _out_path(args, config, f"model-ae-s{scenario}.json")
@@ -302,26 +262,16 @@ def cmd_calibrate(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    preset = _opt(args.preset, config, "experiment", "preset", None)
-    if preset is None:
+    opts = _settings(args, config, "experiment", EXPERIMENT_KEYS)
+    if "preset" not in opts:
         raise ParameterError("eval requires --preset")
-    runs = _opt(args.runs, config, "experiment", "runs", 5)
-    overrides = dict(
-        (k, v) for k, v in config.get("model", {}).items() if k in AE_KEYS
-    )
-    for key in AE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    ae_config = AeConfig(**overrides) if overrides else None
-    out = _out_path(args, config, f"report-{preset}")
+    out = _out_path(args, config, f"report-{opts['preset']}")
     report = run_experiment(
         args.dataset,
-        preset,
-        runs=runs,
+        **opts,
         seed=_seed(args, config),
         out_dir=out,
-        ae_config=ae_config,
+        ae_config=AeConfig(**_settings(args, config, "model", AE_KEYS)),
         jobs=_jobs(args, config),
     )
     for row in report.rows:

@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .channel import ObservedCode
 from .errors import DataError, ParameterError, TrainingError
 from .imageio import read_json, write_json
 from .nn import (
@@ -50,7 +49,6 @@ from .nn import (
     zero_grads,
 )
 from .rng import rng_for
-from .template import Template
 
 SCENARIOS = (1, 2, 3, 4)
 
@@ -197,18 +195,57 @@ def _gen_adversarial(disc, fake: np.ndarray, weight: float):
     return loss, dflat.reshape(fake.shape)
 
 
-def _disc_step(disc, optimizer: Adam, real: np.ndarray, fake: np.ndarray) -> float:
-    """One logistic-loss discriminator update on detached real/fake batches."""
+def _x_side(model: AeModel) -> bool:
+    """Whether the beta-weighted decoder path is active (skipped outright at beta 0)."""
+    return model.decoder is not None and model.config.beta != 0.0
+
+
+def _generator_loss_and_grads(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> tuple:
+    """One generator forward/backward pass; gradients are left in the layers.
+
+    Returns (losses, t_hat, x_hat): the active loss terms and their "total",
+    and the generator outputs (x_hat None when the x-side is off).
+    """
+    cfg = model.config
+    zero_grads(model.encoder)
+    t_hat = chain_forward(model.encoder, xi)
+    loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1)
+    losses = {"template_rms": loss_t}
+    total = loss_t
+
+    if model.disc_t is not None:
+        loss_adv_t, d_adv = _gen_adversarial(model.disc_t, t_hat, 1.0)
+        losses["adv_t"] = loss_adv_t
+        total += loss_adv_t
+        d_that = d_that + d_adv
+
+    x_hat = None
+    if _x_side(model):
+        zero_grads(model.decoder)
+        x_hat = chain_forward(model.decoder, t_hat)
+        loss_rec, d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
+        losses["recon_rms"] = loss_rec
+        total += loss_rec
+        if model.disc_x is not None:
+            loss_adv_x, d_adv_x = _gen_adversarial(model.disc_x, x_hat, cfg.beta)
+            losses["adv_x"] = loss_adv_x
+            total += loss_adv_x
+            d_xhat = d_xhat + d_adv_x
+        d_that = d_that + chain_backward(model.decoder, d_xhat)
+
+    chain_backward(model.encoder, d_that)
+    losses["total"] = total
+    return losses, t_hat, x_hat
+
+
+def _disc_loss_and_grads(disc, real: np.ndarray, fake: np.ndarray) -> float:
+    """Logistic discriminator loss on detached real/fake batches; gradients left in disc."""
     zero_grads(disc)
     z_real = chain_forward(disc, _flatten(real))
-    d_real = (sigmoid(z_real) - 1.0) / z_real.shape[0]
-    chain_backward(disc, d_real)
+    chain_backward(disc, (sigmoid(z_real) - 1.0) / z_real.shape[0])
     z_fake = chain_forward(disc, _flatten(fake))
-    d_fake = sigmoid(z_fake) / z_fake.shape[0]
-    chain_backward(disc, d_fake)
-    loss = float(softplus(-z_real).mean() + softplus(z_fake).mean())
-    optimizer.step()
-    return loss
+    chain_backward(disc, sigmoid(z_fake) / z_fake.shape[0])
+    return float(softplus(-z_real).mean() + softplus(z_fake).mean())
 
 
 def train_ae(
@@ -248,7 +285,7 @@ def train_ae(
     n = x.shape[0]
     xb4 = x[:, None, :, :]
     tb4 = t[:, None, :, :]
-    use_x_side = scenario >= 3 and cfg.beta != 0.0
+    use_x_side = _x_side(model)
 
     opt_enc = Adam(model.encoder, cfg.lr)
     opt_dec = Adam(model.decoder, cfg.lr) if use_x_side else None
@@ -268,46 +305,21 @@ def train_ae(
             xi, ti = xb4[idx], tb4[idx]
             n_batches += 1
 
-            zero_grads(model.encoder)
-            t_hat = chain_forward(model.encoder, xi)
-            loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1)
-            sums["template_rms"] += loss_t
-            total = loss_t
-
-            if model.disc_t is not None:
-                loss_adv_t, d_adv = _gen_adversarial(model.disc_t, t_hat, 1.0)
-                sums["adv_t"] += loss_adv_t
-                total += loss_adv_t
-                d_that = d_that + d_adv
-
-            x_hat = None
-            if use_x_side:
-                zero_grads(model.decoder)
-                x_hat = chain_forward(model.decoder, t_hat)
-                loss_rec, d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
-                sums["recon_rms"] += loss_rec
-                total += loss_rec
-                if model.disc_x is not None:
-                    loss_adv_x, d_adv_x = _gen_adversarial(
-                        model.disc_x, x_hat, cfg.beta
-                    )
-                    sums["adv_x"] += loss_adv_x
-                    total += loss_adv_x
-                    d_xhat = d_xhat + d_adv_x
-                d_that = d_that + chain_backward(model.decoder, d_xhat)
-
-            chain_backward(model.encoder, d_that)
+            losses, t_hat, x_hat = _generator_loss_and_grads(model, xi, ti)
             opt_enc.step()
             if opt_dec is not None:
                 opt_dec.step()
 
             # Discriminators train against the pre-update generator outputs.
             if opt_dt is not None:
-                sums["disc_t"] += _disc_step(model.disc_t, opt_dt, ti, t_hat)
+                losses["disc_t"] = _disc_loss_and_grads(model.disc_t, ti, t_hat)
+                opt_dt.step()
             if opt_dx is not None:
-                sums["disc_x"] += _disc_step(model.disc_x, opt_dx, xi, x_hat)
+                losses["disc_x"] = _disc_loss_and_grads(model.disc_x, xi, x_hat)
+                opt_dx.step()
 
-            sums["total"] += total
+            for key, value in losses.items():
+                sums[key] += value
 
         for key, value in sums.items():
             trace[key].append(value / n_batches)
@@ -317,16 +329,6 @@ def train_ae(
 
     model.loss_trace = trace
     return model
-
-
-@dataclass(frozen=True)
-class DeepFeatures:
-    """Per-probe deep features; optional fields follow the model scenario."""
-
-    hamming_sym: int
-    recon_l2: Optional[float] = None
-    disc_t_score: Optional[float] = None
-    disc_x_score: Optional[float] = None
 
 
 def encode(model: AeModel, images: np.ndarray) -> np.ndarray:
@@ -350,31 +352,16 @@ def decode(model: AeModel, t_hat: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def extract_features(
-    model: AeModel,
-    probe: Union[ObservedCode, np.ndarray],
-    template: Template,
-) -> DeepFeatures:
-    """Deep features of one probe against its digital template.
-
-    t_hat is thresholded at 0.5 only for the Hamming count; the decoder
-    consumes the continuous t_hat, as during training. x_hat is clamped to
-    [0,1] before the reconstruction error.
-    """
-    image = probe.image if isinstance(probe, ObservedCode) else np.asarray(probe)
-    feats = extract_features_batch(model, image[None], template.symbols[None])
-    return DeepFeatures(
-        hamming_sym=int(feats["hamming_sym"][0]),
-        recon_l2=None if feats["recon_l2"] is None else float(feats["recon_l2"][0]),
-        disc_t_score=None if feats["disc_t_score"] is None else float(feats["disc_t_score"][0]),
-        disc_x_score=None if feats["disc_x_score"] is None else float(feats["disc_x_score"][0]),
-    )
-
-
 def extract_features_batch(
     model: AeModel, images: np.ndarray, symbols: np.ndarray
 ) -> dict:
-    """Vectorized extract_features over aligned (N,H,W) probes and (N,n,n) grids."""
+    """Deep features of aligned (N,H,W) probes against their (N,n,n) template grids.
+
+    t_hat is thresholded at 0.5 only for the Hamming count; the decoder
+    consumes the continuous t_hat, as during training. x_hat is clamped to
+    [0,1] before the reconstruction error. Returns a dict of per-probe
+    arrays; entries the model's scenario lacks are None.
+    """
     x = np.asarray(images, dtype=np.float64)
     syms = np.asarray(symbols)
     if x.shape[0] != syms.shape[0]:
@@ -405,14 +392,14 @@ def extract_features_batch(
 
 
 def _generator_loss(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> float:
-    """Scalar generator objective at the current weights (no side effects)."""
+    """Scalar generator objective at the current weights (forward only)."""
     cfg = model.config
     t_hat = chain_forward(model.encoder, xi)
     loss = _rms_loss(t_hat, ti, cfg.lambda1)[0]
     if model.disc_t is not None:
         z = chain_forward(model.disc_t, _flatten(t_hat))
         loss += float(softplus(-z).mean())
-    if model.decoder is not None and cfg.beta != 0.0:
+    if _x_side(model):
         x_hat = chain_forward(model.decoder, t_hat)
         loss += _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)[0]
         if model.disc_x is not None:
@@ -421,58 +408,20 @@ def _generator_loss(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> float:
     return loss
 
 
-def _disc_loss(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> float:
-    """Scalar logistic loss of one discriminator at the current weights."""
+def _disc_batches(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> tuple:
+    """(discriminator, real batch, fake batch) for disc_t or disc_x at the current weights."""
     t_hat = chain_forward(model.encoder, xi)
     if which == "disc_t":
-        disc, real, fake = model.disc_t, ti, t_hat
-    else:
-        disc = model.disc_x
-        real = xi
-        fake = chain_forward(model.decoder, t_hat)
+        return model.disc_t, ti, t_hat
+    return model.disc_x, xi, chain_forward(model.decoder, t_hat)
+
+
+def _disc_loss(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> float:
+    """Scalar logistic loss of one discriminator at the current weights (forward only)."""
+    disc, real, fake = _disc_batches(model, which, xi, ti)
     z_real = chain_forward(disc, _flatten(real))
     z_fake = chain_forward(disc, _flatten(fake))
     return float(softplus(-z_real).mean() + softplus(z_fake).mean())
-
-
-def _generator_grads(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> dict:
-    """Analytic generator gradients per group (encoder, decoder if active)."""
-    cfg = model.config
-    gen_groups = {"encoder": model.encoder}
-    zero_grads(model.encoder)
-    t_hat = chain_forward(model.encoder, xi)
-    _, d_that = _rms_loss(t_hat, ti, cfg.lambda1)
-    if model.disc_t is not None:
-        d_that = d_that + _gen_adversarial(model.disc_t, t_hat, 1.0)[1]
-    if model.decoder is not None and cfg.beta != 0.0:
-        gen_groups["decoder"] = model.decoder
-        zero_grads(model.decoder)
-        x_hat = chain_forward(model.decoder, t_hat)
-        _, d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
-        if model.disc_x is not None:
-            d_xhat = d_xhat + _gen_adversarial(model.disc_x, x_hat, cfg.beta)[1]
-        d_that = d_that + chain_backward(model.decoder, d_xhat)
-    chain_backward(model.encoder, d_that)
-    return {
-        name: [(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(layers)]
-        for name, layers in gen_groups.items()
-    }
-
-
-def _disc_grads(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray):
-    disc = model.disc_t if which == "disc_t" else model.disc_x
-    zero_grads(disc)
-    t_hat = chain_forward(model.encoder, xi)
-    if which == "disc_t":
-        real, fake = ti, t_hat
-    else:
-        real = xi
-        fake = chain_forward(model.decoder, t_hat)
-    z_real = chain_forward(disc, _flatten(real))
-    chain_backward(disc, (sigmoid(z_real) - 1.0) / z_real.shape[0])
-    z_fake = chain_forward(disc, _flatten(fake))
-    chain_backward(disc, sigmoid(z_fake) / z_fake.shape[0])
-    return [(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(disc)]
 
 
 def _relu_layers(model: AeModel):
@@ -500,9 +449,12 @@ def gradient_check(
 ) -> float:
     """Central finite differences vs analytic gradients for every active group.
 
-    Walks every coordinate of every weight array, so call it on small nets
-    only. Returns the maximum per-group relative error
-    ||g_analytic - g_fd|| / max(||g_analytic||, ||g_fd||).
+    The analytic side is the training step itself: the gradients that
+    train_ae hands to Adam, from _generator_loss_and_grads and
+    _disc_loss_and_grads. The finite-difference side probes the forward-only
+    _generator_loss and _disc_loss. Walks every coordinate of every weight
+    array, so call it on small nets only. Returns the maximum per-group
+    relative error ||g_analytic - g_fd|| / max(||g_analytic||, ||g_fd||).
 
     The analytic pass records the ReLU masks per forward call; the
     finite-difference probes replay them. The comparison is then between two
@@ -512,34 +464,39 @@ def gradient_check(
     """
     x = np.asarray(images, dtype=np.float64)[:, None, :, :]
     t = np.asarray(symbols, dtype=np.float64)[:, None, :, :]
+    groups = model.groups()
 
-    checks = [("generator", None)]
-    if model.disc_t is not None:
-        checks.append(("disc", "disc_t"))
-    if model.disc_x is not None and model.config.beta != 0.0:
-        checks.append(("disc", "disc_x"))
+    # (groups checked, analytic pass, forward-only loss)
+    checks = [(
+        ("encoder", "decoder") if _x_side(model) else ("encoder",),
+        lambda: _generator_loss_and_grads(model, x, t),
+        lambda: _generator_loss(model, x, t),
+    )]
+    discs = ["disc_t"] if model.disc_t is not None else []
+    if model.disc_x is not None and _x_side(model):
+        discs.append("disc_x")
+    for which in discs:
+        checks.append((
+            (which,),
+            lambda w=which: _disc_loss_and_grads(*_disc_batches(model, w, x, t)),
+            lambda w=which: _disc_loss(model, w, x, t),
+        ))
 
     worst = 0.0
-    for kind, which in checks:
+    for names, analytic_pass, raw_loss in checks:
         _set_mask_mode(model, "record")
-        if kind == "generator":
-            analytic = _generator_grads(model, x, t)
-            raw_loss = lambda: _generator_loss(model, x, t)  # noqa: E731
-            targets = {name: model.groups()[name] for name in analytic}
-        else:
-            analytic = {which: _disc_grads(model, which, x, t)}
-            raw_loss = lambda w=which: _disc_loss(model, w, x, t)  # noqa: E731
-            targets = {which: model.groups()[which]}
+        analytic_pass()
         _set_mask_mode(model, "replay")
 
         def loss_fn():
             _reset_replay(model)
             return raw_loss()
 
-        for name, layers in targets.items():
+        # forward probes leave gw/gb alone, so they still hold the analytic pass
+        for name in names:
             fd_parts, an_parts = [], []
-            for layer, (gw, gb) in zip(weighted_layers(layers), analytic[name]):
-                for param, grad in ((layer.w, gw), (layer.b, gb)):
+            for layer in weighted_layers(groups[name]):
+                for param, grad in ((layer.w, layer.gw), (layer.b, layer.gb)):
                     fd = np.zeros_like(param)
                     flat = param.reshape(-1)
                     fd_flat = fd.reshape(-1)

@@ -44,7 +44,7 @@ from .deepfeat import AeConfig, extract_features_batch, train_ae
 from .errors import DataError, ParameterError
 from .imageio import read_json, write_json
 from .metrics import feature_vector
-from .ocsvm import select_nu
+from .ocsvm import select_nu, train_ocsvm
 from .rng import derive_seed, rng_for
 from .supervised import (
     TrainConfig,
@@ -114,16 +114,6 @@ class DatasetManifest:
     config_hash: str
     template_ids: tuple
     codes: list  # {path, label, template_id, split, augmentation}
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    def entries(self, labels: Optional[Sequence[str]] = None) -> list:
-        if labels is None:
-            return list(self.codes)
-        wanted = set(labels)
-        return [e for e in self.codes if e["label"] in wanted]
 
 
 def _template_id(index: int) -> str:
@@ -517,19 +507,22 @@ def _supervised_features(codes: Sequence[ObservedCode], augmented: bool) -> tupl
     return images_to_features(images), names
 
 
+def fit_classifier(
+    data: Dataset, assignment: dict, config: TrainConfig, classes: Sequence[str] = CLASS_ORDER
+):
+    """MLP over the augmented train-split codes of `classes`, labeled by their order."""
+    train_codes = codes_in_split(data, assignment, "train", classes)
+    x, names = _supervised_features(train_codes, augmented=True)
+    index = {label: i for i, label in enumerate(classes)}
+    y = np.array([index[n] for n in names])
+    return train_classifier(x, y, n_classes=len(classes), config=config, class_names=classes)
+
+
 def _run_supervised_5class(data: Dataset, assignment: dict, run_seed: int) -> tuple:
-    train_codes = codes_in_split(data, assignment, "train", CLASS_ORDER)
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
     index = {label: i for i, label in enumerate(CLASS_ORDER)}
-
-    x_train, names = _supervised_features(train_codes, augmented=True)
-    y_train = np.array([index[n] for n in names])
-    model = train_classifier(
-        x_train,
-        y_train,
-        n_classes=5,
-        config=TrainConfig(seed=derive_seed(run_seed, "classifier")),
-        class_names=CLASS_ORDER,
+    model = fit_classifier(
+        data, assignment, TrainConfig(seed=derive_seed(run_seed, "classifier"))
     )
     x_test, test_names = _supervised_features(test_codes, augmented=False)
     y_test = np.array([index[n] for n in test_names])
@@ -558,15 +551,11 @@ def _run_supervised_binary(data: Dataset, assignment: dict, run_seed: int) -> tu
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
     x_test, _ = _supervised_features(test_codes, augmented=False)
     for fake in FAKE_LABELS:
-        train_codes = codes_in_split(data, assignment, "train", ("original", fake))
-        x_train, names = _supervised_features(train_codes, augmented=True)
-        y_train = np.array([0 if n == "original" else 1 for n in names])
-        model = train_classifier(
-            x_train,
-            y_train,
-            n_classes=2,
-            config=TrainConfig(seed=derive_seed(run_seed, "binary", fake)),
-            class_names=("original", fake),
+        model = fit_classifier(
+            data,
+            assignment,
+            TrainConfig(seed=derive_seed(run_seed, "binary", fake)),
+            classes=("original", fake),
         )
         pred, _ = predict(model, x_test)
         rates.update(_rates_from_accepts(f"trained-vs-{fake}", test_codes, pred == 0))
@@ -603,6 +592,34 @@ def spatial_pair_features(
     return out
 
 
+def fit_spatial_ocsvm(
+    data: Dataset,
+    assignment: dict,
+    reference: str,
+    color: str,
+    nu: Optional[float] = None,
+    rbf_gamma: float = 0.1,
+) -> tuple:
+    """One-class SVM on (pearson, hamming) features of the train-split originals.
+
+    nu None selects it on the validation originals (select_nu). Returns
+    (model, nu, validation features).
+    """
+    if color == "rgb" and data.manifest.config.plane_jitter == 0:
+        raise ParameterError("rgb variant needs a dataset with color planes")
+
+    def features(split):
+        codes = codes_in_split(data, assignment, split, ("original",))
+        return spatial_pair_features(data, codes, reference, color)
+
+    train, val = features("train"), features("val")
+    if nu is None:
+        model, nu, _ = select_nu(train, val, rbf_gamma=rbf_gamma)
+    else:
+        model = train_ocsvm(train, nu=nu, rbf_gamma=rbf_gamma)
+    return model, nu, val
+
+
 def _run_ocsvm_spatial(
     data: Dataset, assignment: dict, run_seed: int, variants=OCSVM_SPATIAL_VARIANTS
 ) -> tuple:
@@ -610,18 +627,7 @@ def _run_ocsvm_spatial(
     extras = {}
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
     for reference, color in variants:
-        if color == "rgb" and data.manifest.config.plane_jitter == 0:
-            raise ParameterError("rgb variant needs a dataset with color planes")
-        train = spatial_pair_features(
-            data,
-            codes_in_split(data, assignment, "train", ("original",)),
-            reference,
-            color,
-        )
-        val = spatial_pair_features(
-            data, codes_in_split(data, assignment, "val", ("original",)), reference, color
-        )
-        model, nu, _ = select_nu(train, val)
+        model, nu, val = fit_spatial_ocsvm(data, assignment, reference, color)
         feats = spatial_pair_features(data, test_codes, reference, color)
         accepted = rule_ocsvm(model, feats)
         setup = f"{reference}-{color}"

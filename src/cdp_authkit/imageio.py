@@ -29,8 +29,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
-    magic, dims, raster = _parse_header(data, b"P5")
-    w, h = dims
+    (w, h), raster = _parse_header(data, b"P5", path)
     expected = w * h
     if len(raster) < expected:
         raise DataError(f"short PGM raster in {path}")
@@ -50,35 +49,46 @@ def write_ppm(path: str | Path, planes: np.ndarray) -> None:
 
 def read_ppm(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
-    magic, dims, raster = _parse_header(data, b"P6")
-    w, h = dims
+    (w, h), raster = _parse_header(data, b"P6", path)
     expected = w * h * 3
     if len(raster) < expected:
         raise DataError(f"short PPM raster in {path}")
     return np.frombuffer(raster[:expected], dtype=np.uint8).reshape(h, w, 3).copy()
 
 
-def _parse_header(data: bytes, magic: bytes):
-    # Header: magic, width, height, maxval, single whitespace, then raster.
+def _parse_header(data: bytes, magic: bytes, path) -> tuple:
+    """((width, height), raster) of a binary PGM/PPM file.
+
+    Header: magic, then width, height and maxval as whitespace-separated
+    decimal fields ('#' starts a comment running to the end of the line),
+    then a single whitespace byte and the raster. A missing, non-numeric or
+    non-positive field raises DataError naming the file and the field.
+    """
     if not data.startswith(magic):
-        raise DataError(f"not a {magic.decode()} file")
+        raise DataError(f"{path}: not a {magic.decode()} file")
     fields = []
     pos = len(magic)
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            pos = data.index(b"\n", pos) + 1
-            continue
+    for name in ("width", "height", "maxval"):
+        while True:
+            while data[pos : pos + 1].isspace():
+                pos += 1
+            if data[pos : pos + 1] != b"#":
+                break
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace byte before raster
+        token = data[start:pos].decode("latin-1")
+        if not token:
+            raise DataError(f"{path}: header ends before its {name} field")
+        if not (token.isascii() and token.isdigit()) or int(token) == 0:
+            raise DataError(f"{path}: {name} must be a positive integer, got {token!r}")
+        fields.append(int(token))
     w, h, maxval = fields
     if maxval != 255:
-        raise DataError("only maxval 255 is supported")
-    return magic, (w, h), data[pos:]
+        raise DataError(f"{path}: only maxval 255 is supported, got {maxval}")
+    return (w, h), data[pos + 1 :]
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:

@@ -161,9 +161,7 @@ def feature_vector(
         ref_img = 1.0 - reference.cdp_pixels().astype(np.float64)
         if probe_img.shape != ref_img.shape:
             raise DataError("probe and template pattern areas differ in size")
-        thr = otsu_threshold(probe_img)
-        reduced = downsample_majority(binarize(probe_img, thr), reference.symbol_px)
-        ham = int(np.sum(reduced != reference.symbols))
+        ham = hamming_symbols(binarize(probe_img, otsu_threshold(probe_img)), reference)
         a, b = _intensity_pair(probe, ref_img, use_planes, ref_is_template=True)
         kind = "digital"
     else:

@@ -170,29 +170,6 @@ def dual_objective(model: OcSvmModel) -> float:
     return float(0.5 * model.alphas @ k @ model.alphas)
 
 
-def boundary_grid(
-    model: OcSvmModel,
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    resolution: int = 200,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decision values over a raw-feature lattice (2-D models only).
-
-    Returns (values, xs, ys) with values[i, j] = f((xs[j], ys[i])), the
-    matplotlib contour orientation.
-    """
-    if model.dim != 2:
-        raise ParameterError("boundary_grid requires a 2-D feature space")
-    if resolution < 2:
-        raise ParameterError("resolution must be >= 2")
-    xs = np.linspace(float(x_range[0]), float(x_range[1]), resolution)
-    ys = np.linspace(float(y_range[0]), float(y_range[1]), resolution)
-    xx, yy = np.meshgrid(xs, ys)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    values = decision_function(model, pts).reshape(resolution, resolution)
-    return values, xs, ys
-
-
 def select_nu(
     train_points: np.ndarray,
     val_points: np.ndarray,

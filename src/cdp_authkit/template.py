@@ -146,24 +146,6 @@ def add_markers(t: Template, marker_width_px: int) -> Template:
     )
 
 
-def crop_to_cdp(t: Template) -> Template:
-    """Remove the marker frame, recovering the bare pattern template."""
-    w = t.marker_width_px
-    if w is None:
-        raise StateError("marker width unknown; cannot crop")
-    if w == 0:
-        return t
-    side = t.cdp_side_px
-    cropped = t.pixels[w : w + side, w : w + side].copy()
-    return Template(
-        symbols=t.symbols,
-        symbol_px=t.symbol_px,
-        pixels=cropped,
-        seed=t.seed,
-        marker_width_px=0,
-    )
-
-
 def save_template(t: Template, path: str | Path) -> None:
     """Write <path>.pgm (0 = ink) and <path>.json sidecar."""
     base = Path(path)

@@ -12,13 +12,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from cdp_authkit import checks
 from cdp_authkit.cli import main
 from cdp_authkit.deepfeat import AeConfig, train_ae
 from cdp_authkit.experiment import DatasetConfig, run_experiment, synthesize_dataset
-from cdp_authkit.nn import weighted_layers
+
+from conftest import same_weights
 
 GOLDEN = Path(__file__).parent / "golden" / "deep_scenario3_report.json"
 
@@ -59,10 +58,6 @@ def test_c04_scenario_loss_gradients_match_finite_differences(capsys):
     _line(capsys, 4, "gradient checks", f"4 scenarios x 10 points, worst {worst:.2e}, {dt:.1f}s")
 
 
-def _group_weights(layers):
-    return [(layer.w.copy(), layer.b.copy()) for layer in weighted_layers(layers)]
-
-
 def test_c05_beta_zero_collapses_to_template_only_scenarios(capsys):
     images, symbols = checks.toy_batch((5, "acceptance"), 8)
     cfg = AeConfig(epochs=50, batch_size=8, channels=2, disc_hidden=4, beta=0.0, seed=3)
@@ -71,11 +66,7 @@ def test_c05_beta_zero_collapses_to_template_only_scenarios(capsys):
         m_gated = train_ae(images, symbols, gated, cfg)
         assert m_plain.loss_trace == m_gated.loss_trace  # all 50 steps, bitwise
         for name, layers in m_plain.groups().items():
-            for (w_a, b_a), (w_b, b_b) in zip(
-                _group_weights(layers), _group_weights(m_gated.groups()[name])
-            ):
-                assert np.array_equal(w_a, w_b)
-                assert np.array_equal(b_a, b_b)
+            assert same_weights(layers, m_gated.groups()[name]), name
         # beta > 0 genuinely changes the gated scenario
         m_on = train_ae(images, symbols, gated, replace(cfg, beta=0.01))
         assert m_on.loss_trace["template_rms"] != m_gated.loss_trace["template_rms"]

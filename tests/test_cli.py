@@ -1,19 +1,23 @@
 """Command-line interface: exit codes, seed precedence, and the command cycle.
 
 Commands run in-process through main() so stdout/stderr can be captured
-cheaply; one test drives the installed console script as a subprocess.
+cheaply; one test drives the console script (or `python -m cdp_authkit.cli`
+when it is not installed) as a subprocess.
 """
 
 import json
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
-from cdp_authkit import checks
+from cdp_authkit import checks, experiment
 from cdp_authkit.cli import main
+from cdp_authkit.deepfeat import AeConfig
 from cdp_authkit.experiment import DatasetConfig, config_hash
+from cdp_authkit.supervised import TrainConfig, load_classifier
 
 from conftest import SMALL_CONFIG
 
@@ -272,17 +276,62 @@ def test_selftest_reports_failing_suite(capsys, monkeypatch):
 
 
 def test_console_script(tmp_path):
+    # the installed entry point, else the module under the inherited PYTHONPATH
     exe = shutil.which("cdp-authkit")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    command = [exe] if exe is not None else [sys.executable, "-m", "cdp_authkit.cli"]
     proc = subprocess.run(
-        [exe, "gen", "--count", "1", "--n-sym", "6", "--symbol-px", "2",
-         "--out", str(tmp_path / "t")],
+        command + ["gen", "--count", "1", "--n-sym", "6", "--symbol-px", "2",
+                   "--out", str(tmp_path / "t")],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "wrote 1 templates" in proc.stdout
+
+
+def test_settings_flag_over_config_over_dataclass_default(
+    small_dataset_dir, tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"templates": 6, "n_sym": 8}}))
+    code, text, _ = run_cli(
+        ["dataset", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "d")], capsys
+    )
+    assert code == 0
+    assert f"manifest {config_hash(DatasetConfig(n_templates=6, n_sym=8, seed=4))}:" in text
+
+    cfg.write_text(json.dumps({"model": {"hidden": 8}}))
+    for flags, hidden in (([], 8), (["--hidden", "4"], 4)):
+        out = tmp_path / f"clf{hidden}.json"
+        code, _, _ = run_cli(
+            ["train", "supervised", "--dataset", str(small_dataset_dir), "--epochs", "1",
+             "--config", str(cfg), "--out", str(out)] + flags,
+            capsys,
+        )
+        assert code == 0
+        saved = load_classifier(out).config
+        assert (saved.hidden, saved.epochs) == (hidden, 1)
+        assert (saved.batch_size, saved.lr) == (TrainConfig.batch_size, TrainConfig.lr)
+
+    seen = []
+    train_ae = experiment.train_ae
+
+    def recording_train_ae(images, symbols, scenario, config):
+        seen.append(config)
+        return train_ae(images, symbols, scenario, config)
+
+    monkeypatch.setattr(experiment, "train_ae", recording_train_ae)
+    cfg.write_text(json.dumps({"model": {"epochs": 2, "channels": 2, "disc_hidden": 4}}))
+    for flags, epochs in (([], 2), (["--epochs", "1"], 1)):
+        code, _, _ = run_cli(
+            ["eval", "--dataset", str(small_dataset_dir), "--preset", "deep-scenario-1",
+             "--runs", "1", "--jobs", "1", "--config", str(cfg),
+             "--out", str(tmp_path / f"rep{epochs}")] + flags,
+            capsys,
+        )
+        assert code == 0
+        assert (seen[-1].epochs, seen[-1].channels) == (epochs, 2)
+        assert seen[-1].batch_size == AeConfig.batch_size
 
 
 def test_dataset_matches_conftest_fixture(small_dataset_dir, tmp_path, capsys):

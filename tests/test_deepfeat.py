@@ -9,7 +9,6 @@ from cdp_authkit.deepfeat import (
     build_ae_model,
     decode,
     encode,
-    extract_features,
     extract_features_batch,
     gradient_check,
     load_ae,
@@ -17,22 +16,10 @@ from cdp_authkit.deepfeat import (
     train_ae,
 )
 from cdp_authkit.errors import DataError, ParameterError
-from cdp_authkit.nn import weighted_layers
-from cdp_authkit.template import generate_template
+
+from conftest import same_weights
 
 TINY = dict(batch_size=4, channels=2, disc_hidden=4)
-
-
-def _weights(layers):
-    return [(layer.w.copy(), layer.b.copy()) for layer in weighted_layers(layers)]
-
-
-def _same_weights(layers_a, layers_b):
-    a, b = _weights(layers_a), _weights(layers_b)
-    return len(a) == len(b) and all(
-        np.array_equal(wa, wb) and np.array_equal(ba, bb)
-        for (wa, ba), (wb, bb) in zip(a, b)
-    )
 
 
 def test_config_validation():
@@ -91,7 +78,7 @@ def test_training_determinism():
     a = train_ae(images, symbols, 4, cfg)
     b = train_ae(images, symbols, 4, cfg)
     for name in a.groups():
-        assert _same_weights(a.groups()[name], b.groups()[name])
+        assert same_weights(a.groups()[name], b.groups()[name])
     assert a.loss_trace == b.loss_trace
 
 
@@ -115,10 +102,10 @@ def test_beta_zero_collapses_to_base_scenarios():
         rich = train_ae(images, symbols, extended, cfg)
         # bit-identical shared groups when the x-side is weighted to zero
         for name in plain.groups():
-            assert _same_weights(plain.groups()[name], collapsed.groups()[name])
+            assert same_weights(plain.groups()[name], collapsed.groups()[name])
         assert plain.loss_trace["template_rms"] == collapsed.loss_trace["template_rms"]
         # and genuinely different when beta participates
-        assert not _same_weights(plain.encoder, rich.encoder)
+        assert not same_weights(plain.encoder, rich.encoder)
 
 
 def test_gradient_check_all_scenarios():
@@ -163,17 +150,6 @@ def test_features_follow_scenario():
             assert (feats["recon_l2"] >= 0).all()
         if has_dt:
             assert ((feats["disc_t_score"] > 0) & (feats["disc_t_score"] < 1)).all()
-
-
-def test_single_probe_extraction_matches_batch():
-    images, symbols = toy_batch((8,), 8)
-    model = train_ae(images, symbols, 4, AeConfig(epochs=1, seed=0, **TINY))
-    t = generate_template(4, 3, 0.5, seed=1)
-    single = extract_features(model, images[0], t)
-    batch = extract_features_batch(model, images[:1], t.symbols[None])
-    assert single.hamming_sym == int(batch["hamming_sym"][0])
-    assert single.recon_l2 == float(batch["recon_l2"][0])
-    assert single.disc_x_score == float(batch["disc_x_score"][0])
 
 
 def test_save_load_roundtrip(tmp_path):

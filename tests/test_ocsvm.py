@@ -7,7 +7,6 @@ from cdp_authkit import checks
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.ocsvm import (
     OcSvmModel,
-    boundary_grid,
     decision_function,
     dual_objective,
     load_model,
@@ -130,17 +129,6 @@ def test_save_load_roundtrip(tmp_path):
     probes = rng.normal(size=(15, 2))
     assert np.array_equal(decision_function(model, probes), decision_function(back, probes))
     assert back.nu == model.nu and back.n_train == model.n_train
-
-
-def test_boundary_grid_orientation():
-    rng = rng_for(8, "grid")
-    model = train_ocsvm(rng.normal(size=(50, 2)), nu=0.1)
-    values, xs, ys = boundary_grid(model, (-3, 3), (-3, 3), resolution=21)
-    assert values.shape == (21, 21)
-    probe = np.array([[xs[5], ys[13]]])
-    assert values[13, 5] == decision_function(model, probe)[0]
-    with pytest.raises(ParameterError):
-        boundary_grid(train_ocsvm(rng.normal(size=(20, 3)), nu=0.5), (-1, 1), (-1, 1))
 
 
 def test_train_validation():

@@ -9,7 +9,6 @@ from cdp_authkit.rng import rng_for
 from cdp_authkit.template import (
     Template,
     add_markers,
-    crop_to_cdp,
     downsample_majority,
     generate_template,
     load_template,
@@ -76,8 +75,7 @@ def test_markers_geometry_and_crop_roundtrip():
     assert m.pixels[:4, -4:].all() and m.pixels[-4:, :4].all()
     assert not m.pixels[:4, 10:20].any()
     assert np.array_equal(m.pixels[4:-4, 4:-4], t.pixels)
-    back = crop_to_cdp(m)
-    assert back == t
+    assert np.array_equal(m.cdp_pixels(), t.pixels)
 
 
 def test_marker_validation():
@@ -95,7 +93,7 @@ def test_crop_unknown_provenance_raises():
         symbols=t.symbols, symbol_px=2, pixels=t.pixels, seed=3, marker_width_px=None
     )
     with pytest.raises(StateError):
-        crop_to_cdp(unknown)
+        unknown.cdp_pixels()
 
 
 def test_save_load_roundtrip(tmp_path):
