@@ -26,7 +26,7 @@ batch order stream does not depend on the scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +43,7 @@ from .nn import (
     UpsampleNearest,
     chain_backward,
     chain_forward,
+    chain_infer,
     sigmoid,
     softplus,
     weighted_layers,
@@ -338,7 +339,7 @@ def encode(model: AeModel, images: np.ndarray) -> np.ndarray:
         x = x[None]
     if x.shape[1] != model.image_side or x.shape[2] != model.image_side:
         raise DataError(f"expected {model.image_side}x{model.image_side} images")
-    return chain_forward(model.encoder, x[:, None, :, :])[:, 0]
+    return chain_infer(model.encoder, x[:, None, :, :])[:, 0]
 
 
 def decode(model: AeModel, t_hat: np.ndarray) -> np.ndarray:
@@ -348,7 +349,7 @@ def decode(model: AeModel, t_hat: np.ndarray) -> np.ndarray:
     t = np.asarray(t_hat, dtype=np.float64)
     if t.ndim == 2:
         t = t[None]
-    out = chain_forward(model.decoder, t[:, None, :, :])[:, 0]
+    out = chain_infer(model.decoder, t[:, None, :, :])[:, 0]
     return np.clip(out, 0.0, 1.0)
 
 
@@ -383,10 +384,10 @@ def extract_features_batch(
         diff = x_hat - x
         out["recon_l2"] = np.sqrt((diff * diff).mean(axis=(1, 2)))
     if model.disc_t is not None:
-        z = chain_forward(model.disc_t, _flatten(t_hat[:, None]))
+        z = chain_infer(model.disc_t, _flatten(t_hat[:, None]))
         out["disc_t_score"] = sigmoid(z)[:, 0]
     if model.disc_x is not None and x_hat is not None:
-        z = chain_forward(model.disc_x, _flatten(x_hat[:, None]))
+        z = chain_infer(model.disc_x, _flatten(x_hat[:, None]))
         out["disc_x_score"] = sigmoid(z)[:, 0]
     return out
 
@@ -394,33 +395,33 @@ def extract_features_batch(
 def _generator_loss(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> float:
     """Scalar generator objective at the current weights (forward only)."""
     cfg = model.config
-    t_hat = chain_forward(model.encoder, xi)
+    t_hat = chain_infer(model.encoder, xi)
     loss = _rms_loss(t_hat, ti, cfg.lambda1)[0]
     if model.disc_t is not None:
-        z = chain_forward(model.disc_t, _flatten(t_hat))
+        z = chain_infer(model.disc_t, _flatten(t_hat))
         loss += float(softplus(-z).mean())
     if _x_side(model):
-        x_hat = chain_forward(model.decoder, t_hat)
+        x_hat = chain_infer(model.decoder, t_hat)
         loss += _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)[0]
         if model.disc_x is not None:
-            z = chain_forward(model.disc_x, _flatten(x_hat))
+            z = chain_infer(model.disc_x, _flatten(x_hat))
             loss += cfg.beta * float(softplus(-z).mean())
     return loss
 
 
 def _disc_batches(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> tuple:
     """(discriminator, real batch, fake batch) for disc_t or disc_x at the current weights."""
-    t_hat = chain_forward(model.encoder, xi)
+    t_hat = chain_infer(model.encoder, xi)
     if which == "disc_t":
         return model.disc_t, ti, t_hat
-    return model.disc_x, xi, chain_forward(model.decoder, t_hat)
+    return model.disc_x, xi, chain_infer(model.decoder, t_hat)
 
 
 def _disc_loss(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> float:
     """Scalar logistic loss of one discriminator at the current weights (forward only)."""
     disc, real, fake = _disc_batches(model, which, xi, ti)
-    z_real = chain_forward(disc, _flatten(real))
-    z_fake = chain_forward(disc, _flatten(fake))
+    z_real = chain_infer(disc, _flatten(real))
+    z_fake = chain_infer(disc, _flatten(fake))
     return float(softplus(-z_real).mean() + softplus(z_fake).mean())
 
 
@@ -525,7 +526,6 @@ def save_ae(model: AeModel, path: str | Path) -> None:
             {"w": layer.w.tolist(), "b": layer.b.tolist()}
             for layer in weighted_layers(layers)
         ]
-    cfg = model.config
     write_json(
         path,
         {
@@ -533,17 +533,7 @@ def save_ae(model: AeModel, path: str | Path) -> None:
             "scenario": model.scenario,
             "n_sym": model.n_sym,
             "symbol_px": model.symbol_px,
-            "config": {
-                "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "lr": cfg.lr,
-                "lambda1": cfg.lambda1,
-                "lambda2": cfg.lambda2,
-                "beta": cfg.beta,
-                "channels": cfg.channels,
-                "disc_hidden": cfg.disc_hidden,
-                "seed": cfg.seed,
-            },
+            "config": asdict(model.config),
             "groups": groups,
             "loss_trace": model.loss_trace,
         },

@@ -2,9 +2,21 @@
 
 Just enough machinery for the desk-scale models in this package: dense and
 im2col convolution layers, ReLU/sigmoid, nearest-neighbor upsampling, stable
-logistic losses, and a deterministic Adam. Layers cache what their backward
-pass needs; gradients accumulate on the layer (`gw`, `gb`) so a finite
-difference check can perturb `w`/`b` in place and re-run the forward pass.
+logistic losses, and a deterministic Adam. Layers keep what their backward
+pass needs in `_cache`; gradients accumulate on the layer (`gw`, `gb`) so a
+finite difference check can perturb `w`/`b` in place and re-run the forward
+pass. `chain_infer` runs a forward pass that keeps no cache, for callers that
+never run backward.
+
+Convolution uses the channels-first (Caffe) im2col layout: the patch matrix
+of a (B, C, H, W) input is (B, C*k*k, oh*ow), row c*k*k + ki*k + kj holding
+input channel c shifted by (ki, kj) at every output position. im2col fills
+it with k*k slice copies of the padded input and col2im scatters back with
+k*k adds, each over whole rows. A layer's weights are (out_ch, C*k*k) in the
+same (c, ki, kj) order, so the forward pass is one GEMM per sample,
+w @ cols, whose (B, out_ch, oh*ow) result is already in NCHW order; the
+weight gradient is dout @ cols^T summed over the batch, and the input
+gradient is col2im(w^T @ dout).
 """
 
 from __future__ import annotations
@@ -34,27 +46,28 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(B, C, H, W) -> (B, oh*ow, C*k*k) patch matrix plus (oh, ow)."""
+    """(B, C, H, W) -> (B, C*k*k, oh*ow) channels-first patch matrix plus (oh, ow)."""
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * k * k)
-    return np.ascontiguousarray(cols), (oh, ow)
+    cols = np.empty((b, c, k, k, oh, ow))
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki : ki + stride * oh : stride,
+                                    kj : kj + stride * ow : stride]
+    return cols.reshape(b, c * k * k, oh * ow), (oh, ow)
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int):
-    """Adjoint of im2col: scatter patch gradients back onto the input grid."""
+    """Adjoint of im2col: scatter (B, C*k*k, oh*ow) patch gradients back onto the input grid."""
     b, c, h, w = x_shape
     dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    d6 = dcols.reshape(b, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    d6 = dcols.reshape(b, c, k, k, oh, ow)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += d6[
-                :, :, :, :, ki, kj
-            ]
+            dxp[:, :, ki : ki + stride * oh : stride,
+                kj : kj + stride * ow : stride] += d6[:, :, ki, kj]
     return dxp[:, :, pad : pad + h, pad : pad + w].copy()
 
 
@@ -74,18 +87,16 @@ class Conv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         cols, (oh, ow) = im2col(x, self.k, self.stride, self.pad)
-        out = cols @ self.w.T + self.b
+        out = self.w @ cols + self.b[:, None]
         self._cache = (cols, x.shape, oh, ow)
-        return out.transpose(0, 2, 1).reshape(x.shape[0], self.out_ch, oh, ow)
+        return out.reshape(x.shape[0], self.out_ch, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cols, x_shape, oh, ow = self._cache
-        b = x_shape[0]
-        dmat = dout.reshape(b, self.out_ch, oh * ow).transpose(0, 2, 1)
-        self.gw += np.einsum("bpo,bpk->ok", dmat, cols)
-        self.gb += dmat.sum(axis=(0, 1))
-        dcols = dmat @ self.w
-        return col2im(dcols, x_shape, self.k, self.stride, self.pad, oh, ow)
+        dmat = dout.reshape(x_shape[0], self.out_ch, oh * ow)
+        self.gw += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0)
+        self.gb += dmat.sum(axis=(0, 2))
+        return col2im(self.w.T @ dmat, x_shape, self.k, self.stride, self.pad, oh, ow)
 
 
 class Dense:
@@ -126,7 +137,7 @@ class Relu:
     """
 
     def __init__(self):
-        self._mask = None
+        self._cache = None
         self.mask_mode = "normal"
         self.mask_log: list = []
         self.replay_idx = 0
@@ -139,23 +150,23 @@ class Relu:
             mask = x > 0
             if self.mask_mode == "record":
                 self.mask_log.append(mask)
-        self._mask = mask
+        self._cache = mask
         return np.where(mask, x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dout, 0.0)
+        return np.where(self._cache, dout, 0.0)
 
 
 class Sigmoid:
     def __init__(self):
-        self._out = None
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = sigmoid(x)
-        return self._out
+        self._cache = sigmoid(x)
+        return self._cache
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._out * (1.0 - self._out)
+        return dout * self._cache * (1.0 - self._cache)
 
 
 class UpsampleNearest:
@@ -163,6 +174,7 @@ class UpsampleNearest:
 
     def __init__(self, factor: int):
         self.factor = factor
+        self._cache = None  # backward needs nothing
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         f = self.factor
@@ -177,6 +189,14 @@ class UpsampleNearest:
 def chain_forward(layers, x: np.ndarray) -> np.ndarray:
     for layer in layers:
         x = layer.forward(x)
+    return x
+
+
+def chain_infer(layers, x: np.ndarray) -> np.ndarray:
+    """chain_forward for passes that never run backward: no layer keeps its cache."""
+    for layer in layers:
+        x = layer.forward(x)
+        layer._cache = None
     return x
 
 

@@ -18,12 +18,17 @@ from .metrics import N_BINS
 
 
 def otsu_exhaustive(image: np.ndarray) -> float:
-    """Otsu threshold by brute-force scan over all 256 split points."""
+    """Otsu threshold by brute-force scan over the split points at occupied bins.
+
+    A split after an empty bin puts the same pixels below it as the split
+    after the occupied bin before it, so it ties that split and can never win
+    the strict comparison; skipping it leaves the result unchanged.
+    """
     v = np.asarray(image, dtype=np.float64).ravel()
     bins = np.minimum((v * N_BINS).astype(np.int64), N_BINS - 1)
     best_k = -1
     best_var = -1.0
-    for k in range(N_BINS):
+    for k in np.unique(bins).tolist():
         low = bins <= k
         n0 = int(low.sum())
         n1 = bins.size - n0
@@ -40,6 +45,30 @@ def otsu_exhaustive(image: np.ndarray) -> float:
     if best_k < 0:
         raise DegenerateImageError("constant image: histogram occupies one bin")
     return (best_k + 1) / N_BINS
+
+
+def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int, stride: int,
+                  pad: int) -> np.ndarray:
+    """Cross-correlation by direct loops over samples, output channels and positions.
+
+    x is (B, C, H, W); w is (out_ch, C*k*k) in (c, ki, kj) order, the layout
+    nn.Conv2d stores; b is (out_ch,). Each output value is the sum of one
+    zero-padded input window times the filter, with no patch matrix or GEMM.
+    """
+    n, c, h, width = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, width + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + width] = x
+    filters = w.reshape(w.shape[0], c, k, k)
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (width + 2 * pad - k) // stride + 1
+    out = np.zeros((n, w.shape[0], oh, ow))
+    for s in range(n):
+        for o in range(w.shape[0]):
+            for i in range(oh):
+                for j in range(ow):
+                    window = xp[s, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                    out[s, o, i, j] = float((window * filters[o]).sum()) + b[o]
+    return out
 
 
 def pearson_naive(a, b) -> float:

@@ -10,7 +10,7 @@ I(A; C) >= H(C) - H(C|A) computed from predicted log-probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -235,13 +235,7 @@ def save_classifier(model: ClassifierModel, path: str | Path) -> None:
             "b2": model.output_layer.b.tolist(),
             "n_classes": model.n_classes,
             "class_names": list(model.class_names),
-            "config": {
-                "epochs": model.config.epochs,
-                "batch_size": model.config.batch_size,
-                "lr": model.config.lr,
-                "hidden": model.config.hidden,
-                "seed": model.config.seed,
-            },
+            "config": asdict(model.config),
             "final_loss": model.final_loss,
             "loss_trace": list(model.loss_trace),
         },

@@ -2,10 +2,12 @@
 
 Commands run in-process through main() so stdout/stderr can be captured
 cheaply; one test drives the console script (or `python -m cdp_authkit.cli`
-when it is not installed) as a subprocess.
+when it is not installed) as a subprocess, and one trains in child processes
+that differ only in their BLAS thread count.
 """
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -287,6 +289,28 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote 1 templates" in proc.stdout
+
+
+def test_ae_model_bytes_independent_of_blas_thread_count(tmp_path, capsys):
+    # OpenBLAS reads its thread count when numpy loads, so each count needs its
+    # own process; the variable is set in the child environment only.
+    data = tmp_path / "data"
+    assert run_cli(["dataset", "--templates", "12", "--seed", "0", "--out", str(data)],
+                   capsys)[0] == 0
+    for scenario in ("3", "4"):
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ae{scenario}-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cdp_authkit.cli", "train", "ae", "--dataset", str(data),
+                 "--scenario", scenario, "--epochs", "2", "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            models.append(out.read_bytes())
+        assert models[0] == models[1], f"scenario {scenario}"
 
 
 def test_settings_flag_over_config_over_dataclass_default(

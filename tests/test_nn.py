@@ -1,0 +1,86 @@
+"""Conv2d against a direct convolution, finite differences and its own adjoint."""
+
+import numpy as np
+import pytest
+
+from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
+from cdp_authkit.nn import Conv2d, col2im, im2col
+from cdp_authkit.oracles import conv2d_direct
+
+# The two geometries deepfeat builds: the strided first encoder layer
+# (k = symbol_px + 2, stride = symbol_px, one input plane) and the 3x3
+# stride-1 layers; (in_ch, k, stride, input side).
+GEOMETRIES = [(1, 5, 3, 12), (3, 3, 1, 5)]
+CASES = [(*g, out_ch) for g in GEOMETRIES for out_ch in (1, 8)]
+
+
+def _layer_and_input(in_ch, k, stride, side, out_ch):
+    rng = np.random.default_rng([in_ch, k, stride, side, out_ch])
+    layer = Conv2d(rng, in_ch, out_ch, k=k, stride=stride, pad=1)
+    layer.b = rng.standard_normal(out_ch)
+    x = rng.standard_normal((2, in_ch, side, side))
+    return layer, x, rng
+
+
+def _fd_grad(loss, param, h=1e-6):
+    grad = np.zeros_like(param)
+    flat, gflat = param.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss()
+        flat[i] = orig - h
+        down = loss()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2.0 * h)
+    return grad
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
+def test_forward_matches_direct_convolution(in_ch, k, stride, side, out_ch):
+    layer, x, _ = _layer_and_input(in_ch, k, stride, side, out_ch)
+    got = layer.forward(x)
+    want = conv2d_direct(x, layer.w, layer.b, k, stride, 1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
+def test_gradients_match_finite_differences(in_ch, k, stride, side, out_ch):
+    layer, x, rng = _layer_and_input(in_ch, k, stride, side, out_ch)
+    r = rng.standard_normal(layer.forward(x).shape)
+
+    def loss():
+        return float((layer.forward(x) * r).sum())
+
+    layer.forward(x)
+    dx = layer.backward(r)
+    assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
+    assert _rel_err(layer.gw, _fd_grad(loss, layer.w)) < 1e-7
+    assert _rel_err(layer.gb, _fd_grad(loss, layer.b)) < 1e-7
+
+
+@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
+def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, side, out_ch):
+    _, x, rng = _layer_and_input(in_ch, k, stride, side, out_ch)
+    cols, (oh, ow) = im2col(x, k, stride, 1)
+    d = rng.standard_normal(cols.shape)
+    lhs = float((col2im(d, x.shape, k, stride, 1, oh, ow) * x).sum())
+    rhs = float((d * cols).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_encode_is_batch_independent_and_inference_keeps_no_cache():
+    model = build_ae_model(3, 4, 3, AeConfig(channels=8, seed=1))
+    images = np.random.default_rng(2).random((5, 12, 12))
+    batched = encode(model, images)
+    for i, image in enumerate(images):
+        assert np.array_equal(encode(model, image)[0], batched[i])
+    decode(model, batched)
+    for layers in (model.encoder, model.decoder):
+        for layer in layers:
+            assert layer._cache is None, type(layer).__name__
