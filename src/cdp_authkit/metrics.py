@@ -8,6 +8,7 @@ grids by block majority vote, exact ties counting as ink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -88,31 +89,48 @@ def hamming_symbols(binary: np.ndarray, t: Template) -> int:
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation between two equally shaped arrays."""
+    """Pearson correlation between two equally shaped arrays.
+
+    Raises DataError on a shape mismatch, fewer than two samples, or
+    non-finite input (checked on the two centred sums of squares, which a
+    NaN or inf anywhere makes non-finite).
+    """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise DataError("shape mismatch")
     if a.size < 2:
         raise DataError("need at least two samples")
-    da = a - a.mean()
-    db = b - b.mean()
-    var_a = float(da @ da)
-    var_b = float(db @ db)
+    with np.errstate(invalid="ignore", over="ignore"):
+        da = a - a.mean()
+        db = b - b.mean()
+        var_a = float(da @ da)
+        var_b = float(db @ db)
+    if not (math.isfinite(var_a) and math.isfinite(var_b)):
+        raise DataError("non-finite intensities")
     if var_a == 0.0 or var_b == 0.0:
         raise DegenerateImageError("zero variance input: correlation undefined")
     return float((da @ db) / np.sqrt(var_a * var_b))
 
 
 def lp_distances(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(mean absolute difference, root mean squared difference)."""
+    """(mean absolute difference, root mean squared difference).
+
+    Raises DataError on a shape mismatch, empty input, or non-finite input
+    (checked on the two means, which a NaN or inf anywhere makes non-finite).
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError("shape mismatch")
-    diff = (a - b).ravel()
-    l1 = float(np.mean(np.abs(diff)))
-    l2 = float(np.sqrt(np.mean(diff * diff)))
+    if a.size == 0:
+        raise DataError("empty input")
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = (a - b).ravel()
+        l1 = float(np.mean(np.abs(diff)))
+        l2 = float(np.sqrt(np.mean(diff * diff)))
+    if not (math.isfinite(l1) and math.isfinite(l2)):
+        raise DataError("non-finite intensities")
     return l1, l2
 
 

@@ -1,15 +1,18 @@
 """Minimal float64 neural-network layers with exact backpropagation.
 
 Just enough machinery for the desk-scale models in this package: dense and
-im2col convolution layers, ReLU/sigmoid, nearest-neighbor upsampling, stable
+convolution layers, ReLU/sigmoid, nearest-neighbor upsampling, stable
 logistic losses, and a deterministic Adam. Layers keep what their backward
 pass needs in `_cache`; gradients accumulate on the layer (`gw`, `gb`) so a
 finite difference check can perturb `w`/`b` in place and re-run the forward
 pass. `chain_infer` runs a forward pass that keeps no cache, for callers that
 never run backward.
 
-Convolution uses the channels-first (Caffe) im2col layout: the patch matrix
-of a (B, C, H, W) input is (B, C*k*k, oh*ow), row c*k*k + ki*k + kj holding
+Convolution takes one of two paths, chosen by the layer's stride.
+
+Strided layers (the first encoder conv, k = symbol_px + 2, stride =
+symbol_px) use the channels-first (Caffe) im2col layout: the patch matrix of
+a (B, C, H, W) input is (B, C*k*k, oh*ow), row c*k*k + ki*k + kj holding
 input channel c shifted by (ki, kj) at every output position. im2col fills
 it with k*k slice copies of the padded input and col2im scatters back with
 k*k adds, each over whole rows. A layer's weights are (out_ch, C*k*k) in the
@@ -17,6 +20,22 @@ same (c, ki, kj) order, so the forward pass is one GEMM per sample,
 w @ cols, whose (B, out_ch, oh*ow) result is already in NCHW order; the
 weight gradient is dout @ cols^T summed over the batch, and the input
 gradient is col2im(w^T @ dout).
+
+Stride-1 layers build no patch matrix at full resolution (kn2row, Vasudevan
+et al. 2017). `correlate` views the padded (B, C, Hp, Wp) input as
+(B, C, Hp*Wp): for tap (ki, kj) the inputs of all outputs form one
+contiguous slice starting at ki*Wp + kj, of length (oh - 1)*Wp + ow, so the
+output on an (oh, Wp) grid is the sum of k*k GEMMs w_tap (out_ch x C) @
+slice, and the last Wp - ow columns of each grid row are dropped. The layer
+caches the padded input, k*k times smaller than the patch matrix. The
+weight gradient sums dout_grid @ slice^T per tap, with dout placed on a
+zeroed (oh, Wp) grid so the dropped columns contribute exact zeros; the
+input gradient is the full correlation of dout with the flipped,
+channel-transposed weights, the same `correlate` on dout padded by
+k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner dimension is one plane (a one-channel
+input, or the input gradient of a one-channel output), each tap would be an
+outer product, so `correlate` uses im2col's (B, k*k, oh*ow) patch matrix of
+that one plane and a single GEMM instead.
 """
 
 from __future__ import annotations
@@ -45,10 +64,14 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _pad2(x: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
 def im2col(x: np.ndarray, k: int, stride: int, pad: int):
     """(B, C, H, W) -> (B, C*k*k, oh*ow) channels-first patch matrix plus (oh, ow)."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _pad2(x, pad)
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     cols = np.empty((b, c, k, k, oh, ow))
@@ -71,6 +94,34 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
     return dxp[:, :, pad : pad + h, pad : pad + w].copy()
 
 
+def correlate(xp: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """Stride-1 valid cross-correlation of a padded (B, C, Hp, Wp) input with (O, C*k*k) weights.
+
+    Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
+    flattened input (see the module docstring); a one-plane input goes
+    through im2col instead.
+    """
+    b, c, hp, wp = xp.shape
+    o = w.shape[0]
+    oh, ow = hp - k + 1, wp - k + 1
+    if c == 1:
+        cols, _ = im2col(xp, k, 1, 0)
+        return (w @ cols).reshape(b, o, oh, ow)
+    n = (oh - 1) * wp + ow
+    flat = xp.reshape(b, c, hp * wp)
+    taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
+    out = np.empty((b, o, oh * wp))
+    tmp = np.empty((o, n))
+    for s in range(b):  # one sample at a time keeps the accumulator in cache
+        acc = out[s, :, :n]
+        np.matmul(taps[0], flat[s, :, :n], out=acc)
+        for t in range(1, k * k):
+            off = (t // k) * wp + t % k
+            np.matmul(taps[t], flat[s, :, off : off + n], out=tmp)
+            acc += tmp
+    return out.reshape(b, o, oh, wp)[:, :, :, :ow]
+
+
 class Conv2d:
     """2-D convolution (cross-correlation) over (B, C, H, W) tensors."""
 
@@ -86,17 +137,42 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.stride == 1:
+            xp = _pad2(x, self.pad)
+            self._cache = xp
+            return correlate(xp, self.w, self.k) + self.b[:, None, None]
         cols, (oh, ow) = im2col(x, self.k, self.stride, self.pad)
         out = self.w @ cols + self.b[:, None]
         self._cache = (cols, x.shape, oh, ow)
         return out.reshape(x.shape[0], self.out_ch, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        self.gb += dout.sum(axis=(0, 2, 3))
+        if self.stride == 1:
+            return self._backward_stride1(dout)
         cols, x_shape, oh, ow = self._cache
         dmat = dout.reshape(x_shape[0], self.out_ch, oh * ow)
         self.gw += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0)
-        self.gb += dmat.sum(axis=(0, 2))
         return col2im(self.w.T @ dmat, x_shape, self.k, self.stride, self.pad, oh, ow)
+
+    def _backward_stride1(self, dout: np.ndarray) -> np.ndarray:
+        xp = self._cache
+        b, c, hp, wp = xp.shape
+        o, k = self.out_ch, self.k
+        oh, ow = dout.shape[2:]
+        n = (oh - 1) * wp + ow
+        grid = np.zeros((b, o, oh, wp))
+        grid[:, :, :, :ow] = dout
+        dgrid = grid.reshape(b, o, oh * wp)
+        flat = xp.reshape(b, c, hp * wp)
+        gw = np.zeros((k * k, o, c))
+        for s in range(b):
+            for t in range(k * k):
+                off = (t // k) * wp + t % k
+                gw[t] += dgrid[s, :, :n] @ flat[s, :, off : off + n].T
+        self.gw += gw.transpose(1, 2, 0).reshape(o, c * k * k)
+        flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return correlate(_pad2(dout, k - 1 - self.pad), flipped.reshape(c, o * k * k), k)
 
 
 class Dense:

@@ -71,6 +71,17 @@ def test_pearson_validation():
         pearson(np.array([1.0]), np.array([1.0]))
     with pytest.raises(DegenerateImageError):
         pearson(np.full((3, 3), 0.7), rng_for(0, "x").random((3, 3)))
+    ramp = np.linspace(0.0, 1.0, 9).reshape(3, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = ramp.copy()
+        spoiled[1, 2] = bad
+        for a, b in ((spoiled, ramp), (ramp, spoiled)):
+            with pytest.raises(DataError, match="non-finite"):
+                pearson(a, b)
+            with pytest.raises(DataError, match="non-finite"):
+                lp_distances(a, b)
+    with pytest.raises(DataError, match="empty"):
+        lp_distances(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_hamming_symbols_counts_planted_flips():

@@ -7,18 +7,30 @@ from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
 from cdp_authkit.nn import Conv2d, col2im, im2col
 from cdp_authkit.oracles import conv2d_direct
 
-# The two geometries deepfeat builds: the strided first encoder layer
+# The two geometries deepfeat builds, the strided first encoder layer
 # (k = symbol_px + 2, stride = symbol_px, one input plane) and the 3x3
-# stride-1 layers; (in_ch, k, stride, input side).
-GEOMETRIES = [(1, 5, 3, 12), (3, 3, 1, 5)]
-CASES = [(*g, out_ch) for g in GEOMETRIES for out_ch in (1, 8)]
+# stride-1 layers, plus non-square stride-1 inputs (Hp != Wp) with several
+# planes and with one plane; (in_ch, k, stride, (h, w)).
+DEEPFEAT_GEOMETRIES = [(1, 5, 3, (12, 12)), (3, 3, 1, (5, 5))]
+GEOMETRIES = DEEPFEAT_GEOMETRIES + [(8, 3, 1, (5, 7)), (1, 3, 1, (6, 4))]
 
 
-def _layer_and_input(in_ch, k, stride, side, out_ch):
-    rng = np.random.default_rng([in_ch, k, stride, side, out_ch])
+def _sides(hw):
+    """(h,) for a square input, so square cases keep their test ids and seeds."""
+    return hw[:1] if hw[0] == hw[1] else hw
+
+
+def _cases(geometries):
+    cases = [(*g, out_ch) for g in geometries for out_ch in (1, 8)]
+    ids = [f"{c}-{k}-{s}-{'x'.join(map(str, _sides(hw)))}-{o}" for c, k, s, hw, o in cases]
+    return pytest.mark.parametrize("in_ch,k,stride,hw,out_ch", cases, ids=ids)
+
+
+def _layer_and_input(in_ch, k, stride, hw, out_ch):
+    rng = np.random.default_rng([in_ch, k, stride, *_sides(hw), out_ch])
     layer = Conv2d(rng, in_ch, out_ch, k=k, stride=stride, pad=1)
     layer.b = rng.standard_normal(out_ch)
-    x = rng.standard_normal((2, in_ch, side, side))
+    x = rng.standard_normal((2, in_ch, *hw))
     return layer, x, rng
 
 
@@ -40,18 +52,18 @@ def _rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
-def test_forward_matches_direct_convolution(in_ch, k, stride, side, out_ch):
-    layer, x, _ = _layer_and_input(in_ch, k, stride, side, out_ch)
+@_cases(GEOMETRIES)
+def test_forward_matches_direct_convolution(in_ch, k, stride, hw, out_ch):
+    layer, x, _ = _layer_and_input(in_ch, k, stride, hw, out_ch)
     got = layer.forward(x)
     want = conv2d_direct(x, layer.w, layer.b, k, stride, 1)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
-def test_gradients_match_finite_differences(in_ch, k, stride, side, out_ch):
-    layer, x, rng = _layer_and_input(in_ch, k, stride, side, out_ch)
+@_cases(GEOMETRIES)
+def test_gradients_match_finite_differences(in_ch, k, stride, hw, out_ch):
+    layer, x, rng = _layer_and_input(in_ch, k, stride, hw, out_ch)
     r = rng.standard_normal(layer.forward(x).shape)
 
     def loss():
@@ -64,9 +76,9 @@ def test_gradients_match_finite_differences(in_ch, k, stride, side, out_ch):
     assert _rel_err(layer.gb, _fd_grad(loss, layer.b)) < 1e-7
 
 
-@pytest.mark.parametrize("in_ch,k,stride,side,out_ch", CASES)
-def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, side, out_ch):
-    _, x, rng = _layer_and_input(in_ch, k, stride, side, out_ch)
+@_cases(DEEPFEAT_GEOMETRIES)
+def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, hw, out_ch):
+    _, x, rng = _layer_and_input(in_ch, k, stride, hw, out_ch)
     cols, (oh, ow) = im2col(x, k, stride, 1)
     d = rng.standard_normal(cols.shape)
     lhs = float((col2im(d, x.shape, k, stride, 1, oh, ow) * x).sum())
