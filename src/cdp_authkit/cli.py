@@ -29,7 +29,7 @@ from .channel import acquire, print_template, strong_dot_gain_params
 from .decision import calibrate
 from .deepfeat import AeConfig, load_ae, save_ae, train_ae
 from .errors import ParameterError
-from .imageio import read_json, write_json
+from .imageio import read_json, require_fields, write_json
 from .metrics import lp_distances, otsu_threshold, pearson
 from .ocsvm import decision_function, save_model, train_ocsvm
 from .rng import derive_seed, rng_for
@@ -287,6 +287,7 @@ def cmd_eval(args, config) -> int:
 
 def cmd_report(args, config) -> int:
     obj = read_json(args.input)
+    require_fields(obj, args.input, "preset", "runs", "seed", "dataset_hash", "rows")
     report = ErrorReport(
         preset=obj["preset"],
         runs=obj["runs"],

@@ -17,6 +17,11 @@ step per generator step, the discriminator seeing the pre-update generator
 outputs. All RMS norms are per-sample root-mean-square, so loss scales are
 resolution independent.
 
+Each objective has one definition, the training step (_generator_loss_and_grads,
+_disc_loss_and_grads, both built on _logistic_term); gradient_check probes
+the same functions with grads off, which runs the forward pass only, and
+probes each discriminator on the batches of one generator pass.
+
 Every beta-weighted computation is skipped outright when beta == 0, so
 scenario 3 reproduces scenario 1 (and 4 reproduces 2) bit-for-bit on the
 same seed: weight groups draw from independent named RNG streams and the
@@ -33,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ParameterError, TrainingError
-from .imageio import read_json, write_json
+from .imageio import read_json, require_fields, write_json
 from .nn import (
     Adam,
     Conv2d,
@@ -183,17 +188,19 @@ def _flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-def _gen_adversarial(disc, fake: np.ndarray, weight: float):
-    """Non-saturating generator term weight * mean(-log D(fake)).
+def _logistic_term(disc, batch: np.ndarray, real: bool, weight: float, grads: bool):
+    """weight * mean softplus(-z) for real, softplus(z) for fake, z = disc(batch).
 
-    Returns (loss, gradient w.r.t. fake). Discriminator weights accumulate
-    junk gradients here; the discriminator's own step zeroes them first.
+    Returns (loss, gradient w.r.t. batch); with grads off the discriminator
+    keeps no cache, runs no backward and the gradient is None. With grads on,
+    the discriminator's gw/gb accumulate the term's weight gradients.
     """
-    z = chain_forward(disc, _flatten(fake))
-    loss = weight * float(softplus(-z).mean())
-    dz = weight * (sigmoid(z) - 1.0) / z.shape[0]
-    dflat = chain_backward(disc, dz)
-    return loss, dflat.reshape(fake.shape)
+    z = (chain_forward if grads else chain_infer)(disc, _flatten(batch))
+    loss = weight * float(softplus(-z if real else z).mean())
+    if not grads:
+        return loss, None
+    dz = weight * (sigmoid(z) - 1.0 if real else sigmoid(z)) / z.shape[0]
+    return loss, chain_backward(disc, dz).reshape(batch.shape)
 
 
 def _x_side(model: AeModel) -> bool:
@@ -201,52 +208,59 @@ def _x_side(model: AeModel) -> bool:
     return model.decoder is not None and model.config.beta != 0.0
 
 
-def _generator_loss_and_grads(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> tuple:
-    """One generator forward/backward pass; gradients are left in the layers.
+def _generator_loss_and_grads(
+    model: AeModel, xi: np.ndarray, ti: np.ndarray, grads: bool = True
+) -> tuple:
+    """The generator objective; with grads on, its gradients are left in the layers.
 
     Returns (losses, t_hat, x_hat): the active loss terms and their "total",
-    and the generator outputs (x_hat None when the x-side is off).
+    and the generator outputs (x_hat None when the x-side is off). With grads
+    off the same arithmetic runs forward only: no layer keeps a cache and no
+    gw/gb is touched. The discriminators' gw/gb collect junk from the
+    adversarial terms when grads are on; their own step zeroes them first.
     """
     cfg = model.config
-    zero_grads(model.encoder)
-    t_hat = chain_forward(model.encoder, xi)
+    run = chain_forward if grads else chain_infer
+    if grads:
+        zero_grads(model.encoder)
+    t_hat = run(model.encoder, xi)
     loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1)
     losses = {"template_rms": loss_t}
-    total = loss_t
 
     if model.disc_t is not None:
-        loss_adv_t, d_adv = _gen_adversarial(model.disc_t, t_hat, 1.0)
-        losses["adv_t"] = loss_adv_t
-        total += loss_adv_t
-        d_that = d_that + d_adv
+        losses["adv_t"], d_adv = _logistic_term(model.disc_t, t_hat, True, 1.0, grads)
+        if grads:
+            d_that = d_that + d_adv
 
     x_hat = None
     if _x_side(model):
-        zero_grads(model.decoder)
-        x_hat = chain_forward(model.decoder, t_hat)
-        loss_rec, d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
-        losses["recon_rms"] = loss_rec
-        total += loss_rec
+        if grads:
+            zero_grads(model.decoder)
+        x_hat = run(model.decoder, t_hat)
+        losses["recon_rms"], d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
         if model.disc_x is not None:
-            loss_adv_x, d_adv_x = _gen_adversarial(model.disc_x, x_hat, cfg.beta)
-            losses["adv_x"] = loss_adv_x
-            total += loss_adv_x
-            d_xhat = d_xhat + d_adv_x
-        d_that = d_that + chain_backward(model.decoder, d_xhat)
+            losses["adv_x"], d_adv_x = _logistic_term(model.disc_x, x_hat, True, cfg.beta, grads)
+            if grads:
+                d_xhat = d_xhat + d_adv_x
+        if grads:
+            d_that = d_that + chain_backward(model.decoder, d_xhat)
 
-    chain_backward(model.encoder, d_that)
-    losses["total"] = total
+    if grads:
+        chain_backward(model.encoder, d_that)
+    losses["total"] = sum(losses.values())
     return losses, t_hat, x_hat
 
 
-def _disc_loss_and_grads(disc, real: np.ndarray, fake: np.ndarray) -> float:
-    """Logistic discriminator loss on detached real/fake batches; gradients left in disc."""
-    zero_grads(disc)
-    z_real = chain_forward(disc, _flatten(real))
-    chain_backward(disc, (sigmoid(z_real) - 1.0) / z_real.shape[0])
-    z_fake = chain_forward(disc, _flatten(fake))
-    chain_backward(disc, sigmoid(z_fake) / z_fake.shape[0])
-    return float(softplus(-z_real).mean() + softplus(z_fake).mean())
+def _disc_loss_and_grads(disc, real: np.ndarray, fake: np.ndarray, grads: bool = True) -> float:
+    """Logistic discriminator loss on detached real/fake batches.
+
+    With grads on, its gradients are left in disc; with grads off, disc runs
+    forward only and its gw/gb are not touched.
+    """
+    if grads:
+        zero_grads(disc)
+    return (_logistic_term(disc, real, True, 1.0, grads)[0]
+            + _logistic_term(disc, fake, False, 1.0, grads)[0])
 
 
 def train_ae(
@@ -392,57 +406,15 @@ def extract_features_batch(
     return out
 
 
-def _generator_loss(model: AeModel, xi: np.ndarray, ti: np.ndarray) -> float:
-    """Scalar generator objective at the current weights (forward only)."""
-    cfg = model.config
-    t_hat = chain_infer(model.encoder, xi)
-    loss = _rms_loss(t_hat, ti, cfg.lambda1)[0]
-    if model.disc_t is not None:
-        z = chain_infer(model.disc_t, _flatten(t_hat))
-        loss += float(softplus(-z).mean())
-    if _x_side(model):
-        x_hat = chain_infer(model.decoder, t_hat)
-        loss += _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)[0]
-        if model.disc_x is not None:
-            z = chain_infer(model.disc_x, _flatten(x_hat))
-            loss += cfg.beta * float(softplus(-z).mean())
-    return loss
-
-
-def _disc_batches(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> tuple:
-    """(discriminator, real batch, fake batch) for disc_t or disc_x at the current weights."""
-    t_hat = chain_infer(model.encoder, xi)
-    if which == "disc_t":
-        return model.disc_t, ti, t_hat
-    return model.disc_x, xi, chain_infer(model.decoder, t_hat)
-
-
-def _disc_loss(model: AeModel, which: str, xi: np.ndarray, ti: np.ndarray) -> float:
-    """Scalar logistic loss of one discriminator at the current weights (forward only)."""
-    disc, real, fake = _disc_batches(model, which, xi, ti)
-    z_real = chain_infer(disc, _flatten(real))
-    z_fake = chain_infer(disc, _flatten(fake))
-    return float(softplus(-z_real).mean() + softplus(z_fake).mean())
-
-
-def _relu_layers(model: AeModel):
+def _set_mask_mode(model: AeModel, mode: str) -> None:
+    """Set every ReLU's mask mode and rewind its replay; other modes clear the log."""
     for layers in model.groups().values():
         for layer in layers:
             if isinstance(layer, Relu):
-                yield layer
-
-
-def _set_mask_mode(model: AeModel, mode: str) -> None:
-    for layer in _relu_layers(model):
-        layer.mask_mode = mode
-        layer.replay_idx = 0
-        if mode != "replay":
-            layer.mask_log = []
-
-
-def _reset_replay(model: AeModel) -> None:
-    for layer in _relu_layers(model):
-        layer.replay_idx = 0
+                layer.mask_mode = mode
+                layer.replay_idx = 0
+                if mode != "replay":
+                    layer.mask_log = []
 
 
 def gradient_check(
@@ -450,12 +422,15 @@ def gradient_check(
 ) -> float:
     """Central finite differences vs analytic gradients for every active group.
 
-    The analytic side is the training step itself: the gradients that
-    train_ae hands to Adam, from _generator_loss_and_grads and
-    _disc_loss_and_grads. The finite-difference side probes the forward-only
-    _generator_loss and _disc_loss. Walks every coordinate of every weight
-    array, so call it on small nets only. Returns the maximum per-group
-    relative error ||g_analytic - g_fd|| / max(||g_analytic||, ||g_fd||).
+    Each objective has one definition, the training step. The analytic
+    gradients are the ones train_ae hands to Adam, from a grads-on call of
+    _generator_loss_and_grads or _disc_loss_and_grads; the finite-difference
+    probes call the same function with grads off. Each discriminator is
+    probed on the real/fake batches of the generator's analytic pass: only
+    that discriminator's weights move during its probes, so the batches
+    cannot change. Walks every coordinate of every weight array, so call it
+    on small nets only. Returns the maximum per-group relative error
+    ||g_analytic - g_fd|| / max(||g_analytic||, ||g_fd||).
 
     The analytic pass records the ReLU masks per forward call; the
     finite-difference probes replay them. The comparison is then between two
@@ -467,33 +442,13 @@ def gradient_check(
     t = np.asarray(symbols, dtype=np.float64)[:, None, :, :]
     groups = model.groups()
 
-    # (groups checked, analytic pass, forward-only loss)
-    checks = [(
-        ("encoder", "decoder") if _x_side(model) else ("encoder",),
-        lambda: _generator_loss_and_grads(model, x, t),
-        lambda: _generator_loss(model, x, t),
-    )]
-    discs = ["disc_t"] if model.disc_t is not None else []
-    if model.disc_x is not None and _x_side(model):
-        discs.append("disc_x")
-    for which in discs:
-        checks.append((
-            (which,),
-            lambda w=which: _disc_loss_and_grads(*_disc_batches(model, w, x, t)),
-            lambda w=which: _disc_loss(model, w, x, t),
-        ))
+    def probe(objective) -> float:
+        _set_mask_mode(model, "replay")  # replay from the analytic pass's first mask
+        return objective()
 
-    worst = 0.0
-    for names, analytic_pass, raw_loss in checks:
-        _set_mask_mode(model, "record")
-        analytic_pass()
-        _set_mask_mode(model, "replay")
-
-        def loss_fn():
-            _reset_replay(model)
-            return raw_loss()
-
-        # forward probes leave gw/gb alone, so they still hold the analytic pass
+    def group_errors(names, objective) -> float:
+        # forward-only probes leave gw/gb alone, so they still hold the analytic pass
+        worst = 0.0
         for name in names:
             fd_parts, an_parts = [], []
             for layer in weighted_layers(groups[name]):
@@ -504,9 +459,9 @@ def gradient_check(
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + h
-                        up = loss_fn()
+                        up = probe(objective)
                         flat[i] = orig - h
-                        down = loss_fn()
+                        down = probe(objective)
                         flat[i] = orig
                         fd_flat[i] = (up - down) / (2.0 * h)
                     fd_parts.append(fd.ravel())
@@ -515,6 +470,21 @@ def gradient_check(
             an_vec = np.concatenate(an_parts)
             denom = max(np.linalg.norm(an_vec), np.linalg.norm(fd_vec), 1e-12)
             worst = max(worst, float(np.linalg.norm(an_vec - fd_vec) / denom))
+        return worst
+
+    _set_mask_mode(model, "record")
+    _, t_hat, x_hat = _generator_loss_and_grads(model, x, t)
+    worst = group_errors(
+        ("encoder", "decoder") if _x_side(model) else ("encoder",),
+        lambda: _generator_loss_and_grads(model, x, t, grads=False)[0]["total"],
+    )
+    for name, real, fake in (("disc_t", t, t_hat), ("disc_x", x, x_hat)):
+        if name in groups and fake is not None:
+            disc = groups[name]
+            _set_mask_mode(model, "record")
+            _disc_loss_and_grads(disc, real, fake)
+            worst = max(worst, group_errors(
+                (name,), lambda: _disc_loss_and_grads(disc, real, fake, grads=False)))
     _set_mask_mode(model, "normal")
     return worst
 
@@ -542,20 +512,21 @@ def save_ae(model: AeModel, path: str | Path) -> None:
 
 def load_ae(path: str | Path) -> AeModel:
     obj = read_json(path)
-    if obj.get("kind") != "ae":
-        raise DataError("not an autoencoder model file")
+    if not isinstance(obj, dict) or obj.get("kind") != "ae":
+        raise DataError(f"{path}: not an autoencoder model file")
+    require_fields(obj, path, "config", "scenario", "n_sym", "symbol_px", "groups")
     cfg = AeConfig(**obj["config"])
     model = build_ae_model(int(obj["scenario"]), int(obj["n_sym"]), int(obj["symbol_px"]), cfg)
     for name, layers in model.groups().items():
-        stored = obj["groups"][name]
+        stored = obj["groups"].get(name, ())
         weighted = weighted_layers(layers)
         if len(stored) != len(weighted):
-            raise DataError(f"group {name} has unexpected layer count")
+            raise DataError(f"{path}: group {name} has unexpected layer count")
         for layer, entry in zip(weighted, stored):
             w = np.asarray(entry["w"], dtype=np.float64)
             b = np.asarray(entry["b"], dtype=np.float64)
             if w.shape != layer.w.shape or b.shape != layer.b.shape:
-                raise DataError(f"group {name} has unexpected weight shapes")
+                raise DataError(f"{path}: group {name} has unexpected weight shapes")
             layer.w = w
             layer.b = b
     model.loss_trace = obj.get("loss_trace", {})

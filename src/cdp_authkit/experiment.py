@@ -42,7 +42,7 @@ from .channel import (
 from .decision import calibrate, rule_ocsvm, rule_one_metric, rule_two_metric
 from .deepfeat import AeConfig, extract_features_batch, train_ae
 from .errors import DataError, ParameterError
-from .imageio import read_json, write_json
+from .imageio import read_json, require_fields, write_json
 from .metrics import feature_vector
 from .ocsvm import select_nu, train_ocsvm
 from .rng import derive_seed, rng_for
@@ -226,7 +226,14 @@ def synthesize_dataset(
 
 
 def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
-    obj = read_json(Path(dataset_dir) / "manifest.json")
+    """Read manifest.json; DataError naming the file when it is inconsistent.
+
+    Each (template_id, label) appears once, of a listed template that has an
+    original code, in the split of that template's other codes.
+    """
+    path = Path(dataset_dir) / "manifest.json"
+    obj = read_json(path)
+    require_fields(obj, path, "config", "config_hash", "template_ids", "codes")
     config = DatasetConfig.from_dict(obj["config"])
     manifest = DatasetManifest(
         config=config,
@@ -235,11 +242,22 @@ def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
         codes=list(obj["codes"]),
     )
     if manifest.config_hash != config_hash(config):
-        raise DataError("manifest config hash does not match its config")
+        raise DataError(f"{path}: config hash does not match its config")
+    known = set(manifest.template_ids)
     originals = {e["template_id"] for e in manifest.codes if e["label"] == "original"}
+    seen, splits = set(), {}
     for entry in manifest.codes:
-        if entry["template_id"] not in originals:
-            raise DataError(f"{entry['path']}: template has no original code")
+        tid, label = entry["template_id"], entry["label"]
+        where = f"{path}: entry {entry['path']}"
+        if tid not in known:
+            raise DataError(f"{where}: template {tid} is not in template_ids")
+        if tid not in originals:
+            raise DataError(f"{where}: template has no original code")
+        if (tid, label) in seen:
+            raise DataError(f"{where}: duplicates ({tid}, {label})")
+        seen.add((tid, label))
+        if splits.setdefault(tid, entry["split"]) != entry["split"]:
+            raise DataError(f"{where}: split {entry['split']}, but template {tid} is in {splits[tid]}")
     return manifest
 
 

@@ -110,3 +110,12 @@ def write_json(path: str | Path, obj) -> None:
 
 def read_json(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def require_fields(obj, path: str | Path, *names: str) -> None:
+    """DataError naming the file unless obj is a JSON object holding every field in names."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    for name in names:
+        if name not in obj:
+            raise DataError(f"{path}: missing field '{name}'")

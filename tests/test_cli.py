@@ -98,6 +98,28 @@ def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_d
     assert code == 1
     assert "CDP_AUTHKIT_SEED" in err
 
+    # tampered manifest: a duplicated (template_id, label) entry
+    manifest = json.loads((small_dataset_dir / "manifest.json").read_text())
+    manifest["codes"].append(manifest["codes"][0])
+    (tmp_path / "dup").mkdir()
+    (tmp_path / "dup" / "manifest.json").write_text(json.dumps(manifest))
+    code, _, err = run_cli(["metrics", "--dataset", str(tmp_path / "dup")], capsys)
+    assert code == 1
+    assert f"{tmp_path / 'dup' / 'manifest.json'}: entry {manifest['codes'][0]['path']}" in err
+    assert "duplicates" in err
+
+    # JSON files of the wrong kind or with missing fields
+    code, _, err = run_cli(["report", "--in", str(small_dataset_dir / "manifest.json"),
+                            "--out", str(tmp_path / "r.md")], capsys)
+    assert code == 1
+    assert f"{small_dataset_dir / 'manifest.json'}: missing field 'preset'" in err
+    bare = tmp_path / "bare-ae.json"
+    bare.write_text(json.dumps({"kind": "ae"}))
+    code, _, err = run_cli(["calibrate", "--dataset", str(small_dataset_dir),
+                            "--model", str(bare), "--out", str(tmp_path / "thr.json")], capsys)
+    assert code == 1
+    assert f"{bare}: missing field 'config'" in err
+
 
 def test_runtime_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["metrics", "--dataset", str(tmp_path / "missing")], capsys)

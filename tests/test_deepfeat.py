@@ -5,7 +5,10 @@ import pytest
 
 from cdp_authkit.checks import toy_batch
 from cdp_authkit.deepfeat import (
+    SCENARIOS,
     AeConfig,
+    _disc_loss_and_grads,
+    _generator_loss_and_grads,
     build_ae_model,
     decode,
     encode,
@@ -16,6 +19,7 @@ from cdp_authkit.deepfeat import (
     train_ae,
 )
 from cdp_authkit.errors import DataError, ParameterError
+from cdp_authkit.nn import weighted_layers
 
 from conftest import same_weights
 
@@ -113,6 +117,36 @@ def test_gradient_check_all_scenarios():
     for scenario in (1, 2, 3, 4):
         model = build_ae_model(scenario, 4, 3, AeConfig(seed=scenario, **TINY))
         assert gradient_check(model, images[:4], symbols[:4]) < 1e-4
+
+
+def _grad_bytes(model):
+    return [(layer.gw.tobytes(), layer.gb.tobytes())
+            for layers in model.groups().values() for layer in weighted_layers(layers)]
+
+
+def _cached_layers(model):
+    return [layer for layers in model.groups().values() for layer in layers
+            if layer._cache is not None]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_forward_only_objectives_match_training_step(scenario):
+    """grads=False gives the grads-on losses and leaves no gradient or cache behind."""
+    images, symbols = toy_batch((10,), 4)
+    x = images[:, None].astype(np.float64)
+    t = symbols[:, None].astype(np.float64)
+    model = train_ae(images, symbols, scenario, AeConfig(epochs=1, seed=scenario, beta=0.5, **TINY))
+    losses, t_hat, x_hat = _generator_loss_and_grads(model, x, t)
+    disc_batches = [(d, real, fake) for d, real, fake in
+                    ((model.disc_t, t, t_hat), (model.disc_x, x, x_hat)) if d is not None]
+    disc_losses = [_disc_loss_and_grads(*batch) for batch in disc_batches]
+    grads = _grad_bytes(model)
+    assert _cached_layers(model)
+
+    assert _generator_loss_and_grads(model, x, t, grads=False)[0] == losses
+    assert [_disc_loss_and_grads(*batch, grads=False) for batch in disc_batches] == disc_losses
+    assert _grad_bytes(model) == grads
+    assert not _cached_layers(model)
 
 
 def test_encode_decode_shapes_and_ranges():

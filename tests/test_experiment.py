@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cdp_authkit import checks
+from cdp_authkit.deepfeat import AeConfig
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.experiment import (
     AUGMENT_TAGS,
@@ -76,8 +77,29 @@ def test_manifest_contract(small_dataset_dir, small_dataset):
     bad_dir = small_dataset_dir.parent / "tampered"
     bad_dir.mkdir(exist_ok=True)
     (bad_dir / "manifest.json").write_text(json.dumps(obj))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="manifest.json: config hash does not match"):
         load_manifest(bad_dir)
+
+
+# each edit leaves codes[1] (the first template's second code) as the bad entry
+TAMPERED_ENTRIES = [
+    (lambda codes: codes.append(dict(codes[1])), "duplicates"),
+    (lambda codes: codes[1].update(template_id="t9999"), "template t9999 is not in template_ids"),
+    (lambda codes: codes[1].update(split="val" if codes[1]["split"] != "val" else "test"),
+     "but template t0000 is in "),
+]
+
+
+@pytest.mark.parametrize("edit, message", TAMPERED_ENTRIES,
+                         ids=["duplicate", "unknown-template", "split"])
+def test_manifest_rejects_inconsistent_entries(small_dataset_dir, tmp_path, edit, message):
+    obj = json.loads((small_dataset_dir / "manifest.json").read_text())
+    entry = dict(obj["codes"][1])
+    edit(obj["codes"])
+    (tmp_path / "manifest.json").write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=message) as info:
+        load_manifest(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path / 'manifest.json'}: entry {entry['path']}: ")
 
 
 def test_synthesis_deterministic_and_parallel_equal(tmp_path):
@@ -205,6 +227,15 @@ def test_run_experiment_report_structure_and_determinism(small_dataset, tmp_path
     assert report.to_dict() == again.to_dict()
 
 
+@pytest.mark.parametrize("preset", ["ocsvm-spatial", "supervised-5class", "deep-scenario-3"])
+def test_report_bytes_independent_of_jobs(small_dataset_dir, tmp_path, preset):
+    for jobs in (1, 2):
+        run_experiment(small_dataset_dir, preset, runs=2, seed=4, out_dir=tmp_path / f"j{jobs}",
+                       ae_config=AeConfig(epochs=1), jobs=jobs)
+    for name in ("report.json", "runs.csv", "report.md"):
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+
 def test_runs_csv_recomputes_report_means(small_dataset, tmp_path):
     report = run_experiment(small_dataset, "ocsvm-spatial-physical-gray", runs=2, seed=1,
                             out_dir=tmp_path / "r")
@@ -223,8 +254,6 @@ def test_runs_csv_recomputes_report_means(small_dataset, tmp_path):
 
 
 def test_deep_scenario_without_decoder_only_rules_one(small_dataset):
-    from cdp_authkit.deepfeat import AeConfig
-
     report = run_experiment(
         small_dataset, "deep-scenario-2", runs=1, seed=3,
         ae_config=AeConfig(epochs=2, batch_size=8, channels=2, disc_hidden=8),
