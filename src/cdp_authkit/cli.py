@@ -47,7 +47,7 @@ from .experiment import (
     load_dataset,
     pca_embed,
     run_experiment,
-    spatial_feature_table,
+    spatial_features,
     synthesize_dataset,
     write_embedding_csv,
     write_features_csv,
@@ -304,10 +304,9 @@ def cmd_report(args, config) -> int:
 
 def cmd_embed(args, config) -> int:
     data = load_dataset(args.dataset)
-    rows, codes = spatial_feature_table(
-        data, reference=args.reference, use_planes=args.use_planes
-    )
-    features = np.array([row[3:] for row in rows], dtype=np.float64)
+    codes = [code for code in data.codes.values() if code.label != "physical_reference"]
+    rows = spatial_features(data, codes, args.reference, args.use_planes)
+    features = np.array([fv.as_array() for fv in rows])
     embedding = pca_embed(features, dims=args.dims)
     out = Path(args.out) if args.out is not None else Path(args.dataset) / "embedding.csv"
     write_embedding_csv(out, embedding, codes)

@@ -173,11 +173,13 @@ def _rms_per_sample(diff: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).mean(axis=(1, 2, 3)))
 
 
-def _rms_loss(pred: np.ndarray, target: np.ndarray, weight: float):
-    """weight * mean_b RMS(pred_b - target_b) and its gradient w.r.t. pred."""
+def _rms_loss(pred: np.ndarray, target: np.ndarray, weight: float, grads: bool):
+    """weight * mean_b RMS(pred_b - target_b) and its gradient w.r.t. pred (None with grads off)."""
     diff = pred - target
     r = _rms_per_sample(diff)
     loss = weight * float(r.mean())
+    if not grads:
+        return loss, None
     safe = np.where(r > 0.0, r, 1.0)
     dpred = (weight / pred.shape[0]) * diff / (pred[0].size * safe[:, None, None, None])
     dpred[r == 0.0] = 0.0
@@ -188,19 +190,22 @@ def _flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-def _logistic_term(disc, batch: np.ndarray, real: bool, weight: float, grads: bool):
+def _logistic_term(disc, batch: np.ndarray, real: bool, weight: float, grads: bool,
+                   input_grad: bool = True):
     """weight * mean softplus(-z) for real, softplus(z) for fake, z = disc(batch).
 
     Returns (loss, gradient w.r.t. batch); with grads off the discriminator
     keeps no cache, runs no backward and the gradient is None. With grads on,
-    the discriminator's gw/gb accumulate the term's weight gradients.
+    the discriminator's gw/gb accumulate the term's weight gradients; the
+    gradient w.r.t. batch is None when input_grad is off.
     """
     z = (chain_forward if grads else chain_infer)(disc, _flatten(batch))
     loss = weight * float(softplus(-z if real else z).mean())
     if not grads:
         return loss, None
     dz = weight * (sigmoid(z) - 1.0 if real else sigmoid(z)) / z.shape[0]
-    return loss, chain_backward(disc, dz).reshape(batch.shape)
+    dbatch = chain_backward(disc, dz, input_grad)
+    return loss, None if dbatch is None else dbatch.reshape(batch.shape)
 
 
 def _x_side(model: AeModel) -> bool:
@@ -224,7 +229,7 @@ def _generator_loss_and_grads(
     if grads:
         zero_grads(model.encoder)
     t_hat = run(model.encoder, xi)
-    loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1)
+    loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1, grads)
     losses = {"template_rms": loss_t}
 
     if model.disc_t is not None:
@@ -237,7 +242,7 @@ def _generator_loss_and_grads(
         if grads:
             zero_grads(model.decoder)
         x_hat = run(model.decoder, t_hat)
-        losses["recon_rms"], d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2)
+        losses["recon_rms"], d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2, grads)
         if model.disc_x is not None:
             losses["adv_x"], d_adv_x = _logistic_term(model.disc_x, x_hat, True, cfg.beta, grads)
             if grads:
@@ -245,8 +250,8 @@ def _generator_loss_and_grads(
         if grads:
             d_that = d_that + chain_backward(model.decoder, d_xhat)
 
-    if grads:
-        chain_backward(model.encoder, d_that)
+    if grads:  # the encoder's input is data: its gradient is not wanted
+        chain_backward(model.encoder, d_that, input_grad=False)
     losses["total"] = sum(losses.values())
     return losses, t_hat, x_hat
 
@@ -254,13 +259,14 @@ def _generator_loss_and_grads(
 def _disc_loss_and_grads(disc, real: np.ndarray, fake: np.ndarray, grads: bool = True) -> float:
     """Logistic discriminator loss on detached real/fake batches.
 
-    With grads on, its gradients are left in disc; with grads off, disc runs
-    forward only and its gw/gb are not touched.
+    With grads on, its weight gradients are left in disc (no input gradient
+    is computed); with grads off, disc runs forward only and its gw/gb are
+    not touched.
     """
     if grads:
         zero_grads(disc)
-    return (_logistic_term(disc, real, True, 1.0, grads)[0]
-            + _logistic_term(disc, fake, False, 1.0, grads)[0])
+    return (_logistic_term(disc, real, True, 1.0, grads, input_grad=False)[0]
+            + _logistic_term(disc, fake, False, 1.0, grads, input_grad=False)[0])
 
 
 def train_ae(

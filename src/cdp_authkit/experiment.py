@@ -41,9 +41,9 @@ from .channel import (
 )
 from .decision import calibrate, rule_ocsvm, rule_one_metric, rule_two_metric
 from .deepfeat import AeConfig, extract_features_batch, train_ae
-from .errors import DataError, ParameterError
+from .errors import DataError, DegenerateImageError, ParameterError
 from .imageio import read_json, require_fields, write_json
-from .metrics import feature_vector
+from .metrics import FEATURE_NAMES, feature_vector, symbol_grid
 from .ocsvm import select_nu, train_ocsvm
 from .rng import derive_seed, rng_for
 from .supervised import (
@@ -270,21 +270,29 @@ class Dataset:
     templates: dict = field(default_factory=dict)  # template_id -> Template
     codes: dict = field(default_factory=dict)  # (template_id, label) -> ObservedCode
 
+    def __post_init__(self):  # filled on first use by spatial_features
+        self._symbols = {}  # (template_id, label) -> symbol_grid of the code
+        self._features = {}  # (template_id, label, reference, use_planes) -> FeatureVector
+
     @property
     def template_ids(self) -> tuple:
         return self.manifest.template_ids
 
 
 def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
+    """Load a dataset; DataError naming the manifest entry whose file is missing."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
     data = Dataset(manifest=manifest, dataset_dir=root)
-    for tid in manifest.template_ids:
-        data.templates[tid] = load_template(root / "templates" / tid)
-    for entry in manifest.codes:
-        data.codes[(entry["template_id"], entry["label"])] = load_observed(
-            root / entry["path"]
-        )
+    try:
+        for tid in manifest.template_ids:
+            where = f"template {tid}"
+            data.templates[tid] = load_template(root / "templates" / tid)
+        for entry in manifest.codes:
+            where = f"entry {entry['path']}"
+            data.codes[(entry["template_id"], entry["label"])] = load_observed(root / entry["path"])
+    except FileNotFoundError as exc:
+        raise DataError(f"{root / 'manifest.json'}: {where}: {exc.filename} is missing") from None
     return data
 
 
@@ -588,26 +596,46 @@ OCSVM_SPATIAL_VARIANTS = (
 )
 
 
-def _reference(data: Dataset, code: ObservedCode, reference: str):
-    """The digital template or the enrolled physical reference a code is compared to."""
-    if reference == "digital":
-        return data.templates[code.template_id]
-    ref = data.codes.get((code.template_id, "physical_reference"))
-    if ref is None:
-        raise DataError(f"{code.template_id}: no physical reference enrolled")
-    return ref
+def spatial_features(
+    data: Dataset, codes: Sequence[ObservedCode], reference: str, use_planes: bool
+) -> list:
+    """The FeatureVector of each code against its digital or physical reference.
+
+    The one feature table: each (template_id, label, reference, use_planes)
+    row and each code's symbol grid are computed once per loaded dataset and
+    kept on it. DegenerateImageError names the code and the reference kind.
+    """
+
+    def grid(c: ObservedCode) -> np.ndarray:
+        if (c.template_id, c.label) not in data._symbols:
+            data._symbols[c.template_id, c.label] = symbol_grid(c.image, c.symbol_px)
+        return data._symbols[c.template_id, c.label]
+
+    rows = []
+    for code in codes:
+        key = (code.template_id, code.label, reference, use_planes)
+        if key not in data._features:
+            if reference == "digital":
+                ref = data.templates[code.template_id]
+            elif (ref := data.codes.get((code.template_id, "physical_reference"))) is None:
+                raise DataError(f"{code.template_id}: no physical reference enrolled")
+            try:
+                ref_symbols = None if reference == "digital" else grid(ref)
+                data._features[key] = feature_vector(
+                    code, ref, use_planes, probe_symbols=grid(code), reference_symbols=ref_symbols
+                )
+            except DegenerateImageError as exc:
+                raise DegenerateImageError(
+                    f"{code.template_id}/{code.label} vs {reference} reference: {exc}"
+                ) from None
+        rows.append(data._features[key])
+    return rows
 
 
-def spatial_pair_features(
-    data: Dataset, codes: Sequence[ObservedCode], reference: str, color: str
-) -> np.ndarray:
-    """(pearson, hamming) rows for codes against digital or physical references."""
-    use_planes = color == "rgb"
-    out = np.empty((len(codes), 2))
-    for i, code in enumerate(codes):
-        fv = feature_vector(code, _reference(data, code, reference), use_planes=use_planes)
-        out[i] = (fv.pearson, fv.hamming_sym)
-    return out
+def _pearson_hamming(data: Dataset, codes, reference: str, color: str) -> np.ndarray:
+    """The (pearson, hamming) rows the one-class SVM fits and scores."""
+    rows = spatial_features(data, codes, reference, color == "rgb")
+    return np.array([(fv.pearson, fv.hamming_sym) for fv in rows])
 
 
 def fit_spatial_ocsvm(
@@ -628,7 +656,7 @@ def fit_spatial_ocsvm(
 
     def features(split):
         codes = codes_in_split(data, assignment, split, ("original",))
-        return spatial_pair_features(data, codes, reference, color)
+        return _pearson_hamming(data, codes, reference, color)
 
     train, val = features("train"), features("val")
     if nu is None:
@@ -646,7 +674,7 @@ def _run_ocsvm_spatial(
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
     for reference, color in variants:
         model, nu, val = fit_spatial_ocsvm(data, assignment, reference, color)
-        feats = spatial_pair_features(data, test_codes, reference, color)
+        feats = _pearson_hamming(data, test_codes, reference, color)
         accepted = rule_ocsvm(model, feats)
         setup = f"{reference}-{color}"
         rates.update(_rates_from_accepts(setup, test_codes, accepted))
@@ -849,35 +877,6 @@ def pca_embed(features: np.ndarray, dims: int = 2) -> np.ndarray:
     return centered @ (vecs * flips)
 
 
-def spatial_feature_table(
-    data: Dataset, reference: str = "digital", use_planes: bool = False
-) -> tuple:
-    """Full-metric rows for every non-reference code; returns (rows, codes).
-
-    Each row is (template_id, label, split, pearson, hamming_sym, l1, l2).
-    """
-    rows = []
-    used = []
-    for entry in data.manifest.codes:
-        if entry["label"] == "physical_reference":
-            continue
-        code = data.codes[(entry["template_id"], entry["label"])]
-        fv = feature_vector(code, _reference(data, code, reference), use_planes=use_planes)
-        rows.append(
-            (
-                entry["template_id"],
-                entry["label"],
-                entry["split"],
-                fv.pearson,
-                fv.hamming_sym,
-                fv.l1,
-                fv.l2,
-            )
-        )
-        used.append(code)
-    return rows, used
-
-
 def write_features_csv(
     path: Union[str, Path],
     data: Dataset,
@@ -887,14 +886,14 @@ def write_features_csv(
     """Per-code spatial metrics vs the chosen reference; returns the codes used."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows, used = spatial_feature_table(data, reference, use_planes)
+    used = [code for code in data.codes.values() if code.label != "physical_reference"]
+    split = {e["template_id"]: e["split"] for e in data.manifest.codes}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["template_id", "label", "split", "pearson", "hamming_sym", "l1", "l2"]
-        )
-        for tid, label, split, p, h, l1, l2 in rows:
-            writer.writerow([tid, label, split, repr(p), h, repr(l1), repr(l2)])
+        writer.writerow(["template_id", "label", "split", *FEATURE_NAMES])
+        for code, fv in zip(used, spatial_features(data, used, reference, use_planes)):
+            values = [repr(fv.pearson), fv.hamming_sym, repr(fv.l1), repr(fv.l2)]
+            writer.writerow([code.template_id, code.label, split[code.template_id], *values])
     return used
 
 

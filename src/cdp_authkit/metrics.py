@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -154,34 +154,45 @@ class FeatureVector:
 FEATURE_NAMES = ("pearson", "hamming_sym", "l1", "l2")
 
 
+def symbol_grid(image: np.ndarray, symbol_px: int) -> np.ndarray:
+    """Majority symbol grid of an image binarized at its own Otsu threshold."""
+    img = np.asarray(image, dtype=np.float64)
+    return downsample_majority(binarize(img, otsu_threshold(img)), symbol_px)
+
+
 def feature_vector(
     probe: "ObservedCode",
     reference: Union[Template, "ObservedCode"],
     use_planes: bool = False,
+    *,
+    probe_symbols: Optional[np.ndarray] = None,
+    reference_symbols: Optional[np.ndarray] = None,
 ) -> FeatureVector:
     """Compare a probe against its digital template or a physical reference.
 
     Digital reference: intensity metrics run against the rendered reflectance
-    1 - pixels of the template's pattern area; the Hamming term binarizes the
-    probe with its own Otsu threshold and majority-reduces to symbols.
-    Physical reference: both codes are binarized with their own Otsu
-    thresholds before symbol reduction, and intensity metrics run between the
-    two acquisitions directly.
+    1 - pixels of the template's pattern area; the Hamming term compares the
+    probe's symbol_grid (its own Otsu threshold, majority-reduced) with the
+    template's symbols. Physical reference: the Hamming term compares the
+    symbol grids of both codes, and intensity metrics run between the two
+    acquisitions directly.
 
     Args:
         probe: acquired code (pattern area only).
         reference: Template or another ObservedCode of the same template.
         use_planes: use color planes for the intensity metrics when both
             sides carry them; the Hamming term always uses luminance.
+        probe_symbols, reference_symbols: symbol_grid of the probe and of a
+            physical reference, when the caller already holds them; each
+            one left out is computed here.
     """
     probe_img = np.asarray(probe.image, dtype=np.float64)
-    if isinstance(reference, Template):
+    digital = isinstance(reference, Template)
+    if digital:
         ref_img = 1.0 - reference.cdp_pixels().astype(np.float64)
         if probe_img.shape != ref_img.shape:
             raise DataError("probe and template pattern areas differ in size")
-        ham = hamming_symbols(binarize(probe_img, otsu_threshold(probe_img)), reference)
-        a, b = _intensity_pair(probe, ref_img, use_planes, ref_is_template=True)
-        kind = "digital"
+        spx = reference.symbol_px
     else:
         ref_img = np.asarray(reference.image, dtype=np.float64)
         if probe_img.shape != ref_img.shape:
@@ -189,18 +200,27 @@ def feature_vector(
         spx = probe.symbol_px
         if spx != reference.symbol_px:
             raise DataError("probe and reference symbol sizes differ")
-        probe_sym = downsample_majority(
-            binarize(probe_img, otsu_threshold(probe_img)), spx
-        )
-        ref_sym = downsample_majority(
-            binarize(ref_img, otsu_threshold(ref_img)), spx
-        )
-        ham = int(np.sum(probe_sym != ref_sym))
-        a, b = _intensity_pair(probe, reference, use_planes, ref_is_template=False)
-        kind = "physical"
+    if probe_symbols is None:
+        probe_symbols = symbol_grid(probe_img, spx)
+    if digital:
+        reference_symbols = reference.symbols
+    elif reference_symbols is None:
+        reference_symbols = symbol_grid(ref_img, spx)
+    if probe_symbols.shape != reference_symbols.shape:
+        raise DataError("probe and reference symbol grids differ in size")
+    ham = int(np.sum(probe_symbols != reference_symbols))
+    a, b = _intensity_pair(
+        probe, ref_img if digital else reference, use_planes, ref_is_template=digital
+    )
     r = pearson(a, b)
     l1, l2 = lp_distances(a, b)
-    return FeatureVector(pearson=r, hamming_sym=ham, l1=l1, l2=l2, reference_kind=kind)
+    return FeatureVector(
+        pearson=r,
+        hamming_sym=ham,
+        l1=l1,
+        l2=l2,
+        reference_kind="digital" if digital else "physical",
+    )
 
 
 def _intensity_pair(probe, reference, use_planes: bool, ref_is_template: bool):

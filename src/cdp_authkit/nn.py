@@ -6,7 +6,10 @@ logistic losses, and a deterministic Adam. Layers keep what their backward
 pass needs in `_cache`; gradients accumulate on the layer (`gw`, `gb`) so a
 finite difference check can perturb `w`/`b` in place and re-run the forward
 pass. `chain_infer` runs a forward pass that keeps no cache, for callers that
-never run backward.
+never run backward. `Dense`, `Conv2d` and `chain_backward` take an
+`input_grad` flag that their call sites turn off where the gradient with
+respect to the input would be thrown away (the input is data, or only the
+weight gradients are wanted); gw/gb are the same bits either way.
 
 Convolution takes one of two paths, chosen by the layer's stride.
 
@@ -146,16 +149,19 @@ class Conv2d:
         self._cache = (cols, x.shape, oh, ow)
         return out.reshape(x.shape[0], self.out_ch, oh, ow)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True):
+        """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
         self.gb += dout.sum(axis=(0, 2, 3))
         if self.stride == 1:
-            return self._backward_stride1(dout)
+            return self._backward_stride1(dout, input_grad)
         cols, x_shape, oh, ow = self._cache
         dmat = dout.reshape(x_shape[0], self.out_ch, oh * ow)
         self.gw += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0)
+        if not input_grad:
+            return None
         return col2im(self.w.T @ dmat, x_shape, self.k, self.stride, self.pad, oh, ow)
 
-    def _backward_stride1(self, dout: np.ndarray) -> np.ndarray:
+    def _backward_stride1(self, dout: np.ndarray, input_grad: bool):
         xp = self._cache
         b, c, hp, wp = xp.shape
         o, k = self.out_ch, self.k
@@ -171,6 +177,8 @@ class Conv2d:
                 off = (t // k) * wp + t % k
                 gw[t] += dgrid[s, :, :n] @ flat[s, :, off : off + n].T
         self.gw += gw.transpose(1, 2, 0).reshape(o, c * k * k)
+        if not input_grad:
+            return None
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         return correlate(_pad2(dout, k - 1 - self.pad), flipped.reshape(c, o * k * k), k)
 
@@ -193,11 +201,12 @@ class Dense:
         self._cache = x
         return x @ self.w + self.b
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True):
+        """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
         x = self._cache
         self.gw += x.T @ dout
         self.gb += dout.sum(axis=0)
-        return dout @ self.w.T
+        return dout @ self.w.T if input_grad else None
 
 
 class Relu:
@@ -276,10 +285,17 @@ def chain_infer(layers, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def chain_backward(layers, dout: np.ndarray) -> np.ndarray:
-    for layer in reversed(layers):
+def chain_backward(layers, dout: np.ndarray, input_grad: bool = True):
+    """Backward through layers in reverse order; returns the input gradient.
+
+    With input_grad off the first layer, a Dense or Conv2d, skips its input
+    gradient and None is returned.
+    """
+    for layer in reversed(layers[1:]):
         dout = layer.backward(dout)
-    return dout
+    if input_grad:
+        return layers[0].backward(dout)
+    return layers[0].backward(dout, input_grad=False)
 
 
 def weighted_layers(layers):

@@ -100,7 +100,7 @@ def _ce_loss_and_grads(hidden: Dense, output: Dense, xb: np.ndarray, yb: np.ndar
     hidden.gw[:] = 0.0
     hidden.gb[:] = 0.0
     dh = output.backward(dlogits)
-    hidden.backward(np.where(h_pre > 0, dh, 0.0))
+    hidden.backward(np.where(h_pre > 0, dh, 0.0), input_grad=False)  # input is data
     return loss
 
 

@@ -6,6 +6,7 @@ when it is not installed) as a subprocess, and one trains in child processes
 that differ only in their BLAS thread count.
 """
 
+import csv
 import json
 import os
 import re
@@ -13,12 +14,21 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cdp_authkit import checks, experiment
 from cdp_authkit.cli import main
 from cdp_authkit.deepfeat import AeConfig
-from cdp_authkit.experiment import DatasetConfig, config_hash
+from cdp_authkit.experiment import (
+    DatasetConfig,
+    config_hash,
+    load_dataset,
+    pca_embed,
+    write_embedding_csv,
+)
+from cdp_authkit.imageio import write_ppm
+from cdp_authkit.metrics import feature_vector
 from cdp_authkit.supervised import TrainConfig, load_classifier
 
 from conftest import SMALL_CONFIG
@@ -196,6 +206,65 @@ def test_metrics_and_embed(small_dataset_dir, tmp_path, capsys):
     shape = re.search(r"wrote (\d+)x(\d+) embedding", text)
     assert shape.group(1) == "125" and shape.group(2) == "2"
     assert len((tmp_path / "e.csv").read_text().splitlines()) == 126
+
+
+@pytest.mark.parametrize("reference", ["digital", "physical"])
+@pytest.mark.parametrize("use_planes", [False, True])
+def test_metrics_and_embed_match_direct_feature_vectors(
+    small_dataset_dir, tmp_path, capsys, reference, use_planes
+):
+    # the CSVs the cached feature table feeds equal those of one feature_vector call per code
+    data = load_dataset(small_dataset_dir)
+    split = {e["template_id"]: e["split"] for e in data.manifest.codes}
+    probes = [c for c in data.codes.values() if c.label != "physical_reference"]
+    rows = []
+    for probe in probes:
+        ref = (data.templates[probe.template_id] if reference == "digital"
+               else data.codes[(probe.template_id, "physical_reference")])
+        rows.append(feature_vector(probe, ref, use_planes))
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["template_id", "label", "split", "pearson", "hamming_sym", "l1", "l2"])
+        for probe, fv in zip(probes, rows):
+            writer.writerow([probe.template_id, probe.label, split[probe.template_id],
+                             repr(fv.pearson), fv.hamming_sym, repr(fv.l1), repr(fv.l2)])
+    embedding = pca_embed(np.array([fv.as_array() for fv in rows]), dims=2)
+    write_embedding_csv(tmp_path / "want-e.csv", embedding, probes)
+
+    flags = ["--dataset", str(small_dataset_dir), "--reference", reference]
+    flags += ["--use-planes"] if use_planes else []
+    assert run_cli(["metrics", *flags, "--out", str(tmp_path / "f.csv")], capsys)[0] == 0
+    assert run_cli(["embed", *flags, "--out", str(tmp_path / "e.csv")], capsys)[0] == 0
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "want-e.csv").read_bytes()
+
+
+def test_tampered_rasters_exit_1(small_dataset_dir, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    shutil.copytree(small_dataset_dir, data_dir)
+    manifest = data_dir / "manifest.json"
+
+    # a constant image has no Otsu threshold: the message names the code and the reference
+    write_ppm(data_dir / "codes" / "t0000_original.ppm", np.full((36, 36, 3), 128, np.uint8))
+    for argv, reference in ((["metrics"], "digital"),
+                            (["metrics", "--reference", "physical"], "physical"),
+                            (["eval", "--preset", "ocsvm-spatial", "--runs", "1"], "digital")):
+        code, _, err = run_cli(argv + ["--dataset", str(data_dir),
+                                       "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert f"t0000/original vs {reference} reference: constant image" in err
+        assert "Traceback" not in err
+
+    # a raster the manifest lists but the directory lacks
+    (data_dir / "codes" / "t0001_fake1_white.ppm").unlink()
+    code, _, err = run_cli(["metrics", "--dataset", str(data_dir)], capsys)
+    assert code == 1
+    assert f"{manifest}: entry codes/t0001_fake1_white.ppm: " in err
+    assert "t0001_fake1_white.ppm is missing" in err
+    (data_dir / "templates" / "t0002.pgm").unlink()
+    code, _, err = run_cli(["metrics", "--dataset", str(data_dir)], capsys)
+    assert code == 1
+    assert f"{manifest}: template t0002: " in err and "t0002.pgm is missing" in err
 
 
 def test_train_ocsvm_eval_report_cycle(small_dataset_dir, tmp_path, capsys):

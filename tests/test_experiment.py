@@ -1,12 +1,13 @@
 """Dataset synthesis, splits, augmentation, presets, reports, and PCA export."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from cdp_authkit import checks
+from cdp_authkit import checks, metrics
 from cdp_authkit.deepfeat import AeConfig
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.experiment import (
@@ -24,11 +25,12 @@ from cdp_authkit.experiment import (
     load_manifest,
     pca_embed,
     run_experiment,
-    spatial_pair_features,
+    spatial_features,
     split_by_template,
     synthesize_dataset,
     write_features_csv,
 )
+from cdp_authkit.metrics import feature_vector
 from cdp_authkit.rng import rng_for
 
 from conftest import SMALL_CONFIG
@@ -170,11 +172,32 @@ def test_codes_in_split_and_pair_features(small_dataset):
     train = codes_in_split(small_dataset, assignment, "train", ("original",))
     assert len(train) == 10
     assert all(c.label == "original" for c in train)
-    feats = spatial_pair_features(small_dataset, train, "digital", "gray")
-    assert feats.shape == (10, 2)
-    physical = spatial_pair_features(small_dataset, train, "physical", "rgb")
-    assert physical.shape == (10, 2)
-    assert not np.array_equal(feats, physical)
+    feats = spatial_features(small_dataset, train, "digital", False)
+    assert len(feats) == 10
+    physical = spatial_features(small_dataset, train, "physical", True)
+    assert len(physical) == 10
+    assert not np.array_equal([fv.as_array() for fv in feats], [fv.as_array() for fv in physical])
+
+
+def test_feature_table_rows_equal_direct_feature_vectors(small_dataset_dir, monkeypatch):
+    # each code is thresholded once per loaded dataset, whatever reads its rows
+    calls = []
+    otsu = metrics.otsu_threshold
+    monkeypatch.setattr(metrics, "otsu_threshold", lambda image: calls.append(1) or otsu(image))
+    data = load_dataset(small_dataset_dir)
+    probes = [c for c in data.codes.values() if c.label != "physical_reference"]
+    settings = list(itertools.product(("digital", "physical"), (False, True)))
+    tables = {s: spatial_features(data, probes, *s) for s in settings}
+    assert len(calls) == len(data.codes) == 150
+    assert all(spatial_features(data, probes, *s) == tables[s] for s in settings)
+    assert len(calls) == 150
+    monkeypatch.undo()
+
+    for (reference, use_planes), rows in tables.items():
+        for probe, row in zip(probes, rows, strict=True):
+            ref = (data.templates[probe.template_id] if reference == "digital"
+                   else data.codes[(probe.template_id, "physical_reference")])
+            assert row == feature_vector(probe, ref, use_planes)  # every field, bit for bit
 
 
 def test_pair_features_need_enrolled_reference(tmp_path):
@@ -183,7 +206,7 @@ def test_pair_features_need_enrolled_reference(tmp_path):
     data = load_dataset(tmp_path / "nr")
     codes = [c for c in data.codes.values() if c.label == "original"]
     with pytest.raises(DataError):
-        spatial_pair_features(data, codes, "physical", "gray")
+        spatial_features(data, codes, "physical", False)
 
 
 def test_presets_registry():

@@ -71,6 +71,12 @@ def test_gradients_match_finite_differences(in_ch, k, stride, hw, out_ch):
 
     layer.forward(x)
     dx = layer.backward(r)
+    gw, gb = layer.gw.copy(), layer.gb.copy()
+    layer.gw[:] = 0.0
+    layer.gb[:] = 0.0
+    layer.forward(x)
+    assert layer.backward(r, input_grad=False) is None  # skips the input gradient only
+    assert np.array_equal(layer.gw, gw) and np.array_equal(layer.gb, gb)
     assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
     assert _rel_err(layer.gw, _fd_grad(loss, layer.w)) < 1e-7
     assert _rel_err(layer.gb, _fd_grad(loss, layer.b)) < 1e-7

@@ -1,4 +1,5 @@
-"""Property tests: PGM/PPM round trips, mutated files, non-finite metric input."""
+"""Property tests: PGM/PPM round trips, mutated files, non-finite metric input,
+and the per-dataset symbol grids and feature rows."""
 
 import tempfile
 from pathlib import Path
@@ -11,9 +12,23 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from cdp_authkit.errors import DataError  # noqa: E402
+from cdp_authkit.channel import ObservedCode  # noqa: E402
+from cdp_authkit.errors import DataError, DegenerateImageError  # noqa: E402
+from cdp_authkit.experiment import (  # noqa: E402
+    Dataset,
+    DatasetConfig,
+    DatasetManifest,
+    spatial_features,
+)
 from cdp_authkit.imageio import read_pgm, read_ppm, write_pgm, write_ppm  # noqa: E402
-from cdp_authkit.metrics import lp_distances, otsu_threshold, pearson  # noqa: E402
+from cdp_authkit.metrics import (  # noqa: E402
+    binarize,
+    feature_vector,
+    lp_distances,
+    otsu_threshold,
+    pearson,
+)
+from cdp_authkit.template import downsample_majority, generate_template  # noqa: E402
 
 # Fixed example streams (derandomize) and no example database on disk, so
 # every run checks the same cases.
@@ -95,3 +110,34 @@ def test_pearson_and_lp_reject_non_finite(shape, index, bad, first):
         pearson(a, b)
     with pytest.raises(DataError):
         lp_distances(a, b)
+
+
+def _code(image, label, spx):
+    return ObservedCode(image=image, label=label, template_id="t0000", symbol_px=spx,
+                        acquisition_seed=0, params={})
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from(["digital", "physical"]), st.data())
+def test_cached_symbol_grid_and_row_equal_direct_computation(n_sym, spx, reference, data):
+    side = n_sym * spx
+    images = arrays(np.float64, (side, side), elements=st.floats(0.0, 1.0))
+    probe = _code(data.draw(images), "original", spx)
+    enrolled = _code(data.draw(images), "physical_reference", spx)
+    template = generate_template(n_sym=n_sym, symbol_px=spx, black_fraction=0.5, seed=n_sym)
+    dataset = Dataset(
+        manifest=DatasetManifest(DatasetConfig(), "", ("t0000",), []),
+        templates={"t0000": template},
+        codes={("t0000", "original"): probe, ("t0000", "physical_reference"): enrolled},
+    )
+    try:
+        want = feature_vector(probe, template if reference == "digital" else enrolled)
+    except DegenerateImageError:
+        with pytest.raises(DegenerateImageError, match=f"t0000/original vs {reference} reference"):
+            spatial_features(dataset, [probe], reference, False)
+        return
+    assert spatial_features(dataset, [probe], reference, False) == [want]
+    for code in (probe, enrolled) if reference == "physical" else (probe,):
+        img = code.image
+        grid = downsample_majority(binarize(img, otsu_threshold(img)), spx)
+        assert np.array_equal(dataset._symbols[("t0000", code.label)], grid)

@@ -81,6 +81,32 @@ def test_hidden_layer_gradient_matches_finite_differences():
     checks.supervised_gradient((3,), 12)
 
 
+def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
+    tmp_path, monkeypatch
+):
+    """_ce_loss_and_grads skips the hidden layer's input gradient; forcing it back
+    on must leave every gw/gb and the saved classifier bytes unchanged."""
+    rng = rng_for(8, "skip")
+    x, y = _blobs(rng, 20, [(0, 0, 0), (3, 3, 0), (0, 3, 3)])
+    cfg = TrainConfig(epochs=4, hidden=8, seed=5)
+
+    def run():
+        hidden = Dense(rng_for(8, "h"), 3, 8)
+        output = Dense(rng_for(8, "o"), 8, 3)
+        loss = _ce_loss_and_grads(hidden, output, x[:16], y[:16])
+        save_classifier(train_classifier(x, y, n_classes=3, config=cfg), tmp_path / "clf.json")
+        return loss, hidden, output, (tmp_path / "clf.json").read_bytes()
+
+    skipped = run()
+    full_backward = Dense.backward
+    monkeypatch.setattr(Dense, "backward", lambda self, dout, input_grad=True: full_backward(self, dout))
+    full = run()
+    assert skipped[0] == full[0]
+    for a, b in zip(skipped[1:3], full[1:3]):
+        assert np.array_equal(a.gw, b.gw) and np.array_equal(a.gb, b.gb)
+    assert skipped[3] == full[3]
+
+
 def test_pooling_and_feature_shapes():
     rng = rng_for(4, "pool")
     img = rng.random((64, 64))
