@@ -24,7 +24,7 @@ from .decision import Thresholds, calibrate, rule_one_metric, rule_two_metric
 from .deepfeat import SCENARIOS, AeConfig, build_ae_model, gradient_check, train_ae
 from .experiment import DatasetConfig, config_hash
 from .metrics import hamming_symbols, lp_distances, otsu_threshold, pearson
-from .nn import Dense
+from .nn import Dense, Relu
 from .ocsvm import decision_function, dual_objective, train_ocsvm
 from .oracles import (
     hamming_naive,
@@ -189,19 +189,19 @@ def ae_gradients(prefix: tuple, size: int) -> float:
 def supervised_gradient(prefix: tuple, size: int) -> None:
     """MLP hidden-layer gradient equals central finite differences on a `size`-row batch."""
     rng = rng_for(*prefix, "grad")
-    hidden = Dense(rng_for(*prefix, "h"), 6, 5)
-    output = Dense(rng_for(*prefix, "o"), 5, 3)
+    layers = [Dense(rng_for(*prefix, "h"), 6, 5), Relu(), Dense(rng_for(*prefix, "o"), 5, 3)]
+    hidden = layers[0]
     x = rng.random((size, 6))
     y = rng.integers(0, 3, size)
-    _ce_loss_and_grads(hidden, output, x, y)
+    _ce_loss_and_grads(layers, x, y)
     analytic = hidden.gw.copy()
     h = 1e-6
     for idx in ((0, 0), (2, 3), (5, 4)):
         orig = hidden.w[idx]
         hidden.w[idx] = orig + h
-        up = _ce_loss_and_grads(hidden, output, x, y)
+        up = _ce_loss_and_grads(layers, x, y)
         hidden.w[idx] = orig - h
-        down = _ce_loss_and_grads(hidden, output, x, y)
+        down = _ce_loss_and_grads(layers, x, y)
         hidden.w[idx] = orig
         fd = (up - down) / (2 * h)
         _require(abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(fd)),

@@ -3,8 +3,9 @@
 One executable with subcommands covering the full workflow: generate
 templates, synthesize a benchmark dataset, export spatial metrics, train the
 three model families, calibrate decision thresholds, run preset experiments,
-render reports, export embeddings, benchmark, and self-test against the
-built-in oracles.
+render reports, export embeddings, and self-test against the built-in
+oracles. Timing lives outside the CLI: `perfbench/run.py` benchmarks the
+pipeline end to end and layer by layer.
 
 Configuration comes from an optional JSON file (--config) overridden by
 flags; the seed additionally honors the CDP_AUTHKIT_SEED environment
@@ -25,14 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import acquire, print_template, strong_dot_gain_params
 from .decision import calibrate
 from .deepfeat import AeConfig, load_ae, save_ae, train_ae
 from .errors import ParameterError
 from .imageio import read_json, require_fields, write_json
-from .metrics import lp_distances, otsu_threshold, pearson
-from .ocsvm import decision_function, save_model, train_ocsvm
-from .rng import derive_seed, rng_for
+from .ocsvm import decision_function, save_model
+from .rng import derive_seed
 from .supervised import TrainConfig, save_classifier
 from .template import add_markers, generate_template, save_template
 from .experiment import (
@@ -45,6 +44,7 @@ from .experiment import (
     fit_classifier,
     fit_spatial_ocsvm,
     load_dataset,
+    manifest_assignment,
     pca_embed,
     run_experiment,
     spatial_features,
@@ -146,11 +146,6 @@ def _out_path(args, config: dict, default_name: str) -> Path:
     return Path(config.get("out_dir", ".")) / default_name
 
 
-def _manifest_assignment(data) -> dict:
-    """The split stored in the manifest (written at synthesis time)."""
-    return {e["template_id"]: e["split"] for e in data.manifest.codes}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -199,7 +194,7 @@ def cmd_metrics(args, config) -> int:
 def cmd_train(args, config) -> int:
     seed = _seed(args, config)
     data = load_dataset(args.dataset)
-    assignment = _manifest_assignment(data)
+    assignment = manifest_assignment(data)
 
     if args.kind == "ocsvm":
         opts = _settings(args, config, "model", OCSVM_KEYS)
@@ -246,7 +241,7 @@ def cmd_train(args, config) -> int:
 def cmd_calibrate(args, config) -> int:
     data = load_dataset(args.dataset)
     model = load_ae(args.model)
-    assignment = _manifest_assignment(data)
+    assignment = manifest_assignment(data)
     val_codes = codes_in_split(data, assignment, "val", ("original",))
     feats = deep_features(data, model, val_codes)
     # models without a decoder calibrate the hamming threshold alone
@@ -311,47 +306,6 @@ def cmd_embed(args, config) -> int:
     out = Path(args.out) if args.out is not None else Path(args.dataset) / "embedding.csv"
     write_embedding_csv(out, embedding, codes)
     print(f"wrote {embedding.shape[0]}x{embedding.shape[1]} embedding -> {out}")
-    return 0
-
-
-def cmd_bench(args, config) -> int:
-    seed = _seed(args, config)
-    rng = rng_for(seed, "bench")
-
-    images = rng.random((200, 64, 64))
-    t0 = time.perf_counter()
-    for img in images:
-        otsu_threshold(img)
-    dt = time.perf_counter() - t0
-    print(f"otsu 64x64: 200 images in {dt:.3f}s ({200 / dt:.0f}/s)")
-
-    pairs = rng.random((200, 2, 64, 64))
-    t0 = time.perf_counter()
-    for a, b in pairs:
-        pearson(a, b)
-        lp_distances(a, b)
-    dt = time.perf_counter() - t0
-    print(f"intensity metrics 64x64: 200 pairs in {dt:.3f}s ({200 / dt:.0f}/s)")
-
-    points = rng.normal(size=(200, 2))
-    t0 = time.perf_counter()
-    model = train_ocsvm(points, nu=0.1)
-    dt = time.perf_counter() - t0
-    print(f"ocsvm n=200: {model.iterations} pair updates in {dt:.3f}s")
-
-    t = generate_template(12, 3, 0.5, derive_seed(seed, "bench-template"))
-    imgs = np.stack(
-        [
-            acquire(print_template(t, strong_dot_gain_params(), "bench"),
-                    strong_dot_gain_params(), "original").image
-            for _ in range(8)
-        ]
-    )
-    syms = np.stack([t.symbols] * 8)
-    t0 = time.perf_counter()
-    train_ae(imgs, syms, 1, AeConfig(epochs=1, batch_size=8, channels=4, seed=seed))
-    dt = time.perf_counter() - t0
-    print(f"ae epoch (8 images 36x36, 4 channels): {dt:.3f}s")
     return 0
 
 
@@ -477,9 +431,6 @@ def build_parser() -> CliParser:
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--out", help="CSV path (default <dataset>/embedding.csv)")
     p.set_defaults(handler=cmd_embed)
-
-    p = sub.add_parser("bench", parents=[common], help="time the hot paths (writes nothing)")
-    p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance checks at reduced size")
     p.set_defaults(handler=cmd_selftest)

@@ -380,8 +380,9 @@ def extract_features_batch(
 
     t_hat is thresholded at 0.5 only for the Hamming count; the decoder
     consumes the continuous t_hat, as during training. x_hat is clamped to
-    [0,1] before the reconstruction error. Returns a dict of per-probe
-    arrays; entries the model's scenario lacks are None.
+    [0,1] before the reconstruction error. Returns the per-probe arrays
+    "hamming_sym" and "recon_l2"; recon_l2 is None for scenarios without a
+    decoder.
     """
     x = np.asarray(images, dtype=np.float64)
     syms = np.asarray(symbols)
@@ -392,24 +393,11 @@ def extract_features_batch(
     t_hat = encode(model, x)
     t_bin = (t_hat >= 0.5).astype(np.uint8)
     hamming = (t_bin != syms.astype(np.uint8)).sum(axis=(1, 2)).astype(np.int64)
-    out = {
-        "hamming_sym": hamming,
-        "recon_l2": None,
-        "disc_t_score": None,
-        "disc_x_score": None,
-    }
-    x_hat = None
+    recon_l2 = None
     if model.decoder is not None:
-        x_hat = decode(model, t_hat)
-        diff = x_hat - x
-        out["recon_l2"] = np.sqrt((diff * diff).mean(axis=(1, 2)))
-    if model.disc_t is not None:
-        z = chain_infer(model.disc_t, _flatten(t_hat[:, None]))
-        out["disc_t_score"] = sigmoid(z)[:, 0]
-    if model.disc_x is not None and x_hat is not None:
-        z = chain_infer(model.disc_x, _flatten(x_hat[:, None]))
-        out["disc_x_score"] = sigmoid(z)[:, 0]
-    return out
+        diff = decode(model, t_hat) - x
+        recon_l2 = np.sqrt((diff * diff).mean(axis=(1, 2)))
+    return {"hamming_sym": hamming, "recon_l2": recon_l2}
 
 
 def _set_mask_mode(model: AeModel, mode: str) -> None:

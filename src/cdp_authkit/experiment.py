@@ -345,25 +345,14 @@ def augment_symbols(symbols: np.ndarray, tag: str) -> np.ndarray:
     return symbols
 
 
-def augment(code: ObservedCode) -> list:
-    """The 12 training variants of a code (identity, 3 rotations, 8 gammas).
+def augment(image: np.ndarray) -> list:
+    """The 12 training variants of an image (identity, 3 rotations, 8 gammas).
 
-    Variants are not composed. Rotations turn the image (and color planes)
-    in-plane; pair them with augment_symbols for template-supervised models.
+    Variants come in AUGMENT_TAGS order and are not composed. Rotations turn
+    the image in-plane; pair them with augment_symbols for template-supervised
+    models.
     """
-    out = []
-    for tag in AUGMENT_TAGS:
-        image = augment_image(code.image, tag)
-        planes = None if code.planes is None else augment_image(code.planes, tag)
-        out.append(
-            replace(
-                code,
-                image=image,
-                planes=planes,
-                params={**code.params, "augmentation": tag},
-            )
-        )
-    return out
+    return [augment_image(image, tag) for tag in AUGMENT_TAGS]
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +383,6 @@ class ErrorReport:
             "rows": self.rows,
             "extras": self.extras,
         }
-
-    def row(self, setup: str, class_label: str) -> dict:
-        for entry in self.rows:
-            if entry["setup"] == setup and entry["class_label"] == class_label:
-                return entry
-        raise KeyError((setup, class_label))
 
 
 def _mean_std(values: Sequence[float]) -> dict:
@@ -495,6 +478,11 @@ def write_report_markdown(report: ErrorReport, path: Union[str, Path]) -> None:
 # shared evaluation helpers
 
 
+def manifest_assignment(data: Dataset) -> dict:
+    """template_id -> the split stored in the manifest (written at synthesis time)."""
+    return {e["template_id"]: e["split"] for e in data.manifest.codes}
+
+
 def codes_in_split(data: Dataset, assignment: dict, split: str, labels) -> list:
     wanted = set(labels)
     out = []
@@ -526,10 +514,9 @@ def _supervised_features(codes: Sequence[ObservedCode], augmented: bool) -> tupl
     images = []
     names = []
     for code in codes:
-        variants = augment(code) if augmented else [code]
-        for var in variants:
-            images.append(var.image)
-            names.append(code.label)
+        variants = augment(code.image) if augmented else [code.image]
+        images.extend(variants)
+        names.extend([code.label] * len(variants))
     return images_to_features(images), names
 
 
@@ -689,9 +676,8 @@ def ae_training_arrays(data: Dataset, assignment: dict) -> tuple:
     images, symbols = [], []
     for code in codes_in_split(data, assignment, "train", ("original",)):
         grid = data.templates[code.template_id].symbols
-        for tag in AUGMENT_TAGS:
-            images.append(augment_image(code.image, tag))
-            symbols.append(augment_symbols(grid, tag))
+        images.extend(augment(code.image))
+        symbols.extend(augment_symbols(grid, tag) for tag in AUGMENT_TAGS)
     return np.stack(images), np.stack(symbols)
 
 
@@ -887,7 +873,7 @@ def write_features_csv(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     used = [code for code in data.codes.values() if code.label != "physical_reference"]
-    split = {e["template_id"]: e["split"] for e in data.manifest.codes}
+    split = manifest_assignment(data)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["template_id", "label", "split", *FEATURE_NAMES])

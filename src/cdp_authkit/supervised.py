@@ -1,7 +1,8 @@
 """Supervised multi-class / binary classification over acquired codes.
 
 A deliberately small network (block-pooled input, one hidden ReLU layer,
-K logits) trained by mini-batch SGD on cross-entropy. The output layer is
+K logits) built from `nn`'s layers and trained by mini-batch SGD on
+cross-entropy through `nn`'s layer chain. The output layer is
 zero-initialized so training starts from exactly uniform class posteriors.
 Also houses the mutual-information lower-bound estimator
 I(A; C) >= H(C) - H(C|A) computed from predicted log-probabilities.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, TrainingError
 from .imageio import read_json, write_json
-from .nn import Dense, relu
+from .nn import Dense, Relu, chain_backward, chain_forward, chain_infer, weighted_layers, zero_grads
 from .rng import rng_for
 
 
@@ -39,8 +40,7 @@ class TrainConfig:
 
 @dataclass
 class ClassifierModel:
-    hidden_layer: Dense
-    output_layer: Dense
+    layers: list  # [Dense (hidden), Relu, Dense (output)]
     n_classes: int
     class_names: tuple[str, ...]
     config: TrainConfig
@@ -49,7 +49,7 @@ class ClassifierModel:
 
     @property
     def input_dim(self) -> int:
-        return int(self.hidden_layer.w.shape[0])
+        return int(self.layers[0].w.shape[0])
 
 
 def pool_image(image: np.ndarray, max_side: int = 32) -> np.ndarray:
@@ -79,28 +79,33 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _ce_loss_and_grads(hidden: Dense, output: Dense, xb: np.ndarray, yb: np.ndarray) -> float:
-    """Mean cross-entropy of one batch; leaves gradients on the two layers.
+def build_classifier_layers(d_in: int, n_classes: int, config: TrainConfig) -> list:
+    """[Dense, Relu, Dense] with each weighted layer drawn from its own stream.
+
+    The output layer is zero-initialized: training starts at uniform posteriors.
+    """
+    return [
+        Dense(rng_for(config.seed, "init", "hidden"), d_in, config.hidden),
+        Relu(),
+        Dense(rng_for(config.seed, "init", "output"), config.hidden, n_classes, zero_init=True),
+    ]
+
+
+def _ce_loss_and_grads(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
+    """Mean cross-entropy of one batch; leaves gradients on the weighted layers.
 
     Factored out of the training loop so gradient-correctness tests probe the
     exact arithmetic the optimizer consumes.
     """
-    h_pre = hidden.forward(xb)
-    h = relu(h_pre)
-    logits = output.forward(h)
-    logp = _log_softmax(logits)
+    logp = _log_softmax(chain_forward(layers, xb))
     rows = np.arange(len(yb))
     loss = -float(logp[rows, yb].mean())
 
     dlogits = np.exp(logp)
     dlogits[rows, yb] -= 1.0
     dlogits /= len(yb)
-    output.gw[:] = 0.0
-    output.gb[:] = 0.0
-    hidden.gw[:] = 0.0
-    hidden.gb[:] = 0.0
-    dh = output.backward(dlogits)
-    hidden.backward(np.where(h_pre > 0, dh, 0.0), input_grad=False)  # input is data
+    zero_grads(layers)
+    chain_backward(layers, dlogits, input_grad=False)  # input is data
     return loss
 
 
@@ -142,9 +147,7 @@ def train_classifier(
         raise ParameterError("class_names length must equal n_classes")
 
     n, d = x.shape
-    hidden = Dense(rng_for(cfg.seed, "init", "hidden"), d, cfg.hidden)
-    # Zero-initialized output layer: training starts at uniform posteriors.
-    output = Dense(rng_for(cfg.seed, "init", "output"), cfg.hidden, n_classes, zero_init=True)
+    layers = build_classifier_layers(d, n_classes, cfg)
     shuffle = rng_for(cfg.seed, "batches")
 
     trace: list[float] = []
@@ -153,9 +156,9 @@ def train_classifier(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss = _ce_loss_and_grads(hidden, output, x[idx], y[idx])
+            loss = _ce_loss_and_grads(layers, x[idx], y[idx])
             epoch_loss += loss * len(idx)
-            for layer in (hidden, output):
+            for layer in weighted_layers(layers):
                 layer.w -= cfg.lr * layer.gw
                 layer.b -= cfg.lr * layer.gb
         trace.append(epoch_loss / n)
@@ -163,8 +166,7 @@ def train_classifier(
             raise TrainingError("training loss became non-finite", trace=trace)
 
     return ClassifierModel(
-        hidden_layer=hidden,
-        output_layer=output,
+        layers=layers,
         n_classes=n_classes,
         class_names=names,
         config=cfg,
@@ -178,8 +180,7 @@ def predict(model: ClassifierModel, features: np.ndarray):
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise DataError(f"expected {model.input_dim}-dimensional features")
-    h = relu(x @ model.hidden_layer.w + model.hidden_layer.b)
-    logits = h @ model.output_layer.w + model.output_layer.b
+    logits = chain_infer(model.layers, x)
     logp = _log_softmax(logits)
     return np.argmax(logits, axis=1), logp
 
@@ -225,14 +226,15 @@ def estimate_mi_lower_bound(labels: np.ndarray, logprobs: np.ndarray) -> MiEstim
 
 
 def save_classifier(model: ClassifierModel, path: str | Path) -> None:
+    hidden, output = weighted_layers(model.layers)
     write_json(
         path,
         {
             "kind": "classifier",
-            "w1": model.hidden_layer.w.tolist(),
-            "b1": model.hidden_layer.b.tolist(),
-            "w2": model.output_layer.w.tolist(),
-            "b2": model.output_layer.b.tolist(),
+            "w1": hidden.w.tolist(),
+            "b1": hidden.b.tolist(),
+            "w2": output.w.tolist(),
+            "b2": output.b.tolist(),
             "n_classes": model.n_classes,
             "class_names": list(model.class_names),
             "config": asdict(model.config),
@@ -247,18 +249,18 @@ def load_classifier(path: str | Path) -> ClassifierModel:
     if obj.get("kind") != "classifier":
         raise DataError("not a classifier model file")
     cfg = TrainConfig(**obj["config"])
+    n_classes = int(obj["n_classes"])
     w1 = np.asarray(obj["w1"], dtype=np.float64)
-    w2 = np.asarray(obj["w2"], dtype=np.float64)
-    hidden = Dense(rng_for(0, "unused"), w1.shape[0], w1.shape[1])
-    hidden.w = w1
-    hidden.b = np.asarray(obj["b1"], dtype=np.float64)
-    output = Dense(rng_for(0, "unused"), w2.shape[0], w2.shape[1], zero_init=True)
-    output.w = w2
-    output.b = np.asarray(obj["b2"], dtype=np.float64)
+    layers = build_classifier_layers(w1.shape[0], n_classes, cfg)
+    for layer, (wk, bk) in zip(weighted_layers(layers), (("w1", "b1"), ("w2", "b2"))):
+        w = np.asarray(obj[wk], dtype=np.float64)
+        b = np.asarray(obj[bk], dtype=np.float64)
+        if w.shape != layer.w.shape or b.shape != layer.b.shape:
+            raise DataError(f"{path}: {wk}/{bk} have unexpected shapes")
+        layer.w, layer.b = w, b
     return ClassifierModel(
-        hidden_layer=hidden,
-        output_layer=output,
-        n_classes=int(obj["n_classes"]),
+        layers=layers,
+        n_classes=n_classes,
         class_names=tuple(obj["class_names"]),
         config=cfg,
         final_loss=float(obj["final_loss"]),

@@ -59,6 +59,9 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(["metrics"], capsys)  # missing --dataset
     assert code == 1
     assert "--dataset" in err
+    code, _, err = run_cli(["bench"], capsys)  # no such command; perfbench/run.py times it
+    assert code == 1
+    assert "invalid choice" in err
 
 
 def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_dir):
@@ -215,7 +218,7 @@ def test_metrics_and_embed_match_direct_feature_vectors(
 ):
     # the CSVs the cached feature table feeds equal those of one feature_vector call per code
     data = load_dataset(small_dataset_dir)
-    split = {e["template_id"]: e["split"] for e in data.manifest.codes}
+    split = experiment.manifest_assignment(data)
     probes = [c for c in data.codes.values() if c.label != "physical_reference"]
     rows = []
     for probe in probes:

@@ -23,6 +23,7 @@ from cdp_authkit.experiment import (
     config_hash,
     load_dataset,
     load_manifest,
+    manifest_assignment,
     pca_embed,
     run_experiment,
     spatial_features,
@@ -73,6 +74,10 @@ def test_manifest_contract(small_dataset_dir, small_dataset):
     # every referenced raster exists next to the manifest
     for code in manifest.codes:
         assert (small_dataset_dir / code["path"]).exists()
+    # the stored split: one entry per template, each code's own split
+    assignment = manifest_assignment(small_dataset)
+    assert sorted(assignment) == sorted(small_dataset.templates)
+    assert all(assignment[c["template_id"]] == c["split"] for c in manifest.codes)
     # tampering with the stored config invalidates the hash
     obj = json.loads((small_dataset_dir / "manifest.json").read_text())
     obj["config"]["seed"] = 99
@@ -132,9 +137,11 @@ def test_split_proportions_and_determinism():
 
 def test_augment_family(small_dataset):
     code = next(c for c in small_dataset.codes.values() if c.label == "original")
-    variants = augment(code)
-    assert [v.params["augmentation"] for v in variants] == list(AUGMENT_TAGS)
-    assert len(variants) == 12
+    variants = augment(code.image)
+    assert len(variants) == len(AUGMENT_TAGS) == 12
+    for tag, variant in zip(AUGMENT_TAGS, variants):
+        assert np.array_equal(variant, augment_image(code.image, tag)), tag
+    assert np.array_equal(variants[0], code.image)
     assert np.array_equal(augment_image(code.image, "gamma-1.0"), code.image)
     img = code.image
     for _ in range(4):
@@ -156,7 +163,7 @@ def test_augment_family(small_dataset):
 
 
 def test_ae_training_arrays_cover_augmented_train_originals(small_dataset):
-    assignment = {e["template_id"]: e["split"] for e in small_dataset.manifest.codes}
+    assignment = manifest_assignment(small_dataset)
     n_train = sum(
         1
         for c in small_dataset.codes.values()
@@ -167,8 +174,24 @@ def test_ae_training_arrays_cover_augmented_train_originals(small_dataset):
     assert symbols.shape == (n_train * 12, 12, 12)
 
 
+def test_ae_training_arrays_stack_augment_with_matching_symbols(small_dataset):
+    # per train original, in split order: augment(code.image), and the template's
+    # symbol grid turned by the same rotation
+    assignment = manifest_assignment(small_dataset)
+    images, symbols = ae_training_arrays(small_dataset, assignment)
+    train = codes_in_split(small_dataset, assignment, "train", ("original",))
+    turns = {"rot90": 1, "rot180": 2, "rot270": 3}
+    want_images, want_symbols = [], []
+    for code in train:
+        grid = small_dataset.templates[code.template_id].symbols
+        want_images += augment(code.image)
+        want_symbols += [np.rot90(grid, k=turns.get(tag, 0)) for tag in AUGMENT_TAGS]
+    assert np.array_equal(images, np.stack(want_images))
+    assert np.array_equal(symbols, np.stack(want_symbols))
+
+
 def test_codes_in_split_and_pair_features(small_dataset):
-    assignment = {e["template_id"]: e["split"] for e in small_dataset.manifest.codes}
+    assignment = manifest_assignment(small_dataset)
     train = codes_in_split(small_dataset, assignment, "train", ("original",))
     assert len(train) == 10
     assert all(c.label == "original" for c in train)

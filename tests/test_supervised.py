@@ -1,5 +1,6 @@
 """Multiclass MLP classifier and the MI lower bound."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from cdp_authkit import checks
 from cdp_authkit.errors import DataError
-from cdp_authkit.nn import Dense
+from cdp_authkit.nn import Dense, Relu
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
     TrainConfig,
@@ -20,6 +21,8 @@ from cdp_authkit.supervised import (
     save_classifier,
     train_classifier,
 )
+
+from conftest import same_weights
 
 
 def _blobs(rng, n_per_class, centers, spread=0.4):
@@ -53,7 +56,7 @@ def test_training_determinism():
     a = train_classifier(x, y, n_classes=2, config=cfg)
     b = train_classifier(x, y, n_classes=2, config=cfg)
     assert a.final_loss == b.final_loss
-    assert np.array_equal(a.output_layer.w, b.output_layer.w)
+    assert same_weights(a.layers, b.layers)
 
 
 def test_train_validation():
@@ -69,10 +72,11 @@ def test_zero_init_output_starts_at_uniform_loss():
     rng = rng_for(7, "init")
     x = rng.random((20, 4))
     y = rng.integers(0, 5, 20)
-    hidden = Dense(rng_for(7, "h"), 4, 16)
-    output = Dense(rng_for(7, "o"), 16, 5, zero_init=True)
+    layers = [
+        Dense(rng_for(7, "h"), 4, 16), Relu(), Dense(rng_for(7, "o"), 16, 5, zero_init=True)
+    ]
     # zero output weights give uniform class probabilities: CE is exactly ln K
-    assert _ce_loss_and_grads(hidden, output, x, y) == pytest.approx(
+    assert _ce_loss_and_grads(layers, x, y) == pytest.approx(
         math.log(5), abs=1e-12
     )
 
@@ -91,11 +95,10 @@ def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
     cfg = TrainConfig(epochs=4, hidden=8, seed=5)
 
     def run():
-        hidden = Dense(rng_for(8, "h"), 3, 8)
-        output = Dense(rng_for(8, "o"), 8, 3)
-        loss = _ce_loss_and_grads(hidden, output, x[:16], y[:16])
+        layers = [Dense(rng_for(8, "h"), 3, 8), Relu(), Dense(rng_for(8, "o"), 8, 3)]
+        loss = _ce_loss_and_grads(layers, x[:16], y[:16])
         save_classifier(train_classifier(x, y, n_classes=3, config=cfg), tmp_path / "clf.json")
-        return loss, hidden, output, (tmp_path / "clf.json").read_bytes()
+        return loss, layers[0], layers[2], (tmp_path / "clf.json").read_bytes()
 
     skipped = run()
     full_backward = Dense.backward
@@ -167,3 +170,14 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(pa, pb)
     assert np.array_equal(la, lb)
     assert back.class_names == model.class_names
+    assert same_weights(back.layers, model.layers)
+    # train and load build the same layer list; a re-save keeps every byte
+    assert [type(layer) for layer in back.layers] == [type(layer) for layer in model.layers]
+    save_classifier(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "clf.json").read_bytes()
+    # weights that do not fit the stored config are rejected
+    obj = json.loads((tmp_path / "clf.json").read_text())
+    obj["config"]["hidden"] = 9
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="w1/b1"):
+        load_classifier(tmp_path / "bad.json")
