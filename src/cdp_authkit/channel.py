@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .errors import AttackError, DataError, DegenerateImageError, ParameterError, StateError
+from .errors import AttackError, DegenerateImageError, ParameterError, StateError
 from .imageio import (
     from_uint8,
     read_json,

@@ -383,6 +383,12 @@ def extract_features_batch(
     [0,1] before the reconstruction error. Returns the per-probe arrays
     "hamming_sym" and "recon_l2"; recon_l2 is None for scenarios without a
     decoder.
+
+    Probes run through the encoder and decoder in chunks of
+    model.config.batch_size, the batch the model was trained with, so the
+    layer arrays take memory in proportion to one batch, not to N. Every
+    step is per-probe arithmetic, so the output does not depend on the
+    chunking: it is bit-identical to extracting each probe alone.
     """
     x = np.asarray(images, dtype=np.float64)
     syms = np.asarray(symbols)
@@ -390,13 +396,17 @@ def extract_features_batch(
         raise DataError("images and symbol grids must align")
     if syms.shape[1] != model.n_sym or syms.shape[2] != model.n_sym:
         raise DataError(f"expected {model.n_sym}x{model.n_sym} symbol grids")
-    t_hat = encode(model, x)
-    t_bin = (t_hat >= 0.5).astype(np.uint8)
-    hamming = (t_bin != syms.astype(np.uint8)).sum(axis=(1, 2)).astype(np.int64)
-    recon_l2 = None
-    if model.decoder is not None:
-        diff = decode(model, t_hat) - x
-        recon_l2 = np.sqrt((diff * diff).mean(axis=(1, 2)))
+    n = x.shape[0]
+    hamming = np.empty(n, dtype=np.int64)
+    recon_l2 = np.empty(n) if model.decoder is not None else None
+    for start in range(0, n, model.config.batch_size):
+        chunk = slice(start, start + model.config.batch_size)
+        t_hat = encode(model, x[chunk])
+        t_bin = (t_hat >= 0.5).astype(np.uint8)
+        hamming[chunk] = (t_bin != syms[chunk].astype(np.uint8)).sum(axis=(1, 2))
+        if recon_l2 is not None:
+            diff = decode(model, t_hat) - x[chunk]
+            recon_l2[chunk] = np.sqrt((diff * diff).mean(axis=(1, 2)))
     return {"hamming_sym": hamming, "recon_l2": recon_l2}
 
 

@@ -511,13 +511,17 @@ def _rates_from_accepts(setup: str, codes: Sequence[ObservedCode], accepted: np.
 
 
 def _supervised_features(codes: Sequence[ObservedCode], augmented: bool) -> tuple:
-    images = []
-    names = []
-    for code in codes:
-        variants = augment(code.image) if augmented else [code.image]
-        images.extend(variants)
-        names.extend([code.label] * len(variants))
-    return images_to_features(images), names
+    """Pooled feature rows of the codes (each code's AUGMENT_TAGS variants with
+    augmented on) and the label of each row.
+
+    One code's variants are made as its rows are pooled, so no full-resolution
+    variant list of all codes is held.
+    """
+    variants = (image for code in codes
+                for image in (augment(code.image) if augmented else (code.image,)))
+    per_code = len(AUGMENT_TAGS) if augmented else 1
+    names = [code.label for code in codes for _ in range(per_code)]
+    return images_to_features(variants), names
 
 
 def fit_classifier(

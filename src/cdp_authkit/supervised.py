@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +69,11 @@ def pool_image(image: np.ndarray, max_side: int = 32) -> np.ndarray:
     return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def images_to_features(images: Sequence[np.ndarray], max_side: int = 32) -> np.ndarray:
-    """Pool and flatten a batch of images into a fixed-size feature matrix."""
+def images_to_features(images: Iterable[np.ndarray], max_side: int = 32) -> np.ndarray:
+    """Pool and flatten images into a fixed-size feature matrix, one image at a time.
+
+    `images` may be a generator: only the pooled rows are kept.
+    """
     return np.stack([pool_image(img, max_side).ravel() for img in images])
 
 

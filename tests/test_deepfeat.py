@@ -1,5 +1,7 @@
 """Autoencoder scenarios: training, collapse identities, gradients, features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,49 @@ def test_features_follow_scenario():
         assert (feats["recon_l2"] is not None) == has_recon
         if has_recon:
             assert (feats["recon_l2"] >= 0).all()
+
+
+@pytest.mark.parametrize("scenario", (1, 3))
+def test_features_do_not_depend_on_chunking(scenario):
+    # two full chunks of batch_size probes and a short one of 3
+    cfg = AeConfig(epochs=1, seed=scenario, **TINY)
+    n = 2 * cfg.batch_size + 3
+    images, symbols = toy_batch((11,), n)
+    model = train_ae(images, symbols, scenario, cfg)
+    feats = extract_features_batch(model, images, symbols)
+    assert feats["hamming_sym"].shape == (n,)
+    for i in range(n):
+        alone = extract_features_batch(model, images[i : i + 1], symbols[i : i + 1])
+        assert np.array_equal(feats["hamming_sym"][i : i + 1], alone["hamming_sym"]), i
+        if scenario == 1:
+            assert feats["recon_l2"] is None and alone["recon_l2"] is None
+        else:
+            assert np.array_equal(feats["recon_l2"][i : i + 1], alone["recon_l2"]), i
+
+
+def _extract_peak_bytes(model, images, symbols) -> int:
+    """Peak bytes traced during one extraction, above what was live before it.
+
+    The probes are stacked before the call, so only the arrays the call makes
+    (layer activations, per-probe results) count.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        extract_features_batch(model, images, symbols)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_memory_is_bounded_by_the_batch():
+    cfg = AeConfig(seed=0)
+    model = build_ae_model(3, 4, 3, cfg)
+    images, symbols = toy_batch((12,), 4 * cfg.batch_size)
+    one_batch = _extract_peak_bytes(model, images[: cfg.batch_size], symbols[: cfg.batch_size])
+    four_batches = _extract_peak_bytes(model, images, symbols)
+    assert four_batches <= 1.5 * one_batch, (four_batches, one_batch)
 
 
 def test_save_load_roundtrip(tmp_path):

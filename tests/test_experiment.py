@@ -15,6 +15,7 @@ from cdp_authkit.experiment import (
     CLASS_ORDER,
     PRESETS,
     DatasetConfig,
+    _supervised_features,
     ae_training_arrays,
     augment,
     augment_image,
@@ -33,6 +34,7 @@ from cdp_authkit.experiment import (
 )
 from cdp_authkit.metrics import feature_vector
 from cdp_authkit.rng import rng_for
+from cdp_authkit.supervised import images_to_features
 
 from conftest import SMALL_CONFIG
 
@@ -188,6 +190,22 @@ def test_ae_training_arrays_stack_augment_with_matching_symbols(small_dataset):
         want_symbols += [np.rot90(grid, k=turns.get(tag, 0)) for tag in AUGMENT_TAGS]
     assert np.array_equal(images, np.stack(want_images))
     assert np.array_equal(symbols, np.stack(want_symbols))
+
+
+def test_supervised_features_equal_pooling_the_full_augmented_list(small_dataset):
+    # _supervised_features pools one code's variants at a time; the rows and
+    # labels must be those of pooling every variant of every code in one list
+    codes = codes_in_split(small_dataset, manifest_assignment(small_dataset), "train", CLASS_ORDER)
+    images, labels = [], []
+    for code in codes:
+        images += augment(code.image)
+        labels += [code.label] * len(AUGMENT_TAGS)
+    x, names = _supervised_features(codes, augmented=True)
+    assert np.array_equal(x, images_to_features(images))
+    assert names == labels
+    x_plain, plain_names = _supervised_features(codes, augmented=False)
+    assert np.array_equal(x_plain, images_to_features([code.image for code in codes]))
+    assert plain_names == [code.label for code in codes]
 
 
 def test_codes_in_split_and_pair_features(small_dataset):
