@@ -112,7 +112,9 @@ class ObservedCode:
 
     `image` is the grayscale view (luminance when color planes exist) and is
     always present; `planes` carries the (H, W, 3) color stack when the
-    channel was run with plane_jitter > 0.
+    channel was run with plane_jitter > 0. A freshly acquired code holds
+    float planes in [0, 1]; a code read by load_observed holds the PPM's
+    uint8 levels k/255, one byte per sample (metrics reads either form).
     """
 
     image: np.ndarray
@@ -362,7 +364,8 @@ def save_observed(code: ObservedCode, path: str | Path) -> None:
     base = Path(path)
     base = base.with_suffix("") if base.suffix in (".pgm", ".ppm", ".json") else base
     if code.planes is not None:
-        write_ppm(base.with_suffix(".ppm"), to_uint8(code.planes))
+        levels = code.planes if code.planes.dtype == np.uint8 else to_uint8(code.planes)
+        write_ppm(base.with_suffix(".ppm"), levels)
         raster = "ppm"
     else:
         write_pgm(base.with_suffix(".pgm"), to_uint8(code.image))
@@ -383,15 +386,16 @@ def save_observed(code: ObservedCode, path: str | Path) -> None:
 def load_observed(path: str | Path) -> ObservedCode:
     """Load a code written by save_observed.
 
-    Color codes recompute luminance from the quantized planes, so a loaded
-    code re-saves byte-identically.
+    Color codes keep their planes as the PPM's (H, W, 3) uint8 levels, one
+    byte per sample, and compute luminance from those levels scaled to
+    [0, 1], so a loaded code re-saves byte-identically.
     """
     base = Path(path)
     base = base.with_suffix("") if base.suffix in (".pgm", ".ppm", ".json") else base
     meta = read_json(base.with_suffix(".json"))
     if meta.get("raster") == "ppm":
-        planes = from_uint8(read_ppm(base.with_suffix(".ppm")))
-        image = planes @ _LUMA
+        planes = read_ppm(base.with_suffix(".ppm"))
+        image = from_uint8(planes) @ _LUMA
     else:
         planes = None
         image = from_uint8(read_pgm(base.with_suffix(".pgm")))

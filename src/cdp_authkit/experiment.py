@@ -676,13 +676,23 @@ def _run_ocsvm_spatial(
 
 
 def ae_training_arrays(data: Dataset, assignment: dict) -> tuple:
-    """Augmented train-split originals with matching (rotated) symbol grids."""
-    images, symbols = [], []
-    for code in codes_in_split(data, assignment, "train", ("original",)):
-        grid = data.templates[code.template_id].symbols
-        images.extend(augment(code.image))
-        symbols.extend(augment_symbols(grid, tag) for tag in AUGMENT_TAGS)
-    return np.stack(images), np.stack(symbols)
+    """Augmented train-split originals with matching (rotated) symbol grids.
+
+    Each code's AUGMENT_TAGS variants are written straight into the two
+    preallocated arrays, in augment's order, so no variant list is held.
+    """
+    codes = codes_in_split(data, assignment, "train", ("original",))
+    if not codes:
+        raise ParameterError("no train-split originals to augment")
+    grids = [data.templates[code.template_id].symbols for code in codes]
+    n_var = len(AUGMENT_TAGS)
+    images = np.empty((n_var * len(codes),) + codes[0].image.shape, dtype=np.float64)
+    symbols = np.empty((n_var * len(codes),) + grids[0].shape, dtype=grids[0].dtype)
+    for i, (code, grid) in enumerate(zip(codes, grids)):
+        for j, tag in enumerate(AUGMENT_TAGS):
+            images[i * n_var + j] = augment_image(code.image, tag)
+            symbols[i * n_var + j] = augment_symbols(grid, tag)
+    return images, symbols
 
 
 def deep_features(data: Dataset, model, codes: Sequence[ObservedCode]) -> dict:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .errors import DataError, DegenerateImageError
+from .imageio import from_uint8
 from .template import Template, downsample_majority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -229,11 +230,18 @@ def _intensity_pair(probe, reference, use_planes: bool, ref_is_template: bool):
         return np.asarray(probe.image, np.float64), ref
     if probe.planes is None:
         raise DataError("probe carries no color planes")
-    a = np.asarray(probe.planes, dtype=np.float64)
+    a = _float_planes(probe.planes)
     if ref_is_template:
         b = np.repeat(np.asarray(reference)[..., None], 3, axis=2)
     else:
         if reference.planes is None:
             raise DataError("reference carries no color planes")
-        b = np.asarray(reference.planes, dtype=np.float64)
+        b = _float_planes(reference.planes)
     return a, b
+
+
+def _float_planes(planes: np.ndarray) -> np.ndarray:
+    """Color planes in [0, 1]: uint8 levels (a loaded code) scale by 1/255."""
+    if planes.dtype == np.uint8:
+        return from_uint8(planes)
+    return np.asarray(planes, dtype=np.float64)

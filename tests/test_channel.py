@@ -1,5 +1,7 @@
 """Print/acquire channel physics, copy attacks, and observed-code persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from cdp_authkit.channel import (
     strong_dot_gain_params,
 )
 from cdp_authkit.errors import ParameterError
-from cdp_authkit.metrics import hamming_symbols
+from cdp_authkit.imageio import from_uint8, to_uint8
+from cdp_authkit.metrics import feature_vector, hamming_symbols
 from cdp_authkit.rng import rng_for
 from cdp_authkit.template import generate_template
 
@@ -185,6 +188,35 @@ def test_save_load_roundtrip_gray_and_color(tmp_path):
         assert back.label == code.label
         assert back.template_id == code.template_id
         assert back.symbol_px == code.symbol_px
+        if jitter > 0:
+            # loaded color planes stay the PPM's levels, one byte per sample
+            assert back.planes.dtype == np.uint8 and back.planes.shape == (24, 24, 3)
+            assert not back.planes.flags.writeable
+            assert np.array_equal(back.planes, to_uint8(code.planes))
+            assert np.array_equal(back.image, from_uint8(back.planes) @ _LUMA)
+        else:
+            assert back.planes is None
         # quantized roundtrip: re-saving is byte identical
         save_observed(back, tmp_path / f"again{ext}")
         assert (tmp_path / f"again{ext}").read_bytes() == base.read_bytes()
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "code.json").read_bytes()
+
+
+def test_loaded_uint8_planes_give_the_float_planes_features(tmp_path):
+    # feature_vector on uint8 planes must match, bit for bit, the same call
+    # on float planes from_uint8(levels), for both reference kinds
+    t = generate_template(8, 3, 0.5, seed=8)
+    loaded = []
+    for seed in (2, 3):
+        p = default_original_params(seed=seed, plane_jitter=0.04)
+        save_observed(acquire(print_template(t, p, "t8"), p, "original"), tmp_path / f"c{seed}")
+        loaded.append(load_observed(tmp_path / f"c{seed}"))
+    probe, ref = loaded
+    as_float = [replace(c, planes=from_uint8(c.planes)) for c in loaded]
+    assert all(c.planes.dtype == np.float64 for c in as_float)
+    for got, want in (
+        (feature_vector(probe, t, use_planes=True), feature_vector(as_float[0], t, use_planes=True)),
+        (feature_vector(probe, ref, use_planes=True), feature_vector(*as_float, use_planes=True)),
+    ):
+        assert got == want
+        assert got.as_array().tobytes() == want.as_array().tobytes()

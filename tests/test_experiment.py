@@ -122,6 +122,14 @@ def test_synthesis_deterministic_and_parallel_equal(tmp_path):
             assert (tmp_path / other / rel).read_bytes() == (tmp_path / "a" / rel).read_bytes()
 
 
+def test_loaded_color_planes_hold_one_byte_per_sample(small_dataset):
+    # a float64 copy of the planes would hold 8x these bytes
+    codes = list(small_dataset.codes.values())
+    side = SMALL_CONFIG.n_sym * SMALL_CONFIG.symbol_px
+    assert codes and all(c.planes is not None for c in codes)
+    assert sum(c.planes.nbytes for c in codes) == len(codes) * side * side * 3
+
+
 def test_split_proportions_and_determinism():
     ids = [f"t{i:04d}" for i in range(25)]
     a = split_by_template(ids, seed=0)
@@ -174,6 +182,9 @@ def test_ae_training_arrays_cover_augmented_train_originals(small_dataset):
     images, symbols = ae_training_arrays(small_dataset, assignment)
     assert images.shape == (n_train * 12, 36, 36)
     assert symbols.shape == (n_train * 12, 12, 12)
+    no_train = {tid: "test" for tid in assignment}
+    with pytest.raises(ParameterError, match="no train-split originals"):
+        ae_training_arrays(small_dataset, no_train)
 
 
 def test_ae_training_arrays_stack_augment_with_matching_symbols(small_dataset):
@@ -188,6 +199,7 @@ def test_ae_training_arrays_stack_augment_with_matching_symbols(small_dataset):
         grid = small_dataset.templates[code.template_id].symbols
         want_images += augment(code.image)
         want_symbols += [np.rot90(grid, k=turns.get(tag, 0)) for tag in AUGMENT_TAGS]
+    assert images.dtype == np.float64 and symbols.dtype == np.uint8
     assert np.array_equal(images, np.stack(want_images))
     assert np.array_equal(symbols, np.stack(want_symbols))
 
