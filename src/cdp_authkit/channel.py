@@ -12,6 +12,21 @@ default radius 1 gives the canonical 3x3 kernel with neighbor weight
 dot_gain / 8. Because black can only grow and enclosed white can only shrink,
 the model reproduces the asymmetric dot-gain behaviour real presses show:
 black elements stay detectable while fine white openings disappear.
+
+The filters run on numpy alone and keep scipy.ndimage's summation order, so
+their results are bit-identical to the ndimage calls they stand for:
+
+- `_correlate` (ink spread, majority vote) is `ndimage.correlate`: the sum
+  starts at 0.0 and adds weight * sample for each nonzero tap in row-major
+  order, over a zero-padded (ink spread) or edge-replicated (majority) border;
+  `spread_ink` flips its kernel first, as `ndimage.convolve` does.
+- `_gaussian_blur` is `ndimage.gaussian_filter(mode="nearest")`: radius
+  int(4 sigma + 0.5), weights exp(-0.5 / sigma^2 * x^2) normalised, axis 0
+  then axis 1 (of each plane), each as `correlate1d`'s symmetric branch:
+  out = x * w0, then out += (x[i-j] + x[i+j]) * wj for j = r down to 1.
+
+scipy is imported only for a rotation (rotation_deg != 0), whose spline code
+has no numpy twin.
 """
 
 from __future__ import annotations
@@ -21,7 +36,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import AttackError, DegenerateImageError, ParameterError, StateError
 from .imageio import (
@@ -144,8 +158,60 @@ def spread_ink(binary: np.ndarray, dot_gain: float, radius: int = 1) -> np.ndarr
     kernel = np.full((size, size), dot_gain / (size * size - 1), dtype=np.float64)
     kernel[radius, radius] = 1.0
     # Zero padding: no ink bleeds in from outside the printed area.
-    out = ndimage.convolve(values, kernel, mode="constant", cval=0.0)
+    out = _correlate(values, kernel[::-1, ::-1], "constant")
     return np.clip(out, 0.0, 1.0)
+
+
+def _correlate(values: np.ndarray, kernel: np.ndarray, border: str) -> np.ndarray:
+    """ndimage.correlate of a 2-D image with an odd square kernel.
+
+    border is an np.pad mode: "constant" (zeros) or "edge" (ndimage "nearest").
+    """
+    r = kernel.shape[0] // 2
+    h, w = values.shape
+    padded = np.pad(values, r, mode=border)
+    out = np.zeros_like(values)
+    # weight * sample depends on the sample alone, so each distinct weight
+    # scales the padded image once and every tap adds a shifted view of it.
+    scaled = {}
+    for (a, b), weight in np.ndenumerate(kernel):
+        if weight != 0.0:
+            if weight not in scaled:
+                scaled[weight] = weight * padded
+            out += scaled[weight][a : a + h, b : b + w]
+    return out
+
+
+def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """ndimage.gaussian_filter(plane, sigma, mode="nearest") of each plane of (n, H, W)."""
+    if sigma <= 1e-15:  # ndimage leaves the planes as they are
+        return planes
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = (phi / phi.sum())[::-1]
+    for axis in (1, 2):
+        planes = _correlate1d_symmetric(planes, weights, axis)
+    return planes
+
+
+def _correlate1d_symmetric(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """ndimage.correlate1d(mode="nearest") with a symmetric odd-length kernel."""
+    r = len(weights) // 2
+    n = x.shape[axis]
+    # Replicate the edge samples: index -r .. n+r-1 clamped into the axis.
+    padded = x.take(np.clip(np.arange(-r, n + r), 0, n - 1), axis=axis)
+
+    def shifted(j):
+        return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
+
+    out = shifted(0) * weights[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= weights[r - j]
+        out += pair
+    return out
 
 
 def print_template(
@@ -204,33 +270,39 @@ def acquire(ink: InkMap, p: ChannelParams, label: str = "original") -> ObservedC
 
 def _acquire_planes(ink_values: np.ndarray, p: ChannelParams) -> np.ndarray:
     """Run the optical/sensor pipeline; returns (n_planes, H, W) pre-crop."""
-    n_planes = 3 if p.plane_jitter > 0 else 1
-    out = np.empty((n_planes,) + ink_values.shape, dtype=np.float64)
-    for idx in range(n_planes):
-        substrate, ink_albedo = p.substrate_albedo, p.ink_albedo
-        if n_planes == 3:
+    albedos = [(p.substrate_albedo, p.ink_albedo)]
+    if p.plane_jitter > 0:
+        albedos = []
+        for idx in range(3):
             jit = rng_for(p.seed, "plane-albedo", idx)
-            substrate = float(np.clip(substrate + jit.normal(0.0, p.plane_jitter), 0.02, 1.0))
+            substrate = float(
+                np.clip(p.substrate_albedo + jit.normal(0.0, p.plane_jitter), 0.02, 1.0)
+            )
             ink_albedo = float(
-                np.clip(ink_albedo + jit.normal(0.0, p.plane_jitter), 0.0, substrate - 0.01)
+                np.clip(p.ink_albedo + jit.normal(0.0, p.plane_jitter), 0.0, substrate - 0.01)
             )
-        v = substrate * (1.0 - ink_values) + ink_albedo * ink_values
-        if p.blur_sigma > 0:
-            v = ndimage.gaussian_filter(v, sigma=p.blur_sigma, mode="nearest")
-        v = v * p.illum_scale
-        if p.noise_sigma > 0:
+            albedos.append((substrate, ink_albedo))
+    paper = 1.0 - ink_values
+    v = np.stack([substrate * paper + ink_albedo * ink_values for substrate, ink_albedo in albedos])
+    if p.blur_sigma > 0:
+        v = _gaussian_blur(v, p.blur_sigma)
+    v = v * p.illum_scale
+    if p.noise_sigma > 0:
+        for idx in range(len(v)):
             noise_rng = rng_for(p.seed, "sensor-noise", idx)
-            v = v + noise_rng.normal(0.0, p.noise_sigma, size=v.shape)
-        # Clamp before the gamma map so fractional exponents stay real.
-        v = np.clip(v, 0.0, 1.0)
-        if p.gamma != 1.0:
-            v = v**p.gamma
-        if p.rotation_deg != 0.0:
-            v = ndimage.rotate(
-                v, p.rotation_deg, reshape=False, order=1, mode="nearest"
+            v[idx] += noise_rng.normal(0.0, p.noise_sigma, size=v.shape[1:])
+    # Clamp before the gamma map so fractional exponents stay real.
+    v = np.clip(v, 0.0, 1.0)
+    if p.gamma != 1.0:
+        v = v**p.gamma
+    if p.rotation_deg != 0.0:
+        from scipy import ndimage
+
+        for idx in range(len(v)):
+            v[idx] = ndimage.rotate(
+                v[idx], p.rotation_deg, reshape=False, order=1, mode="nearest"
             )
-        out[idx] = v
-    return out
+    return v
 
 
 @dataclass(frozen=True)
@@ -279,9 +351,7 @@ def estimate_template_binary(observed: ObservedCode, a: AttackParams) -> np.ndar
 
 def majority_filter(binary: np.ndarray) -> np.ndarray:
     """3x3 majority vote with replicated borders; kills isolated pixels."""
-    counts = ndimage.correlate(
-        np.asarray(binary, dtype=np.float64), np.ones((3, 3)), mode="nearest"
-    )
+    counts = _correlate(np.asarray(binary, dtype=np.float64), np.ones((3, 3)), "edge")
     return (counts >= 5.0).astype(np.uint8)
 
 

@@ -266,7 +266,6 @@ class Dataset:
     """Manifest plus loaded templates and codes, keyed for the protocols."""
 
     manifest: DatasetManifest
-    dataset_dir: Optional[Path] = None
     templates: dict = field(default_factory=dict)  # template_id -> Template
     codes: dict = field(default_factory=dict)  # (template_id, label) -> ObservedCode
 
@@ -283,7 +282,7 @@ def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
     """Load a dataset; DataError naming the manifest entry whose file is missing."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
-    data = Dataset(manifest=manifest, dataset_dir=root)
+    data = Dataset(manifest=manifest)
     try:
         for tid in manifest.template_ids:
             where = f"template {tid}"
@@ -783,9 +782,19 @@ def _single_run(data: Dataset, preset: str, run_seed: int, ae_config) -> tuple:
     return runner(data, assignment, run_seed, **kwargs)
 
 
-def _run_worker(args) -> tuple:
-    dataset_dir, preset, run_seed, ae_config = args
-    return _single_run(load_dataset(dataset_dir), preset, run_seed, ae_config)
+# A --jobs worker's dataset and preset, set once by _init_run_worker, so the
+# runs a worker takes share one load and one spatial feature table.
+_worker_run: tuple = ()
+
+
+def _init_run_worker(data: Dataset, preset: str, ae_config) -> None:
+    global _worker_run
+    _worker_run = (data, preset, ae_config)
+
+
+def _run_worker(run_seed: int) -> tuple:
+    data, preset, ae_config = _worker_run
+    return _single_run(data, preset, run_seed, ae_config)
 
 
 def run_experiment(
@@ -801,7 +810,9 @@ def run_experiment(
 
     Each run r resplits by template with a seed derived from (seed, r); all
     model seeds derive from the run seed, so the report is reproducible byte
-    for byte, sequential or parallel. When out_dir is given, writes
+    for byte, sequential or parallel. With jobs > 1 each worker process gets
+    the loaded dataset once, at start-up, and then takes run seeds, so its
+    runs share one spatial feature table. When out_dir is given, writes
     report.json, report.md and runs.csv there.
     """
     if preset not in PRESETS:
@@ -814,10 +825,13 @@ def run_experiment(
     data = dataset if isinstance(dataset, Dataset) else load_dataset(dataset)
     run_seeds = [derive_seed(seed, "run", r) for r in range(runs)]
 
-    if jobs > 1 and runs > 1 and data.dataset_dir is not None:
-        args = [(str(data.dataset_dir), preset, rs, ae_config) for rs in run_seeds]
-        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
-            results = list(pool.map(_run_worker, args))
+    if jobs > 1 and runs > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, runs),
+            initializer=_init_run_worker,
+            initargs=(data, preset, ae_config),
+        ) as pool:
+            results = list(pool.map(_run_worker, run_seeds))
     else:
         results = [_single_run(data, preset, rs, ae_config) for rs in run_seeds]
 

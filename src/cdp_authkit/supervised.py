@@ -130,7 +130,9 @@ def train_classifier(
 
     Raises:
         DataError: fewer than 2 examples in some class, or bad shapes.
-        TrainingError: loss became non-finite (trace attached).
+        TrainingError: loss became non-finite, or the last epoch's mean loss
+            is more than twice ln K, the loss of the untrained network
+            (trace attached).
     """
     cfg = config if config is not None else TrainConfig()
     x = np.asarray(features, dtype=np.float64)
@@ -167,6 +169,16 @@ def train_classifier(
         trace.append(epoch_loss / n)
         if not math.isfinite(trace[-1]):
             raise TrainingError("training loss became non-finite", trace=trace)
+    # The zero output layer makes ln K the exact starting loss. A run that
+    # learns nothing ends near it, on either side (a binary preset run on the
+    # 25-template test dataset ended at 1.007 ln 2); a step size that throws
+    # training off ends far above it (3.7 ln K at lr 20, 2e7 ln K at lr 1e8).
+    if trace[-1] > 2.0 * math.log(n_classes):
+        raise TrainingError(
+            f"training diverged: final loss {trace[-1]:.6g} is more than twice the "
+            f"untrained loss ln {n_classes} = {math.log(n_classes):.6g}",
+            trace=trace,
+        )
 
     return ClassifierModel(
         layers=layers,

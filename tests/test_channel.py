@@ -1,10 +1,20 @@
-"""Print/acquire channel physics, copy attacks, and observed-code persistence."""
+"""Print/acquire channel physics, copy attacks, and observed-code persistence.
 
+scipy.ndimage is the oracle for the channel's numpy filters, which must match
+it bit for bit.
+"""
+
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import cdp_authkit
 from cdp_authkit.channel import (
     AttackParams,
     ChannelParams,
@@ -20,6 +30,7 @@ from cdp_authkit.channel import (
     spread_ink,
     strong_dot_gain_params,
 )
+from cdp_authkit.channel import _gaussian_blur
 from cdp_authkit.errors import ParameterError
 from cdp_authkit.imageio import from_uint8, to_uint8
 from cdp_authkit.metrics import feature_vector, hamming_symbols
@@ -60,6 +71,53 @@ def test_spread_ink_identity_monotone_and_padding():
     s = spread_ink(lone, 0.8)
     assert s[0, 0] == 1.0
     assert s[5, 5] == 0.0
+
+
+# (height, width): non-square, one-pixel and shipped-size planes
+ORACLE_SHAPES = [(1, 7), (5, 1), (9, 4), (17, 40), (33, 20), (78, 78)]
+
+
+@pytest.mark.parametrize("seed", range(len(ORACLE_SHAPES)))
+def test_gaussian_blur_is_bit_identical_to_ndimage(seed):
+    rng = rng_for(seed, "blur-oracle")
+    planes = rng.random((3, *ORACLE_SHAPES[seed]))
+    # shipped sigmas, a random one, and one below 0.125 (radius 0)
+    for sigma in (0.6, 0.7, 1.0, rng.uniform(0.125, 3.0), rng.uniform(0.0, 0.125)):
+        want = np.stack([ndimage.gaussian_filter(p, sigma, mode="nearest") for p in planes])
+        assert _gaussian_blur(planes, sigma).tobytes() == want.tobytes(), sigma
+
+
+@pytest.mark.parametrize("seed", range(len(ORACLE_SHAPES)))
+def test_spread_ink_and_majority_are_bit_identical_to_ndimage(seed):
+    rng = rng_for(seed, "spread-oracle")
+    shape = ORACLE_SHAPES[seed]
+    for values in ((rng.random(shape) < 0.5).astype(np.uint8), rng.random(shape)):
+        as_float = values.astype(np.float64)
+        for radius in (1, 2, 3):
+            gain = rng.uniform(0.0, 2.0)
+            size = 2 * radius + 1
+            kernel = np.full((size, size), gain / (size * size - 1))
+            kernel[radius, radius] = 1.0
+            want = np.clip(ndimage.convolve(as_float, kernel, mode="constant"), 0.0, 1.0)
+            assert spread_ink(values, gain, radius).tobytes() == want.tobytes(), (radius, gain)
+        counts = ndimage.correlate(as_float, np.ones((3, 3)), mode="nearest")
+        want = (counts >= 5.0).astype(np.uint8)
+        assert majority_filter(values).tobytes() == want.tobytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only for rotation; importing it costs ~0.3 s per process
+    src = str(Path(cdp_authkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cdp_authkit.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_acquire_polarity_shape_and_determinism():

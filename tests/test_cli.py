@@ -337,6 +337,18 @@ def test_train_supervised(small_dataset_dir, tmp_path, capsys):
     assert out.exists()
 
 
+def test_train_supervised_divergence_exits_2(small_dataset_dir, tmp_path, capsys):
+    out = tmp_path / "clf.json"
+    code, _, err = run_cli(
+        ["train", "supervised", "--dataset", str(small_dataset_dir),
+         "--lr", "1e8", "--epochs", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "TrainingError: training diverged" in err and "twice the untrained loss ln 5" in err
+    assert not out.exists()
+
+
 def test_log_file_keeps_stdout_clean(tmp_path, capsys):
     log = tmp_path / "run.log"
     code, text, _ = run_cli(

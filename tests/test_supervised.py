@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from cdp_authkit import checks
-from cdp_authkit.errors import DataError
+from cdp_authkit import checks, experiment
+from cdp_authkit.errors import DataError, TrainingError
+from cdp_authkit.experiment import run_experiment
 from cdp_authkit.nn import Dense, Relu
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
@@ -79,6 +80,30 @@ def test_zero_init_output_starts_at_uniform_loss():
     assert _ce_loss_and_grads(layers, x, y) == pytest.approx(
         math.log(5), abs=1e-12
     )
+
+
+def test_huge_learning_rate_raises_training_error_with_trace():
+    rng = rng_for(3, "diverge")
+    x, y = _blobs(rng, 20, [(0, 0), (3, 3), (0, 3)])
+    with pytest.raises(TrainingError, match="training diverged") as info:
+        train_classifier(x, y, n_classes=3, config=TrainConfig(epochs=5, hidden=8, lr=1e8))
+    trace = info.value.trace
+    assert len(trace) == 5 and math.isfinite(trace[-1]) and trace[-1] > 2 * math.log(3)
+
+
+def test_a_run_that_learns_nothing_is_not_a_divergence(small_dataset, monkeypatch):
+    # run 0 of root seed 104 trains a binary classifier that ends just above
+    # ln 2: a chance-level result the report must carry, not an error
+    ratios = []
+
+    def recording(*args, **kwargs):
+        model = train_classifier(*args, **kwargs)
+        ratios.append(model.final_loss / math.log(model.n_classes))
+        return model
+
+    monkeypatch.setattr(experiment, "train_classifier", recording)
+    run_experiment(small_dataset, "supervised-binary-per-fake", runs=1, seed=104)
+    assert 1.0 < max(ratios) < 2.0
 
 
 def test_hidden_layer_gradient_matches_finite_differences():
