@@ -30,14 +30,13 @@ batch order stream does not depend on the scenario.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, ParameterError, TrainingError
+from .errors import DataError, ParameterError
 from .imageio import read_json, require_fields, write_json
 from .nn import (
     Adam,
@@ -51,12 +50,14 @@ from .nn import (
     chain_infer,
     sigmoid,
     softplus,
+    train_epochs,
     weighted_layers,
     zero_grads,
 )
 from .rng import rng_for
 
 SCENARIOS = (1, 2, 3, 4)
+TRACE_KEYS = ("total", "template_rms", "adv_t", "recon_rms", "adv_x", "disc_t", "disc_x")
 
 
 @dataclass
@@ -104,14 +105,9 @@ class AeModel:
 
     def groups(self) -> dict:
         """Active weight groups, name -> layer list."""
-        out = {"encoder": self.encoder}
-        if self.decoder is not None:
-            out["decoder"] = self.decoder
-        if self.disc_t is not None:
-            out["disc_t"] = self.disc_t
-        if self.disc_x is not None:
-            out["disc_x"] = self.disc_x
-        return out
+        named = {"encoder": self.encoder, "decoder": self.decoder,
+                 "disc_t": self.disc_t, "disc_x": self.disc_x}
+        return {name: layers for name, layers in named.items() if layers is not None}
 
 
 def build_ae_model(
@@ -288,7 +284,9 @@ def train_ae(
 
     Raises:
         ParameterError: bad scenario or inconsistent shapes.
-        TrainingError: non-finite loss (trace attached).
+        TrainingError: a loss term became non-finite, or template_rms +
+            recon_rms ends more than twice its value at the first step, on
+            the untrained weights (nn.train_epochs; trace attached).
     """
     cfg = config if config is not None else AeConfig()
     x = np.asarray(images, dtype=np.float64)
@@ -303,52 +301,26 @@ def train_ae(
     spx = x.shape[1] // n_sym
 
     model = build_ae_model(scenario, n_sym, spx, cfg)
-    n = x.shape[0]
-    xb4 = x[:, None, :, :]
-    tb4 = t[:, None, :, :]
-    use_x_side = _x_side(model)
+    x4, t4 = x[:, None], t[:, None]
+    groups = model.groups()
+    gen_opt = Adam(model.encoder + (model.decoder if _x_side(model) else []), cfg.lr)
+    disc_opts = {name: Adam(layers, cfg.lr) for name, layers in groups.items() if "disc" in name}
 
-    opt_enc = Adam(model.encoder, cfg.lr)
-    opt_dec = Adam(model.decoder, cfg.lr) if use_x_side else None
-    opt_dt = Adam(model.disc_t, cfg.lr) if model.disc_t is not None else None
-    opt_dx = Adam(model.disc_x, cfg.lr) if (model.disc_x is not None and use_x_side) else None
+    def step(idx):
+        xi, ti = x4[idx], t4[idx]
+        losses, t_hat, x_hat = _generator_loss_and_grads(model, xi, ti)
+        gen_opt.step()
+        # Discriminators train against the pre-update generator outputs.
+        for name, real, fake in (("disc_t", ti, t_hat), ("disc_x", xi, x_hat)):
+            if name in disc_opts and fake is not None:
+                losses[name] = _disc_loss_and_grads(groups[name], real, fake)
+                disc_opts[name].step()
+        return {key: losses.get(key, 0.0) for key in TRACE_KEYS}, 1
 
-    shuffle = rng_for(cfg.seed, "batches")
-    trace: dict[str, list] = {key: [] for key in (
-        "total", "template_rms", "adv_t", "recon_rms", "adv_x", "disc_t", "disc_x")}
-
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(n)
-        sums = dict.fromkeys(trace, 0.0)
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xi, ti = xb4[idx], tb4[idx]
-            n_batches += 1
-
-            losses, t_hat, x_hat = _generator_loss_and_grads(model, xi, ti)
-            opt_enc.step()
-            if opt_dec is not None:
-                opt_dec.step()
-
-            # Discriminators train against the pre-update generator outputs.
-            if opt_dt is not None:
-                losses["disc_t"] = _disc_loss_and_grads(model.disc_t, ti, t_hat)
-                opt_dt.step()
-            if opt_dx is not None:
-                losses["disc_x"] = _disc_loss_and_grads(model.disc_x, xi, x_hat)
-                opt_dx.step()
-
-            for key, value in losses.items():
-                sums[key] += value
-
-        for key, value in sums.items():
-            trace[key].append(value / n_batches)
-        if not math.isfinite(trace["total"][-1]):
-            model.loss_trace = trace
-            raise TrainingError("autoencoder loss became non-finite", trace=trace)
-
-    model.loss_trace = trace
+    # No adversarial term in the guard: one rises when the other player wins
+    # (a default scenario-2 run ended at 2.4 times its first-step total).
+    model.loss_trace = train_epochs(x.shape[0], cfg.epochs, cfg.batch_size, cfg.seed, step,
+                                    guard=("template_rms", "recon_rms"))
     return model
 
 

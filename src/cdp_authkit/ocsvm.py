@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, TrainingError
-from .imageio import read_json, write_json
+from .imageio import read_json, require_fields, write_json
 
 ALPHA_EPS = 1e-8  # below this an alpha counts as zero (not a support vector)
 
@@ -222,8 +222,10 @@ def save_model(model: OcSvmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> OcSvmModel:
     obj = read_json(path)
-    if obj.get("kind") != "ocsvm":
-        raise DataError("not a one-class SVM model file")
+    if not isinstance(obj, dict) or obj.get("kind") != "ocsvm":
+        raise DataError(f"{path}: not a one-class SVM model file")
+    require_fields(obj, path, "support_points", "alphas", "rho", "nu", "rbf_gamma", "n_train",
+                   "scaler_mean", "scaler_std", "tol", "iterations")
     return OcSvmModel(
         support_points=np.asarray(obj["support_points"], dtype=np.float64),
         alphas=np.asarray(obj["alphas"], dtype=np.float64),

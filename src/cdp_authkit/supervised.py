@@ -17,9 +17,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError, TrainingError
-from .imageio import read_json, write_json
-from .nn import Dense, Relu, chain_backward, chain_forward, chain_infer, weighted_layers, zero_grads
+from .errors import DataError, ParameterError
+from .imageio import read_json, require_fields, write_json
+from .nn import (Dense, Relu, chain_backward, chain_forward, chain_infer, train_epochs,
+                 weighted_layers, zero_grads)
 from .rng import rng_for
 
 
@@ -132,7 +133,7 @@ def train_classifier(
         DataError: fewer than 2 examples in some class, or bad shapes.
         TrainingError: loss became non-finite, or the last epoch's mean loss
             is more than twice ln K, the loss of the untrained network
-            (trace attached).
+            (nn.train_epochs; trace attached).
     """
     cfg = config if config is not None else TrainConfig()
     x = np.asarray(features, dtype=np.float64)
@@ -153,32 +154,15 @@ def train_classifier(
 
     n, d = x.shape
     layers = build_classifier_layers(d, n_classes, cfg)
-    shuffle = rng_for(cfg.seed, "batches")
 
-    trace: list[float] = []
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss = _ce_loss_and_grads(layers, x[idx], y[idx])
-            epoch_loss += loss * len(idx)
-            for layer in weighted_layers(layers):
-                layer.w -= cfg.lr * layer.gw
-                layer.b -= cfg.lr * layer.gb
-        trace.append(epoch_loss / n)
-        if not math.isfinite(trace[-1]):
-            raise TrainingError("training loss became non-finite", trace=trace)
-    # The zero output layer makes ln K the exact starting loss. A run that
-    # learns nothing ends near it, on either side (a binary preset run on the
-    # 25-template test dataset ended at 1.007 ln 2); a step size that throws
-    # training off ends far above it (3.7 ln K at lr 20, 2e7 ln K at lr 1e8).
-    if trace[-1] > 2.0 * math.log(n_classes):
-        raise TrainingError(
-            f"training diverged: final loss {trace[-1]:.6g} is more than twice the "
-            f"untrained loss ln {n_classes} = {math.log(n_classes):.6g}",
-            trace=trace,
-        )
+    def step(idx):
+        loss = _ce_loss_and_grads(layers, x[idx], y[idx])
+        for layer in weighted_layers(layers):
+            layer.w -= cfg.lr * layer.gw
+            layer.b -= cfg.lr * layer.gb
+        return {"loss": loss}, len(idx)
+
+    trace = train_epochs(n, cfg.epochs, cfg.batch_size, cfg.seed, step, guard=("loss",))
 
     return ClassifierModel(
         layers=layers,
@@ -261,8 +245,10 @@ def save_classifier(model: ClassifierModel, path: str | Path) -> None:
 
 def load_classifier(path: str | Path) -> ClassifierModel:
     obj = read_json(path)
-    if obj.get("kind") != "classifier":
-        raise DataError("not a classifier model file")
+    if not isinstance(obj, dict) or obj.get("kind") != "classifier":
+        raise DataError(f"{path}: not a classifier model file")
+    require_fields(obj, path, "w1", "b1", "w2", "b2", "n_classes", "class_names", "config",
+                   "final_loss", "loss_trace")
     cfg = TrainConfig(**obj["config"])
     n_classes = int(obj["n_classes"])
     w1 = np.asarray(obj["w1"], dtype=np.float64)

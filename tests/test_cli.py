@@ -337,15 +337,23 @@ def test_train_supervised(small_dataset_dir, tmp_path, capsys):
     assert out.exists()
 
 
-def test_train_supervised_divergence_exits_2(small_dataset_dir, tmp_path, capsys):
-    out = tmp_path / "clf.json"
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["supervised", "--lr", "1e8", "--epochs", "5"],
+        ["ae", "--scenario", "3", "--lr", "1e12", "--epochs", "3"],
+    ],
+    ids=["supervised", "ae"],
+)
+def test_train_divergence_exits_2(small_dataset_dir, tmp_path, capsys, args):
+    out = tmp_path / "model.json"
     code, _, err = run_cli(
-        ["train", "supervised", "--dataset", str(small_dataset_dir),
-         "--lr", "1e8", "--epochs", "5", "--out", str(out)],
-        capsys,
+        ["train", *args, "--dataset", str(small_dataset_dir), "--out", str(out)], capsys
     )
     assert code == 2
-    assert "TrainingError: training diverged" in err and "twice the untrained loss ln 5" in err
+    assert "TrainingError: training diverged" in err and "twice its untrained value" in err
+    if args[0] == "supervised":  # the untrained loss of 5 classes is ln 5
+        assert "1.60944" in err
     assert not out.exists()
 
 

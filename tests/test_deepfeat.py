@@ -20,7 +20,7 @@ from cdp_authkit.deepfeat import (
     save_ae,
     train_ae,
 )
-from cdp_authkit.errors import DataError, ParameterError
+from cdp_authkit.errors import DataError, ParameterError, TrainingError
 from cdp_authkit.nn import weighted_layers
 
 from conftest import same_weights
@@ -67,6 +67,16 @@ def test_training_traces_follow_scenario():
         assert (scenario in (2, 4)) == any(v != 0 for v in trace["adv_t"])
         assert (scenario in (3, 4)) == any(v != 0 for v in trace["recon_rms"])
         assert (scenario == 4) == any(v != 0 for v in trace["adv_x"])
+
+
+def test_huge_learning_rate_raises_training_error_with_trace():
+    images, symbols = toy_batch((0,), 8)
+    with pytest.raises(TrainingError, match="training diverged") as info:
+        train_ae(images, symbols, 3, AeConfig(epochs=3, seed=1, lr=1e12, **TINY))
+    trace = info.value.trace
+    assert isinstance(trace, dict) and len(trace["total"]) == 3
+    # the untrained total is about 0.5 (the message names it); a blow-up ends far above
+    assert np.isfinite(trace["total"][-1]) and trace["total"][-1] > 1e6
 
 
 def test_training_learns_template_recovery():

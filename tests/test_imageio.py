@@ -1,13 +1,20 @@
-"""PGM/PPM headers: malformed fields raise DataError naming the file and the field."""
+"""PGM/PPM headers and model JSON files: malformed fields raise DataError naming
+the file and the field."""
 
+import json
 import shutil
 
 import numpy as np
 import pytest
 
+from cdp_authkit.checks import toy_batch
 from cdp_authkit.cli import main
+from cdp_authkit.deepfeat import AeConfig, load_ae, save_ae, train_ae
 from cdp_authkit.errors import DataError
 from cdp_authkit.imageio import read_pgm, read_ppm
+from cdp_authkit.ocsvm import load_model, save_model, train_ocsvm
+from cdp_authkit.rng import rng_for
+from cdp_authkit.supervised import TrainConfig, load_classifier, save_classifier, train_classifier
 
 
 @pytest.mark.parametrize(
@@ -46,3 +53,41 @@ def test_cli_exits_1_on_bad_header(small_dataset_dir, tmp_path, capsys):
     assert main(["metrics", "--dataset", str(data), "--out", str(tmp_path / "f.csv")]) == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: width must be a positive integer, got 'ab'" in err
+
+
+def _ae():
+    images, symbols = toy_batch((13,), 4)
+    return train_ae(images, symbols, 1, AeConfig(epochs=1, batch_size=4, channels=2))
+
+
+def _classifier():
+    x = rng_for(13, "loader").random((6, 3))
+    return train_classifier(x, np.array([0, 0, 0, 1, 1, 1]), 2, TrainConfig(epochs=1, hidden=2))
+
+
+def _ocsvm():
+    return train_ocsvm(rng_for(13, "loader").normal(size=(10, 2)), nu=0.5)
+
+
+@pytest.mark.parametrize(
+    "make, save, load, field",
+    [
+        (_ae, save_ae, load_ae, "config"),
+        (_classifier, save_classifier, load_classifier, "config"),
+        (_ocsvm, save_model, load_model, "alphas"),
+    ],
+    ids=["ae", "classifier", "ocsvm"],
+)
+def test_malformed_model_file_names_file_and_field(tmp_path, make, save, load, field):
+    path = tmp_path / "model.json"
+    save(make(), path)
+    obj = json.loads(path.read_text())
+    del obj[field]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: missing field '{field}'"
+    path.write_text(json.dumps([obj]))  # a JSON list, not an object
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: not a")

@@ -1,10 +1,12 @@
-"""Conv2d against a direct convolution, finite differences and its own adjoint."""
+"""Conv2d against a direct convolution, finite differences and its own adjoint;
+the shared epoch loop."""
 
 import numpy as np
 import pytest
 
 from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
-from cdp_authkit.nn import Conv2d, col2im, im2col
+from cdp_authkit.errors import TrainingError
+from cdp_authkit.nn import Conv2d, col2im, im2col, train_epochs
 from cdp_authkit.oracles import conv2d_direct
 
 # The two geometries deepfeat builds, the strided first encoder layer
@@ -102,3 +104,29 @@ def test_encode_is_batch_independent_and_inference_keeps_no_cache():
     for layers in (model.encoder, model.decoder):
         for layer in layers:
             assert layer._cache is None, type(layer).__name__
+
+
+def test_epoch_loop_weights_batches_and_guards_the_named_terms():
+    # rows 0..4 in batches of 2, 2, 1: the row-weighted mean of each batch's
+    # mean row index is the mean index 2.0, whatever the shuffle
+    trace = train_epochs(5, 2, 2, 0, lambda idx: ({"loss": float(np.mean(idx))}, len(idx)),
+                         ("loss",))
+    assert trace == [2.0, 2.0]
+
+    def stepper(later, other=5.0):
+        calls = []
+
+        def step(idx):
+            calls.append(idx)
+            return {"a": 1.0 if len(calls) == 1 else later, "b": 0.0, "other": other}, 1
+        return step
+
+    # the guard is twice the first step's sum of the named terms; "other" may rise
+    assert train_epochs(4, 3, 2, 0, stepper(2.0, 1e9), ("a", "b"))["a"][-1] == 2.0
+    with pytest.raises(TrainingError, match="a \\+ b 2.5 is more than twice") as info:
+        train_epochs(4, 3, 2, 0, stepper(2.5), ("a", "b"))
+    assert len(info.value.trace["a"]) == 3
+    # any non-finite term stops the run after its epoch
+    with pytest.raises(TrainingError, match="non-finite") as info:
+        train_epochs(4, 3, 2, 0, stepper(1.0, np.inf), ("a", "b"))
+    assert set(info.value.trace) == {"a", "b", "other"} and len(info.value.trace["a"]) == 1
