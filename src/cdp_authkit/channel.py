@@ -1,10 +1,10 @@
 """Print -> physical -> acquire channel simulation and copy attacks.
 
 The channel models the information loss a pattern suffers on its way to a
-sensor: ink spread (dot gain), optical blur, substrate/ink albedos,
-illumination, sensor noise, gamma, optional small rotation. A copy attack
-binarizes an acquired code (what a copy machine can still see), optionally
-cleans isolated pixels, and reprints the estimate through a second channel.
+sensor: ink spread (dot gain), optical blur, substrate/ink albedos and
+sensor noise. A copy attack binarizes an acquired code at its Otsu threshold
+(what a copy machine can still see), optionally cleans isolated pixels, and
+reprints the estimate through a second channel.
 
 Ink spread is a linear kernel with center weight 1 and every neighbor within
 `spread_radius` weighted dot_gain / ((2r+1)^2 - 1), clamped to [0, 1]. The
@@ -13,8 +13,9 @@ dot_gain / 8. Because black can only grow and enclosed white can only shrink,
 the model reproduces the asymmetric dot-gain behaviour real presses show:
 black elements stay detectable while fine white openings disappear.
 
-The filters run on numpy alone and keep scipy.ndimage's summation order, so
-their results are bit-identical to the ndimage calls they stand for:
+The filters run on numpy alone and keep ndimage's summation order, so their
+results are bit-identical to the ndimage calls they stand for (the tests use
+those calls as the oracle):
 
 - `_correlate` (ink spread, majority vote) is `ndimage.correlate`: the sum
   starts at 0.0 and adds weight * sample for each nonzero tap in row-major
@@ -24,9 +25,6 @@ their results are bit-identical to the ndimage calls they stand for:
   int(4 sigma + 0.5), weights exp(-0.5 / sigma^2 * x^2) normalised, axis 0
   then axis 1 (of each plane), each as `correlate1d`'s symmetric branch:
   out = x * w0, then out += (x[i-j] + x[i+j]) * wj for j = r down to 1.
-
-scipy is imported only for a rotation (rotation_deg != 0), whose spline code
-has no numpy twin.
 """
 
 from __future__ import annotations
@@ -37,12 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AttackError, DegenerateImageError, ParameterError, StateError
+from .errors import AttackError, DataError, DegenerateImageError, ParameterError
 from .imageio import (
     from_uint8,
     read_json,
     read_pgm,
     read_ppm,
+    require_fields,
     to_uint8,
     write_json,
     write_pgm,
@@ -71,8 +70,8 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 class ChannelParams:
     """Print/acquisition model parameters.
 
-    plane_jitter > 0 simulates a color sensor: three planes share geometry,
-    blur and gamma but get independently jittered albedos and noise, and the
+    plane_jitter > 0 simulates a color sensor: three planes share geometry
+    and blur but get independently jittered albedos and noise, and the
     observed grayscale image is their Rec.601 luminance collapse.
     """
 
@@ -81,9 +80,6 @@ class ChannelParams:
     substrate_albedo: float = 0.95
     ink_albedo: float = 0.10
     noise_sigma: float = 0.02
-    gamma: float = 1.0
-    illum_scale: float = 1.0
-    rotation_deg: float = 0.0
     seed: int = 0
     spread_radius: int = 1
     plane_jitter: float = 0.0
@@ -97,8 +93,6 @@ class ChannelParams:
             raise ParameterError("substrate_albedo must lie in (0, 1]")
         if not 0.0 <= self.ink_albedo < self.substrate_albedo:
             raise ParameterError("ink_albedo must lie in [0, substrate_albedo)")
-        if self.gamma <= 0 or self.illum_scale <= 0:
-            raise ParameterError("gamma and illum_scale must be positive")
         if int(self.spread_radius) < 1:
             raise ParameterError("spread_radius must be >= 1")
 
@@ -220,13 +214,11 @@ def print_template(
     """Print a template: ink spreads by dot gain, clamped to full coverage.
 
     Args:
-        t: template to print (marker frame allowed; its width must be known).
+        t: template to print (marker frame allowed).
         p: channel parameters; only dot_gain and spread_radius matter here.
         template_id: identifier attached downstream; defaults to the
             template seed rendered in hex.
     """
-    if t.marker_width_px is None:
-        raise StateError("template has unknown marker width; cannot print")
     ink = spread_ink(t.pixels, p.dot_gain, p.spread_radius)
     return InkMap(
         values=ink,
@@ -238,12 +230,12 @@ def print_template(
 
 
 def acquire(ink: InkMap, p: ChannelParams, label: str = "original") -> ObservedCode:
-    """Acquire an ink map: reflectance, blur, illumination, noise, gamma.
+    """Acquire an ink map: reflectance, blur, noise, clamp.
 
     The reflectance substrate_albedo*(1-ink) + ink_albedo*ink is blurred by a
-    Gaussian PSF, scaled by illum_scale, corrupted with additive Gaussian
-    noise from the params seed, clamped, gamma-mapped, optionally rotated
-    (bilinear), then cropped to the pattern area via the known frame width.
+    Gaussian PSF, corrupted with additive Gaussian noise from the params
+    seed, cropped to the pattern area via the known frame width, and clamped
+    to [0, 1].
 
     Acquiring the same ink map twice with different seeds yields an
     independent second shot; the "physical_reference" label marks that use.
@@ -269,7 +261,7 @@ def acquire(ink: InkMap, p: ChannelParams, label: str = "original") -> ObservedC
 
 
 def _acquire_planes(ink_values: np.ndarray, p: ChannelParams) -> np.ndarray:
-    """Run the optical/sensor pipeline; returns (n_planes, H, W) pre-crop."""
+    """Run the optical/sensor pipeline; returns unclamped (n_planes, H, W) pre-crop."""
     albedos = [(p.substrate_albedo, p.ink_albedo)]
     if p.plane_jitter > 0:
         albedos = []
@@ -286,22 +278,10 @@ def _acquire_planes(ink_values: np.ndarray, p: ChannelParams) -> np.ndarray:
     v = np.stack([substrate * paper + ink_albedo * ink_values for substrate, ink_albedo in albedos])
     if p.blur_sigma > 0:
         v = _gaussian_blur(v, p.blur_sigma)
-    v = v * p.illum_scale
     if p.noise_sigma > 0:
         for idx in range(len(v)):
             noise_rng = rng_for(p.seed, "sensor-noise", idx)
             v[idx] += noise_rng.normal(0.0, p.noise_sigma, size=v.shape[1:])
-    # Clamp before the gamma map so fractional exponents stay real.
-    v = np.clip(v, 0.0, 1.0)
-    if p.gamma != 1.0:
-        v = v**p.gamma
-    if p.rotation_deg != 0.0:
-        from scipy import ndimage
-
-        for idx in range(len(v)):
-            v[idx] = ndimage.rotate(
-                v[idx], p.rotation_deg, reshape=False, order=1, mode="nearest"
-            )
     return v
 
 
@@ -315,18 +295,8 @@ class AttackParams:
     (white/gray) is read off the reprint albedo.
     """
 
-    binarize_mode: str = "otsu"  # "otsu" | "fixed"
-    fixed_threshold: Optional[float] = None
     morph_cleanup: bool = True
     reprint: ChannelParams = ChannelParams()
-
-    def __post_init__(self):
-        if self.binarize_mode not in ("otsu", "fixed"):
-            raise ParameterError("binarize_mode must be 'otsu' or 'fixed'")
-        if self.binarize_mode == "fixed":
-            thr = self.fixed_threshold
-            if thr is None or not 0.0 < float(thr) < 1.0:
-                raise ParameterError("fixed threshold must lie in (0, 1)")
 
     def label(self) -> str:
         family = "fake1" if self.morph_cleanup else "fake2"
@@ -335,14 +305,11 @@ class AttackParams:
 
 
 def estimate_template_binary(observed: ObservedCode, a: AttackParams) -> np.ndarray:
-    """The attacker's template estimate: binarize, optionally clean up."""
-    if a.binarize_mode == "otsu":
-        try:
-            thr = otsu_threshold(observed.image)
-        except DegenerateImageError as exc:
-            raise AttackError(f"cannot binarize probe: {exc}") from exc
-    else:
-        thr = float(a.fixed_threshold)
+    """The attacker's template estimate: binarize at Otsu, optionally clean up."""
+    try:
+        thr = otsu_threshold(observed.image)
+    except DegenerateImageError as exc:
+        raise AttackError(f"cannot binarize probe: {exc}") from exc
     est = binarize(observed.image, thr)
     if a.morph_cleanup:
         est = majority_filter(est)
@@ -402,7 +369,7 @@ def default_attack_params(
             spread_radius=1,
             plane_jitter=plane_jitter,
         )
-        return AttackParams(binarize_mode="otsu", morph_cleanup=True, reprint=reprint)
+        return AttackParams(morph_cleanup=True, reprint=reprint)
     reprint = ChannelParams(
         dot_gain=0.9,
         blur_sigma=1.0,
@@ -413,7 +380,7 @@ def default_attack_params(
         spread_radius=2,
         plane_jitter=plane_jitter,
     )
-    return AttackParams(binarize_mode="otsu", morph_cleanup=False, reprint=reprint)
+    return AttackParams(morph_cleanup=False, reprint=reprint)
 
 
 def strong_dot_gain_params() -> ChannelParams:
@@ -454,15 +421,20 @@ def save_observed(code: ObservedCode, path: str | Path) -> None:
 
 
 def load_observed(path: str | Path) -> ObservedCode:
-    """Load a code written by save_observed.
+    """Load a code written by save_observed; DataError naming a bad sidecar.
 
     Color codes keep their planes as the PPM's (H, W, 3) uint8 levels, one
     byte per sample, and compute luminance from those levels scaled to
-    [0, 1], so a loaded code re-saves byte-identically.
+    [0, 1], so a loaded code re-saves byte-identically. `params` is kept as
+    stored: it is a record of the acquisition, and nothing reads it back.
     """
     base = Path(path)
     base = base.with_suffix("") if base.suffix in (".pgm", ".ppm", ".json") else base
-    meta = read_json(base.with_suffix(".json"))
+    sidecar = base.with_suffix(".json")
+    meta = read_json(sidecar)
+    require_fields(meta, sidecar, "label", "template_id", "symbol_px", "acquisition_seed", "params")
+    if meta["label"] not in LABELS:
+        raise DataError(f"{sidecar}: unknown label {meta['label']!r}")
     if meta.get("raster") == "ppm":
         planes = read_ppm(base.with_suffix(".ppm"))
         image = from_uint8(planes) @ _LUMA

@@ -271,9 +271,7 @@ def dot_gain_asymmetry() -> tuple:
     )
     params = strong_dot_gain_params()
     observed = acquire(print_template(t, params, "asym"), params, "original")
-    recovered = estimate_template_binary(
-        observed, AttackParams(binarize_mode="otsu", morph_cleanup=False)
-    )
+    recovered = estimate_template_binary(observed, AttackParams(morph_cleanup=False))
     white_area = int((recovered[21:24, 21:24] == 0).sum())
     # window stays >= 4px from any other ink, so all its ink is this symbol's
     black_area = int((recovered[5:16, 29:43] == 1).sum())

@@ -17,10 +17,6 @@ class DegenerateImageError(ValueError):
     """An image has no usable contrast (e.g. constant input to a histogram threshold)."""
 
 
-class StateError(RuntimeError):
-    """An operation was applied to an object whose recorded state cannot support it."""
-
-
 class TrainingError(RuntimeError):
     """An iterative fit diverged or produced non-finite values."""
 

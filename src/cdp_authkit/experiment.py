@@ -172,11 +172,6 @@ def _synthesize_template(config: DatasetConfig, index: int, out_dir: Path) -> li
     return rows
 
 
-def _synthesize_worker(args) -> list:
-    config_dict, index, out_dir = args
-    return _synthesize_template(DatasetConfig.from_dict(config_dict), index, Path(out_dir))
-
-
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
@@ -193,9 +188,9 @@ def synthesize_dataset(
 
     indices = range(config.n_templates)
     if jobs > 1:
-        args = [(config.to_dict(), i, str(out)) for i in indices]
+        n = config.n_templates
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_template = list(pool.map(_synthesize_worker, args))
+            per_template = list(pool.map(_synthesize_template, [config] * n, indices, [out] * n))
     else:
         per_template = [_synthesize_template(config, i, out) for i in indices]
 
@@ -279,7 +274,8 @@ class Dataset:
 
 
 def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
-    """Load a dataset; DataError naming the manifest entry whose file is missing."""
+    """Load a dataset; DataError naming the manifest entry whose file is missing
+    or whose sidecar disagrees with it."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
     data = Dataset(manifest=manifest)
@@ -289,7 +285,14 @@ def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
             data.templates[tid] = load_template(root / "templates" / tid)
         for entry in manifest.codes:
             where = f"entry {entry['path']}"
-            data.codes[(entry["template_id"], entry["label"])] = load_observed(root / entry["path"])
+            code = load_observed(root / entry["path"])
+            listed = {"template_id": entry["template_id"], "label": entry["label"],
+                      "symbol_px": manifest.config.symbol_px}
+            for name, want in listed.items():
+                if getattr(code, name) != want:
+                    raise DataError(f"{root / 'manifest.json'}: {where}: sidecar {name} "
+                                    f"{getattr(code, name)!r} disagrees with manifest {want!r}")
+            data.codes[(entry["template_id"], entry["label"])] = code
     except FileNotFoundError as exc:
         raise DataError(f"{root / 'manifest.json'}: {where}: {exc.filename} is missing") from None
     return data

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, ParameterError, StateError
-from .imageio import read_json, read_pgm, write_json, write_pgm
+from .errors import DataError, ParameterError
+from .imageio import read_json, read_pgm, require_fields, write_json, write_pgm
 from .rng import rng_for
 
 
@@ -29,15 +28,14 @@ class Template:
         symbol_px: pixel side length of one symbol.
         pixels: rendered binary pixel grid, including any marker frame.
         seed: seed the symbols were drawn from.
-        marker_width_px: width of the marker frame (0 = none); None marks a
-            template of unknown provenance that cannot be safely cropped.
+        marker_width_px: width of the marker frame (0 = none).
     """
 
     symbols: np.ndarray
     symbol_px: int
     pixels: np.ndarray
     seed: int
-    marker_width_px: Optional[int]
+    marker_width_px: int
 
     def __post_init__(self):
         self.symbols.setflags(write=False)
@@ -66,10 +64,6 @@ class Template:
     def cdp_pixels(self) -> np.ndarray:
         """Pixel rendering of the pattern area with any marker frame removed."""
         w = self.marker_width_px
-        if w is None:
-            raise StateError("marker width unknown; cannot locate the pattern area")
-        if w == 0:
-            return self.pixels
         side = self.cdp_side_px
         return self.pixels[w : w + side, w : w + side]
 
@@ -122,10 +116,8 @@ def add_markers(t: Template, marker_width_px: int) -> Template:
         raise ParameterError("marker width must be nonnegative")
     if w == 0:
         return t
-    if t.marker_width_px is None:
-        raise StateError("marker width unknown; refusing to frame")
     if t.marker_width_px != 0:
-        raise StateError("template already carries a marker frame")
+        raise ParameterError("template already carries a marker frame")
     side = t.pixels.shape[0]
     if w > side // 2:
         raise ParameterError(
@@ -164,28 +156,23 @@ def save_template(t: Template, path: str | Path) -> None:
 
 
 def load_template(path: str | Path) -> Template:
-    """Load a template written by save_template."""
+    """Load a template written by save_template; DataError naming the bad file."""
     base = Path(path)
     base = base.with_suffix("") if base.suffix in (".pgm", ".json") else base
-    meta = read_json(base.with_suffix(".json"))
-    raster = read_pgm(base.with_suffix(".pgm"))
-    pixels = (raster == 0).astype(np.uint8)
-    n_sym = int(meta["n_sym"])
+    sidecar = base.with_suffix(".json")
+    raster_path = base.with_suffix(".pgm")
+    meta = read_json(sidecar)
+    require_fields(meta, sidecar, "seed", "n_sym", "symbol_px", "marker_width_px")
+    pixels = (read_pgm(raster_path) == 0).astype(np.uint8)
     symbol_px = int(meta["symbol_px"])
-    w = meta.get("marker_width_px")
-    w = None if w is None else int(w)
-    side = n_sym * symbol_px
-    if w is not None:
-        if pixels.shape != (side + 2 * w, side + 2 * w):
-            raise DataError("raster shape disagrees with sidecar dimensions")
-        core = pixels[w : w + side, w : w + side] if w else pixels
-    else:
-        if pixels.shape != (side, side):
-            raise DataError("raster shape disagrees with sidecar dimensions")
-        core = pixels
+    w = int(meta["marker_width_px"])
+    side = int(meta["n_sym"]) * symbol_px
+    if pixels.shape != (side + 2 * w, side + 2 * w):
+        raise DataError(f"{raster_path}: raster shape disagrees with {sidecar.name} dimensions")
+    core = pixels[w : w + side, w : w + side]
     symbols = downsample_majority(core, symbol_px)
     if not np.array_equal(upsample_symbols(symbols, symbol_px), core):
-        raise DataError("raster is not a block upsampling of a symbol grid")
+        raise DataError(f"{raster_path}: raster is not a block upsampling of a symbol grid")
     return Template(
         symbols=symbols,
         symbol_px=symbol_px,

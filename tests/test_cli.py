@@ -270,6 +270,48 @@ def test_tampered_rasters_exit_1(small_dataset_dir, tmp_path, capsys):
     assert f"{manifest}: template t0002: " in err and "t0002.pgm is missing" in err
 
 
+def test_tampered_sidecars_exit_1(small_dataset_dir, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    shutil.copytree(small_dataset_dir, data_dir)
+    manifest = data_dir / "manifest.json"
+    code_json = data_dir / "codes" / "t0003_fake1_white.json"
+    template_json = data_dir / "templates" / "t0001.json"
+
+    def drop(name):
+        return lambda meta: {k: v for k, v in meta.items() if k != name}
+
+    def setting(name, value):
+        return lambda meta: {**meta, name: value}
+
+    cases = (
+        (code_json, drop("symbol_px"), f"{code_json}: missing field 'symbol_px'"),
+        (code_json, lambda meta: [meta], f"{code_json}: expected a JSON object"),
+        (code_json, setting("label", "fake3_white"), f"{code_json}: unknown label 'fake3_white'"),
+        (template_json, drop("n_sym"), f"{template_json}: missing field 'n_sym'"),
+        (template_json, drop("marker_width_px"), f"{template_json}: missing field 'marker_width_px'"),
+        (template_json, setting("n_sym", 11),
+         f"{data_dir / 'templates' / 't0001.pgm'}: raster shape disagrees"),
+        # the sidecar disagrees with its manifest entry or the dataset config
+        (code_json, setting("label", "original"),
+         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar label 'original'"),
+        (code_json, setting("template_id", "t0004"),
+         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar template_id 't0004'"),
+        (code_json, setting("symbol_px", 2),
+         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar symbol_px 2"),
+    )
+    for path, tamper, message in cases:
+        original = path.read_bytes()
+        path.write_text(json.dumps(tamper(json.loads(original))))
+        code, _, err = run_cli(["metrics", "--dataset", str(data_dir),
+                                "--out", str(tmp_path / "out.csv")], capsys)
+        path.write_bytes(original)
+        assert code == 1, message
+        assert message in err
+        assert "Traceback" not in err
+    assert run_cli(["metrics", "--dataset", str(data_dir),
+                    "--out", str(tmp_path / "out.csv")], capsys)[0] == 0
+
+
 def test_train_ocsvm_eval_report_cycle(small_dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "ocsvm.json"
     code, text, _ = run_cli(

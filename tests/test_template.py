@@ -1,13 +1,15 @@
 """Template generation, marker frames, persistence, and symbol reduction."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from cdp_authkit.errors import DataError, ParameterError, StateError
+from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.rng import rng_for
 from cdp_authkit.template import (
-    Template,
     add_markers,
     downsample_majority,
     generate_template,
@@ -85,15 +87,24 @@ def test_marker_validation():
         add_markers(t, -1)
     with pytest.raises(ParameterError):
         add_markers(t, 7)  # > floor(12 / 2)
+    with pytest.raises(ParameterError, match="already carries a marker frame"):
+        add_markers(add_markers(t, 2), 2)
 
 
-def test_crop_unknown_provenance_raises():
-    t = generate_template(6, 2, 0.5, seed=3)
-    unknown = Template(
-        symbols=t.symbols, symbol_px=2, pixels=t.pixels, seed=3, marker_width_px=None
-    )
-    with pytest.raises(StateError):
-        unknown.cdp_pixels()
+def test_load_template_requires_sidecar_fields(tmp_path):
+    save_template(generate_template(6, 2, 0.5, seed=3), tmp_path / "t")
+    sidecar = tmp_path / "t.json"
+    meta = json.loads(sidecar.read_text())
+    for name in ("seed", "n_sym", "symbol_px", "marker_width_px"):
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != name}))
+        with pytest.raises(DataError, match=re.escape(f"{sidecar}: missing field '{name}'")):
+            load_template(tmp_path / "t")
+    sidecar.write_text(json.dumps([meta]))
+    with pytest.raises(DataError, match=re.escape(f"{sidecar}: expected a JSON object")):
+        load_template(tmp_path / "t")
+    sidecar.write_text(json.dumps({**meta, "n_sym": 7}))
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 't.pgm'}: raster shape disagrees")):
+        load_template(tmp_path / "t")
 
 
 def test_save_load_roundtrip(tmp_path):
