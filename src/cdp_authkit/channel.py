@@ -38,6 +38,7 @@ import numpy as np
 from .errors import AttackError, DataError, DegenerateImageError, ParameterError
 from .imageio import (
     from_uint8,
+    int_field,
     read_json,
     read_pgm,
     read_ppm,
@@ -435,6 +436,10 @@ def load_observed(path: str | Path) -> ObservedCode:
     require_fields(meta, sidecar, "label", "template_id", "symbol_px", "acquisition_seed", "params")
     if meta["label"] not in LABELS:
         raise DataError(f"{sidecar}: unknown label {meta['label']!r}")
+    symbol_px, acquisition_seed = (int_field(meta, sidecar, name)
+                                   for name in ("symbol_px", "acquisition_seed"))
+    if not isinstance(meta["params"], dict):
+        raise DataError(f"{sidecar}: field 'params' must be an object")
     if meta.get("raster") == "ppm":
         planes = read_ppm(base.with_suffix(".ppm"))
         image = from_uint8(planes) @ _LUMA
@@ -445,8 +450,8 @@ def load_observed(path: str | Path) -> ObservedCode:
         image=image,
         label=str(meta["label"]),
         template_id=str(meta["template_id"]),
-        symbol_px=int(meta["symbol_px"]),
-        acquisition_seed=int(meta["acquisition_seed"]),
+        symbol_px=symbol_px,
+        acquisition_seed=acquisition_seed,
         params=dict(meta["params"]),
         planes=planes,
     )

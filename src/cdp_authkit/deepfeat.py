@@ -2,7 +2,11 @@
 
 The encoder maps an acquired pixel image to a symbol-resolution estimate
 t_hat in (0,1) via a sigmoid head; the decoder maps t_hat back to a pixel
-reconstruction. Four training scenarios share the template term and add
+reconstruction: a 3x3 conv to `channels` planes and a ReLU at symbol
+resolution, a 3x3 conv applied after a nearest symbol_px-fold upsample
+(one nn.Conv2d with upsample=symbol_px, run as a sub-pixel conv at symbol
+resolution) and a ReLU, then a 3x3 conv to one plane at pixel resolution.
+Four training scenarios share the template term and add
 adversarial and reconstruction terms:
 
     scenario 1: lambda1 * RMS(t - t_hat)
@@ -44,7 +48,6 @@ from .nn import (
     Dense,
     Relu,
     Sigmoid,
-    UpsampleNearest,
     chain_backward,
     chain_forward,
     chain_infer,
@@ -133,8 +136,7 @@ def build_ae_model(
         decoder = [
             Conv2d(dec_rng, 1, c, k=3, stride=1, pad=1),
             Relu(),
-            UpsampleNearest(spx),
-            Conv2d(dec_rng, c, c, k=3, stride=1, pad=1),
+            Conv2d(dec_rng, c, c, k=3, stride=1, pad=1, upsample=spx),
             Relu(),
             Conv2d(dec_rng, c, 1, k=3, stride=1, pad=1),
         ]

@@ -109,7 +109,11 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The parsed JSON file; DataError naming the file when it is not valid JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
 def require_fields(obj, path: str | Path, *names: str) -> None:
@@ -119,3 +123,11 @@ def require_fields(obj, path: str | Path, *names: str) -> None:
     for name in names:
         if name not in obj:
             raise DataError(f"{path}: missing field '{name}'")
+
+
+def int_field(obj: dict, path: str | Path, name: str) -> int:
+    """obj[name]; DataError naming the file and the field unless it is a JSON integer."""
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{path}: field '{name}' must be an integer, got {value!r}")
+    return value

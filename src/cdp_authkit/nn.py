@@ -12,7 +12,8 @@ call sites turn off where the gradient with respect to the input would be
 thrown away (the input is data, or only the weight gradients are wanted);
 gw/gb are the same bits either way.
 
-Convolution takes one of two paths, chosen by the layer's stride.
+Convolution takes one of three paths, chosen by the layer's stride and
+upsample factor.
 
 Strided layers (the first encoder conv, k = symbol_px + 2, stride =
 symbol_px) use the channels-first (Caffe) im2col layout: the patch matrix of
@@ -40,6 +41,24 @@ k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner dimension 
 input, or the input gradient of a one-channel output), each tap would be an
 outer product, so `correlate` uses im2col's (B, k*k, oh*ow) patch matrix of
 that one plane and a single GEMM instead.
+
+Layers built with upsample=f > 1 (the decoder's symbol-to-pixel conv) are a
+nearest f-fold upsample followed by a stride-1 same-padded conv (k = 2*pad +
+1), run as one sub-pixel convolution at the input's resolution (Shi et al.
+2016). Output pixel (f*i + p, f*j + q) at phase (p, q) reads, through tap
+(ki, kj), input pixel (i + (p + ki - pad) // f, j + (q + kj - pad) // f): a
+k' x k' window with k' = 2*ceil(pad/f) + 1, so k' = 3 for k = 3 at every f.
+`upsample_fold` is the fixed 0/1 (k*k, f*f*k'*k') matrix that maps each tap
+to the phase and window offset it lands on. The forward pass folds the
+(out_ch, C*k*k) weights through it into phase weights W' of shape
+(f*f*out_ch, C*k'*k'), then runs one im2col at input resolution, one GEMM
+per sample W' @ cols, a depth-to-space and the bias; the f*f-times larger
+upsampled input is never built. Backward does a space-to-depth of dout,
+folds the weight gradient sum_b dz_b @ cols_b^T back through the transposed
+matrix and returns col2im(W'^T @ dz) at input resolution. The weights keep
+the layout and shape of the unfused conv; only the rounding moves (by about
+1e-15 relative), because the fold adds the weights of taps that read the
+same input pixel before multiplying.
 """
 
 from __future__ import annotations
@@ -48,7 +67,7 @@ import math
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import ParameterError, TrainingError
 from .rng import rng_for
 
 
@@ -131,21 +150,59 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(b, o, oh, wp)[:, :, :, :ow]
 
 
+def upsample_fold(k: int, pad: int, f: int) -> np.ndarray:
+    """The 0/1 tap -> phase matrix of a same-padded k x k conv after an f-fold upsample.
+
+    Entry [ki*k + kj, ((p*f + q)*k' + di)*k' + dj] is 1 when tap (ki, kj) of
+    an output at phase (p, q) reads the input pixel at offset
+    (di - pad', dj - pad'), where pad' = ceil(pad / f) and k' = 2*pad' + 1.
+    """
+    lo = -(-pad // f)
+    kk = 2 * lo + 1
+    axis = np.zeros((k, f, kk))
+    for t in range(k):
+        for p in range(f):
+            axis[t, p, (p + t - pad) // f + lo] = 1.0
+    return np.einsum("ipa,jqb->ijpqab", axis, axis).reshape(k * k, f * f * kk * kk)
+
+
 class Conv2d:
-    """2-D convolution (cross-correlation) over (B, C, H, W) tensors."""
+    """2-D convolution (cross-correlation) over (B, C, H, W) tensors.
+
+    With upsample=f > 1 the layer is a nearest f-fold upsample followed by
+    this stride-1 conv, computed at the input's resolution (module docstring).
+    """
 
     def __init__(self, rng: np.random.Generator, in_ch: int, out_ch: int, k: int,
-                 stride: int = 1, pad: int = 1):
+                 stride: int = 1, pad: int = 1, upsample: int = 1):
+        if upsample > 1 and (stride != 1 or k != 2 * pad + 1):
+            raise ParameterError("an upsampling conv needs stride 1 and k = 2*pad + 1")
         fan_in = in_ch * k * k
         self.w = rng.standard_normal((out_ch, fan_in)) * np.sqrt(2.0 / fan_in)
         self.b = np.zeros(out_ch)
-        self.k, self.stride, self.pad = k, stride, pad
+        self.k, self.stride, self.pad, self.upsample = k, stride, pad, upsample
         self.in_ch, self.out_ch = in_ch, out_ch
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self._cache = None
+        self._fold = upsample_fold(k, pad, upsample) if upsample > 1 else None
+
+    def _phase_geometry(self):
+        """(f, k', pad') of the sub-pixel path."""
+        lo = -(-self.pad // self.upsample)
+        return self.upsample, 2 * lo + 1, lo
+
+    def _phase_weights(self) -> np.ndarray:
+        """w folded into (f*f*out_ch, C*k'*k') phase weights, rows in (o, p, q) order."""
+        f, kk, _ = self._phase_geometry()
+        o, c = self.out_ch, self.in_ch
+        folded = self.w.reshape(o * c, self.k * self.k) @ self._fold
+        return folded.reshape(o, c, f, f, kk, kk).transpose(0, 2, 3, 1, 4, 5).reshape(
+            o * f * f, c * kk * kk)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.upsample > 1:
+            return self._forward_upsample(x)
         if self.stride == 1:
             xp = _pad2(x, self.pad)
             self._cache = xp
@@ -158,6 +215,8 @@ class Conv2d:
     def backward(self, dout: np.ndarray, input_grad: bool = True):
         """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
         self.gb += dout.sum(axis=(0, 2, 3))
+        if self.upsample > 1:
+            return self._backward_upsample(dout, input_grad)
         if self.stride == 1:
             return self._backward_stride1(dout, input_grad)
         cols, x_shape, oh, ow = self._cache
@@ -166,6 +225,33 @@ class Conv2d:
         if not input_grad:
             return None
         return col2im(self.w.T @ dmat, x_shape, self.k, self.stride, self.pad, oh, ow)
+
+    def _forward_upsample(self, x: np.ndarray) -> np.ndarray:
+        f, kk, lo = self._phase_geometry()
+        b, _, h, w = x.shape
+        o = self.out_ch
+        cols, _ = im2col(x, kk, 1, lo)
+        wp = self._phase_weights()
+        z = (wp @ cols).reshape(b, o, f, f, h, w)
+        out = np.empty((b, o, h, f, w, f))  # depth-to-space: (o, p, q, i, j) -> (o, i, p, j, q)
+        np.add(z.transpose(0, 1, 4, 2, 5, 3), self.b[:, None, None, None, None], out=out)
+        self._cache = (cols, x.shape, wp)
+        return out.reshape(b, o, h * f, w * f)
+
+    def _backward_upsample(self, dout: np.ndarray, input_grad: bool):
+        cols, x_shape, wp = self._cache
+        f, kk, lo = self._phase_geometry()
+        b, c, h, w = x_shape
+        o = self.out_ch
+        # space-to-depth: (o, i, p, j, q) -> (o, p, q, i, j)
+        dz = dout.reshape(b, o, h, f, w, f).transpose(0, 1, 3, 5, 2, 4).reshape(
+            b, o * f * f, h * w)
+        gwp = (dz @ cols.transpose(0, 2, 1)).sum(axis=0)
+        gwp = gwp.reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
+        self.gw += (gwp.reshape(o * c, f * f * kk * kk) @ self._fold.T).reshape(o, -1)
+        if not input_grad:
+            return None
+        return col2im(wp.T @ dz, x_shape, kk, 1, lo, h, w)
 
     def _backward_stride1(self, dout: np.ndarray, input_grad: bool):
         xp = self._cache

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import read_json, read_pgm, require_fields, write_json, write_pgm
+from .imageio import int_field, read_json, read_pgm, require_fields, write_json, write_pgm
 from .rng import rng_for
 
 
@@ -163,10 +163,10 @@ def load_template(path: str | Path) -> Template:
     raster_path = base.with_suffix(".pgm")
     meta = read_json(sidecar)
     require_fields(meta, sidecar, "seed", "n_sym", "symbol_px", "marker_width_px")
+    seed, n_sym, symbol_px, w = (int_field(meta, sidecar, name) for name in (
+        "seed", "n_sym", "symbol_px", "marker_width_px"))
     pixels = (read_pgm(raster_path) == 0).astype(np.uint8)
-    symbol_px = int(meta["symbol_px"])
-    w = int(meta["marker_width_px"])
-    side = int(meta["n_sym"]) * symbol_px
+    side = n_sym * symbol_px
     if pixels.shape != (side + 2 * w, side + 2 * w):
         raise DataError(f"{raster_path}: raster shape disagrees with {sidecar.name} dimensions")
     core = pixels[w : w + side, w : w + side]
@@ -177,7 +177,7 @@ def load_template(path: str | Path) -> Template:
         symbols=symbols,
         symbol_px=symbol_px,
         pixels=pixels,
-        seed=int(meta["seed"]),
+        seed=seed,
         marker_width_px=w,
     )
 

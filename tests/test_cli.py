@@ -277,18 +277,28 @@ def test_tampered_sidecars_exit_1(small_dataset_dir, tmp_path, capsys):
     code_json = data_dir / "codes" / "t0003_fake1_white.json"
     template_json = data_dir / "templates" / "t0001.json"
 
+    def edit(change):
+        return lambda text: json.dumps(change(json.loads(text)))
+
     def drop(name):
-        return lambda meta: {k: v for k, v in meta.items() if k != name}
+        return edit(lambda meta: {k: v for k, v in meta.items() if k != name})
 
     def setting(name, value):
-        return lambda meta: {**meta, name: value}
+        return edit(lambda meta: {**meta, name: value})
 
     cases = (
         (code_json, drop("symbol_px"), f"{code_json}: missing field 'symbol_px'"),
-        (code_json, lambda meta: [meta], f"{code_json}: expected a JSON object"),
+        (code_json, edit(lambda meta: [meta]), f"{code_json}: expected a JSON object"),
         (code_json, setting("label", "fake3_white"), f"{code_json}: unknown label 'fake3_white'"),
+        (code_json, lambda text: "{", f"{code_json}: not valid JSON: "),
+        (code_json, setting("symbol_px", "3"),
+         f"{code_json}: field 'symbol_px' must be an integer, got '3'"),
+        (code_json, setting("params", None), f"{code_json}: field 'params' must be an object"),
+        (manifest, lambda text: text[: len(text) // 2], f"{manifest}: not valid JSON: "),
         (template_json, drop("n_sym"), f"{template_json}: missing field 'n_sym'"),
         (template_json, drop("marker_width_px"), f"{template_json}: missing field 'marker_width_px'"),
+        (template_json, setting("n_sym", None),
+         f"{template_json}: field 'n_sym' must be an integer, got None"),
         (template_json, setting("n_sym", 11),
          f"{data_dir / 'templates' / 't0001.pgm'}: raster shape disagrees"),
         # the sidecar disagrees with its manifest entry or the dataset config
@@ -301,7 +311,7 @@ def test_tampered_sidecars_exit_1(small_dataset_dir, tmp_path, capsys):
     )
     for path, tamper, message in cases:
         original = path.read_bytes()
-        path.write_text(json.dumps(tamper(json.loads(original))))
+        path.write_text(tamper(original.decode()))
         code, _, err = run_cli(["metrics", "--dataset", str(data_dir),
                                 "--out", str(tmp_path / "out.csv")], capsys)
         path.write_bytes(original)

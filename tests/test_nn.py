@@ -1,12 +1,12 @@
 """Conv2d against a direct convolution, finite differences and its own adjoint;
-the shared epoch loop."""
+the upsampling conv against an explicit upsample and conv; the shared epoch loop."""
 
 import numpy as np
 import pytest
 
 from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
-from cdp_authkit.errors import TrainingError
-from cdp_authkit.nn import Conv2d, col2im, im2col, train_epochs
+from cdp_authkit.errors import ParameterError, TrainingError
+from cdp_authkit.nn import Conv2d, Relu, UpsampleNearest, chain_infer, col2im, im2col, train_epochs
 from cdp_authkit.oracles import conv2d_direct
 
 # The two geometries deepfeat builds, the strided first encoder layer
@@ -92,6 +92,74 @@ def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, hw, out_ch):
     lhs = float((col2im(d, x.shape, k, stride, 1, oh, ow) * x).sum())
     rhs = float((d * cols).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def _upsampling_pair(f, in_ch, out_ch, hw):
+    """(fused, plain, x): Conv2d(upsample=f) and a plain Conv2d on the same weights."""
+    rng = np.random.default_rng([f, in_ch, out_ch, *hw])
+    plain = Conv2d(rng, in_ch, out_ch, k=3, stride=1, pad=1)
+    plain.b = rng.standard_normal(out_ch)
+    fused = Conv2d(rng, in_ch, out_ch, k=3, stride=1, pad=1, upsample=f)
+    fused.w, fused.b = plain.w.copy(), plain.b.copy()
+    return fused, plain, rng.standard_normal((2, in_ch, *hw))
+
+
+@pytest.mark.parametrize("f", [2, 3, 4])
+@pytest.mark.parametrize("in_ch,out_ch", [(1, 1), (1, 8), (8, 1), (8, 8)])
+def test_upsampling_conv_matches_upsample_then_conv(f, in_ch, out_ch):
+    fused, plain, x = _upsampling_pair(f, in_ch, out_ch, (4, 3))
+    up = UpsampleNearest(f)
+    got = fused.forward(x)
+    want = conv2d_direct(up.forward(x), plain.w, plain.b, 3, 1, 1)
+    assert got.shape == want.shape == (2, out_ch, 4 * f, 3 * f)
+    assert np.abs(got - want).max() <= 1e-12
+    # gradients against the unfused chain, whose layers are checked above
+    dout = np.random.default_rng(f).standard_normal(got.shape)
+    plain.forward(up.forward(x))
+    want_dx = up.backward(plain.backward(dout))
+    assert np.abs(fused.backward(dout) - want_dx).max() <= 1e-12
+    assert np.abs(fused.gw - plain.gw).max() <= 1e-12
+    assert np.abs(fused.gb - plain.gb).max() <= 1e-12
+    assert fused.backward(dout, input_grad=False) is None
+
+
+def test_upsampling_conv_gradients_match_finite_differences():
+    fused, _, x = _upsampling_pair(3, 2, 3, (4, 3))
+    r = np.random.default_rng(7).standard_normal(fused.forward(x).shape)
+
+    def loss():
+        return float((fused.forward(x) * r).sum())
+
+    fused.forward(x)
+    dx = fused.backward(r)
+    assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
+    assert _rel_err(fused.gw, _fd_grad(loss, fused.w)) < 1e-7
+    assert _rel_err(fused.gb, _fd_grad(loss, fused.b)) < 1e-7
+
+
+def test_upsampling_conv_needs_a_same_padded_stride_1_conv():
+    rng = np.random.default_rng(0)
+    for k, stride, pad in ((3, 2, 1), (3, 1, 0), (4, 1, 1)):
+        with pytest.raises(ParameterError):
+            Conv2d(rng, 2, 2, k=k, stride=stride, pad=pad, upsample=2)
+
+
+def test_decode_matches_the_unfused_decoder_on_the_same_weights():
+    # the decoder stores the weights an upsample followed by a plain conv would
+    # use, so a model file reads the same either way
+    model = build_ae_model(3, 5, 3, AeConfig(channels=8, seed=4))
+    rng = np.random.default_rng(5)
+    first, _, fused, _, last = model.decoder
+    for layer in (first, fused, last):
+        layer.b = 0.1 * rng.standard_normal(layer.b.shape)
+    plain = Conv2d(rng, 8, 8, k=3, stride=1, pad=1)
+    plain.w, plain.b = fused.w, fused.b
+    t_hat = rng.random((3, 5, 5))
+    unfused = [first, Relu(), UpsampleNearest(3), plain, Relu(), last]
+    want = np.clip(chain_infer(unfused, t_hat[:, None])[:, 0], 0.0, 1.0)
+    got = decode(model, t_hat)
+    assert got.shape == (3, 15, 15)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_encode_is_batch_independent_and_inference_keeps_no_cache():
