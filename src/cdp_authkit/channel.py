@@ -13,6 +13,9 @@ dot_gain / 8. Because black can only grow and enclosed white can only shrink,
 the model reproduces the asymmetric dot-gain behaviour real presses show:
 black elements stay detectable while fine white openings disappear.
 
+On disk a code is its raster alone, a PGM (grayscale) or PPM (color) file;
+a dataset's manifest entry and config record its label, template and symbol size.
+
 The filters run on numpy alone and keep ndimage's summation order, so their
 results are bit-identical to the ndimage calls they stand for (the tests use
 those calls as the oracle):
@@ -29,25 +32,14 @@ those calls as the oracle):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import AttackError, DataError, DegenerateImageError, ParameterError
-from .imageio import (
-    from_uint8,
-    int_field,
-    read_json,
-    read_pgm,
-    read_ppm,
-    require_fields,
-    to_uint8,
-    write_json,
-    write_pgm,
-    write_ppm,
-)
+from .errors import AttackError, DegenerateImageError, ParameterError
+from .imageio import from_uint8, read_pgm, read_ppm, to_uint8, write_pgm, write_ppm
 from .metrics import binarize, otsu_threshold
 from .rng import rng_for
 from .template import Template
@@ -97,9 +89,6 @@ class ChannelParams:
         if int(self.spread_radius) < 1:
             raise ParameterError("spread_radius must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class InkMap:
@@ -130,8 +119,6 @@ class ObservedCode:
     label: str
     template_id: str
     symbol_px: int
-    acquisition_seed: int
-    params: dict
     planes: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -255,8 +242,6 @@ def acquire(ink: InkMap, p: ChannelParams, label: str = "original") -> ObservedC
         label=label,
         template_id=ink.template_id,
         symbol_px=ink.symbol_px,
-        acquisition_seed=int(p.seed),
-        params=p.to_dict(),
         planes=stack,
     )
 
@@ -398,60 +383,29 @@ def strong_dot_gain_params() -> ChannelParams:
 
 
 def save_observed(code: ObservedCode, path: str | Path) -> None:
-    """Write <path>.pgm (grayscale) or <path>.ppm (color) plus JSON sidecar."""
-    base = Path(path)
-    base = base.with_suffix("") if base.suffix in (".pgm", ".ppm", ".json") else base
-    if code.planes is not None:
-        levels = code.planes if code.planes.dtype == np.uint8 else to_uint8(code.planes)
-        write_ppm(base.with_suffix(".ppm"), levels)
-        raster = "ppm"
+    """Write the code's raster at path with suffix .ppm (color) or .pgm (grayscale)."""
+    path = Path(path).with_suffix(".pgm" if code.planes is None else ".ppm")
+    if code.planes is None:
+        write_pgm(path, to_uint8(code.image))
     else:
-        write_pgm(base.with_suffix(".pgm"), to_uint8(code.image))
-        raster = "pgm"
-    write_json(
-        base.with_suffix(".json"),
-        {
-            "label": code.label,
-            "template_id": code.template_id,
-            "symbol_px": code.symbol_px,
-            "acquisition_seed": code.acquisition_seed,
-            "params": code.params,
-            "raster": raster,
-        },
-    )
+        write_ppm(path, code.planes if code.planes.dtype == np.uint8 else to_uint8(code.planes))
 
 
-def load_observed(path: str | Path) -> ObservedCode:
-    """Load a code written by save_observed; DataError naming a bad sidecar.
+def load_observed(path: str | Path, label: str, template_id: str, symbol_px: int) -> ObservedCode:
+    """The code whose raster save_observed wrote at path (a .ppm path is color,
+    any other grayscale); a raster holds no metadata, so the caller supplies
+    label, template_id and symbol_px.
 
     Color codes keep their planes as the PPM's (H, W, 3) uint8 levels, one
-    byte per sample, and compute luminance from those levels scaled to
-    [0, 1], so a loaded code re-saves byte-identically. `params` is kept as
-    stored: it is a record of the acquisition, and nothing reads it back.
+    byte per sample, with luminance computed from those levels scaled to
+    [0, 1], so a loaded code re-saves byte-identically.
     """
-    base = Path(path)
-    base = base.with_suffix("") if base.suffix in (".pgm", ".ppm", ".json") else base
-    sidecar = base.with_suffix(".json")
-    meta = read_json(sidecar)
-    require_fields(meta, sidecar, "label", "template_id", "symbol_px", "acquisition_seed", "params")
-    if meta["label"] not in LABELS:
-        raise DataError(f"{sidecar}: unknown label {meta['label']!r}")
-    symbol_px, acquisition_seed = (int_field(meta, sidecar, name)
-                                   for name in ("symbol_px", "acquisition_seed"))
-    if not isinstance(meta["params"], dict):
-        raise DataError(f"{sidecar}: field 'params' must be an object")
-    if meta.get("raster") == "ppm":
-        planes = read_ppm(base.with_suffix(".ppm"))
+    if Path(path).suffix == ".ppm":
+        planes = read_ppm(path)
         image = from_uint8(planes) @ _LUMA
     else:
         planes = None
-        image = from_uint8(read_pgm(base.with_suffix(".pgm")))
+        image = from_uint8(read_pgm(path))
     return ObservedCode(
-        image=image,
-        label=str(meta["label"]),
-        template_id=str(meta["template_id"]),
-        symbol_px=symbol_px,
-        acquisition_seed=acquisition_seed,
-        params=dict(meta["params"]),
-        planes=planes,
+        image=image, label=label, template_id=template_id, symbol_px=symbol_px, planes=planes
     )

@@ -29,7 +29,7 @@ import numpy as np
 from .decision import calibrate
 from .deepfeat import AeConfig, load_ae, save_ae, train_ae
 from .errors import ParameterError
-from .imageio import read_json, require_fields, write_json
+from .imageio import read_json, write_json
 from .ocsvm import decision_function, save_model
 from .rng import derive_seed
 from .supervised import TrainConfig, save_classifier
@@ -37,13 +37,13 @@ from .template import add_markers, generate_template, save_template
 from .experiment import (
     PRESETS,
     DatasetConfig,
-    ErrorReport,
     ae_training_arrays,
     codes_in_split,
     deep_features,
     fit_classifier,
     fit_spatial_ocsvm,
     load_dataset,
+    load_report,
     manifest_assignment,
     pca_embed,
     run_experiment,
@@ -281,16 +281,7 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_report(args, config) -> int:
-    obj = read_json(args.input)
-    require_fields(obj, args.input, "preset", "runs", "seed", "dataset_hash", "rows")
-    report = ErrorReport(
-        preset=obj["preset"],
-        runs=obj["runs"],
-        seed=obj["seed"],
-        dataset_hash=obj["dataset_hash"],
-        rows=obj["rows"],
-        extras=obj.get("extras", {}),
-    )
+    report = load_report(args.input)
     out = Path(args.out) if args.out is not None else Path(args.input).with_suffix(".md")
     write_report_markdown(report, out)
     print(out.read_text())

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import read_json, require_fields, write_json
+from .imageio import config_field, int_field, read_json, require_fields, write_json
 from .nn import (
     Adam,
     Conv2d,
@@ -492,15 +492,17 @@ def load_ae(path: str | Path) -> AeModel:
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("kind") != "ae":
         raise DataError(f"{path}: not an autoencoder model file")
-    require_fields(obj, path, "config", "scenario", "n_sym", "symbol_px", "groups")
-    cfg = AeConfig(**obj["config"])
-    model = build_ae_model(int(obj["scenario"]), int(obj["n_sym"]), int(obj["symbol_px"]), cfg)
+    require_fields(obj, path, "config", "scenario", "n_sym", "symbol_px", groups="dict")
+    require_fields(obj["groups"], f"{path}: groups", **dict.fromkeys(obj["groups"], "list"))
+    sizes = (int_field(obj, path, name) for name in ("scenario", "n_sym", "symbol_px"))
+    model = build_ae_model(*sizes, config_field(obj, path, "config", AeConfig))
     for name, layers in model.groups().items():
-        stored = obj["groups"].get(name, ())
+        stored = obj["groups"].get(name, [])
         weighted = weighted_layers(layers)
         if len(stored) != len(weighted):
             raise DataError(f"{path}: group {name} has unexpected layer count")
-        for layer, entry in zip(weighted, stored):
+        for i, (layer, entry) in enumerate(zip(weighted, stored)):
+            require_fields(entry, f"{path}: groups.{name}[{i}]", "w", "b")
             w = np.asarray(entry["w"], dtype=np.float64)
             b = np.asarray(entry["b"], dtype=np.float64)
             if w.shape != layer.w.shape or b.shape != layer.b.shape:

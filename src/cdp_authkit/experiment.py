@@ -30,6 +30,7 @@ import numpy as np
 
 from .channel import (
     FAKE_LABELS,
+    LABELS,
     ObservedCode,
     acquire,
     copy_attack,
@@ -42,7 +43,7 @@ from .channel import (
 from .decision import calibrate, rule_ocsvm, rule_one_metric, rule_two_metric
 from .deepfeat import AeConfig, extract_features_batch, train_ae
 from .errors import DataError, DegenerateImageError, ParameterError
-from .imageio import read_json, require_fields, write_json
+from .imageio import check_type, config_field, read_json, require_fields, write_json
 from .metrics import FEATURE_NAMES, feature_vector, symbol_grid
 from .ocsvm import select_nu, train_ocsvm
 from .rng import derive_seed, rng_for
@@ -92,13 +93,6 @@ class DatasetConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DatasetConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParameterError(f"unknown dataset config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 def config_hash(config: DatasetConfig) -> str:
@@ -221,29 +215,38 @@ def synthesize_dataset(
 
 
 def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
-    """Read manifest.json; DataError naming the file when it is inconsistent.
+    """Read manifest.json; DataError naming the file (and entry) when it is malformed.
 
-    Each (template_id, label) appears once, of a listed template that has an
+    Each code entry holds string path, label, template_id and split, with a
+    known label and split and a .ppm (plane_jitter > 0) or .pgm path. Each
+    (template_id, label) appears once, of a listed template that has an
     original code, in the split of that template's other codes.
     """
     path = Path(dataset_dir) / "manifest.json"
     obj = read_json(path)
-    require_fields(obj, path, "config", "config_hash", "template_ids", "codes")
-    config = DatasetConfig.from_dict(obj["config"])
-    manifest = DatasetManifest(
-        config=config,
-        config_hash=obj["config_hash"],
-        template_ids=tuple(obj["template_ids"]),
-        codes=list(obj["codes"]),
-    )
+    require_fields(obj, path, "config", "config_hash", template_ids="list", codes="list")
+    config = config_field(obj, path, "config", DatasetConfig)
+    if not all(isinstance(tid, str) for tid in obj["template_ids"]):
+        raise DataError(f"{path}: field 'template_ids' must hold strings")
+    manifest = DatasetManifest(config, obj["config_hash"], tuple(obj["template_ids"]), obj["codes"])
     if manifest.config_hash != config_hash(config):
         raise DataError(f"{path}: config hash does not match its config")
+    for i, entry in enumerate(manifest.codes):
+        require_fields(entry, f"{path}: codes[{i}]",
+                       path="str", label="str", template_id="str", split="str")
+    ext = ".ppm" if config.plane_jitter > 0 else ".pgm"
     known = set(manifest.template_ids)
     originals = {e["template_id"] for e in manifest.codes if e["label"] == "original"}
     seen, splits = set(), {}
     for entry in manifest.codes:
-        tid, label = entry["template_id"], entry["label"]
+        tid, label, split = entry["template_id"], entry["label"], entry["split"]
         where = f"{path}: entry {entry['path']}"
+        if label not in LABELS:
+            raise DataError(f"{where}: unknown label {label!r}")
+        if split not in ("train", "val", "test"):
+            raise DataError(f"{where}: unknown split {split!r}")
+        if not entry["path"].endswith(ext):
+            raise DataError(f"{where}: this dataset's rasters are {ext} files")
         if tid not in known:
             raise DataError(f"{where}: template {tid} is not in template_ids")
         if tid not in originals:
@@ -251,8 +254,8 @@ def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
         if (tid, label) in seen:
             raise DataError(f"{where}: duplicates ({tid}, {label})")
         seen.add((tid, label))
-        if splits.setdefault(tid, entry["split"]) != entry["split"]:
-            raise DataError(f"{where}: split {entry['split']}, but template {tid} is in {splits[tid]}")
+        if splits.setdefault(tid, split) != split:
+            raise DataError(f"{where}: split {split}, but template {tid} is in {splits[tid]}")
     return manifest
 
 
@@ -274,10 +277,13 @@ class Dataset:
 
 
 def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
-    """Load a dataset; DataError naming the manifest entry whose file is missing
-    or whose sidecar disagrees with it."""
+    """Load a dataset; DataError naming the manifest entry whose file is missing,
+    or the code raster whose side is not n_sym * symbol_px. A code is read from
+    its raster and manifest entry; other files under codes/ are ignored."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
+    config = manifest.config
+    side = config.n_sym * config.symbol_px
     data = Dataset(manifest=manifest)
     try:
         for tid in manifest.template_ids:
@@ -285,13 +291,11 @@ def load_dataset(dataset_dir: Union[str, Path]) -> Dataset:
             data.templates[tid] = load_template(root / "templates" / tid)
         for entry in manifest.codes:
             where = f"entry {entry['path']}"
-            code = load_observed(root / entry["path"])
-            listed = {"template_id": entry["template_id"], "label": entry["label"],
-                      "symbol_px": manifest.config.symbol_px}
-            for name, want in listed.items():
-                if getattr(code, name) != want:
-                    raise DataError(f"{root / 'manifest.json'}: {where}: sidecar {name} "
-                                    f"{getattr(code, name)!r} disagrees with manifest {want!r}")
+            raster = root / entry["path"]
+            code = load_observed(raster, entry["label"], entry["template_id"], config.symbol_px)
+            if code.image.shape != (side, side):
+                raise DataError(f"{raster}: raster shape {code.image.shape} is not "
+                                f"({side}, {side}), n_sym * symbol_px on a side")
             data.codes[(entry["template_id"], entry["label"])] = code
     except FileNotFoundError as exc:
         raise DataError(f"{root / 'manifest.json'}: {where}: {exc.filename} is missing") from None
@@ -425,6 +429,20 @@ def _aggregate_extras(per_run: list) -> dict:
 
 def write_report_json(report: ErrorReport, path: Union[str, Path]) -> None:
     write_json(path, report.to_dict())
+
+
+def load_report(path: Union[str, Path]) -> ErrorReport:
+    """Read a report.json; DataError naming the file and the row or field of the wrong kind."""
+    obj = read_json(path)
+    require_fields(obj, path, "preset", "runs", "seed", "dataset_hash", rows="list")
+    extras = check_type(obj.get("extras", {}), path, "extras", "dict")
+    for i, row in enumerate(obj["rows"]):
+        require_fields(row, f"{path}: rows[{i}]", setup="str", class_label="str", metric="str",
+                       mean="float", std="float")
+    for name, agg in extras.items():
+        require_fields(agg, f"{path}: extras.{name}", mean="float", std="float")
+    return ErrorReport(preset=obj["preset"], runs=obj["runs"], seed=obj["seed"],
+                       dataset_hash=obj["dataset_hash"], rows=obj["rows"], extras=extras)
 
 
 def write_runs_csv(report: ErrorReport, path: Union[str, Path]) -> None:

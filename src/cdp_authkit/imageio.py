@@ -1,4 +1,4 @@
-"""Plain PGM/PPM image files and canonical JSON sidecars.
+"""Plain PGM/PPM image files and canonical JSON files.
 
 Grayscale images go to binary PGM (P5, maxval 255), color stacks to binary
 PPM (P6). Intensity convention follows reflectance: 0 is ink/black, 255 is
@@ -9,11 +9,12 @@ newline so repeated writes of equal content are byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParameterError
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -116,18 +117,48 @@ def read_json(path: str | Path):
         raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
-def require_fields(obj, path: str | Path, *names: str) -> None:
-    """DataError naming the file unless obj is a JSON object holding every field in names."""
+def require_fields(obj, where: str | Path, /, *names: str, **kinds: str) -> None:
+    """DataError naming where (a file, perhaps with an entry) unless obj is a JSON
+    object holding every field in names and kinds, those in kinds of that kind."""
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    for name in names:
+        raise DataError(f"{where}: expected a JSON object")
+    for name in (*names, *kinds):
         if name not in obj:
-            raise DataError(f"{path}: missing field '{name}'")
+            raise DataError(f"{where}: missing field '{name}'")
+    for name, kind in kinds.items():
+        check_type(obj[name], where, name, kind)
+
+
+# JSON kind -> (Python types, what the message asks for); bool is only "bool"
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false"), "str": (str, "a string"),
+          "list": (list, "a list"), "dict": (dict, "an object")}
+
+
+def check_type(value, where: str | Path, name: str, kind: str):
+    """value; DataError naming where and the field unless it is a JSON value of kind."""
+    types, noun = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        raise DataError(f"{where}: field '{name}' must be {noun}, got {shown}")
+    return value
 
 
 def int_field(obj: dict, path: str | Path, name: str) -> int:
     """obj[name]; DataError naming the file and the field unless it is a JSON integer."""
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{path}: field '{name}' must be an integer, got {value!r}")
-    return value
+    return check_type(obj[name], path, name, "int")
+
+
+def config_field(obj: dict, path: str | Path, name: str, cls):
+    """cls(**obj[name]) for a dataclass of int, float and bool fields (missing keys
+    take defaults); DataError naming the field unless each value fits cls."""
+    config = check_type(obj[name], path, name, "dict")
+    kinds = {f.name: f.type for f in fields(cls)}
+    for key, value in config.items():
+        if key not in kinds:
+            raise DataError(f"{path}: field '{name}' has unknown key '{key}'")
+        check_type(value, path, f"{name}.{key}", kinds[key])
+    try:
+        return cls(**config)
+    except ParameterError as exc:
+        raise DataError(f"{path}: field '{name}': {exc}") from None

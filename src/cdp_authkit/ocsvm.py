@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, TrainingError
-from .imageio import read_json, require_fields, write_json
+from .imageio import int_field, read_json, require_fields, write_json
 
 ALPHA_EPS = 1e-8  # below this an alpha counts as zero (not a support vector)
 
@@ -224,17 +224,17 @@ def load_model(path: str | Path) -> OcSvmModel:
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("kind") != "ocsvm":
         raise DataError(f"{path}: not a one-class SVM model file")
-    require_fields(obj, path, "support_points", "alphas", "rho", "nu", "rbf_gamma", "n_train",
-                   "scaler_mean", "scaler_std", "tol", "iterations")
+    require_fields(obj, path, "support_points", "alphas", "n_train", "scaler_mean", "scaler_std",
+                   "iterations", rho="float", nu="float", rbf_gamma="float", tol="float")
     return OcSvmModel(
         support_points=np.asarray(obj["support_points"], dtype=np.float64),
         alphas=np.asarray(obj["alphas"], dtype=np.float64),
         rho=float(obj["rho"]),
         nu=float(obj["nu"]),
         rbf_gamma=float(obj["rbf_gamma"]),
-        n_train=int(obj["n_train"]),
+        n_train=int_field(obj, path, "n_train"),
         scaler_mean=np.asarray(obj["scaler_mean"], dtype=np.float64),
         scaler_std=np.asarray(obj["scaler_std"], dtype=np.float64),
         tol=float(obj["tol"]),
-        iterations=int(obj["iterations"]),
+        iterations=int_field(obj, path, "iterations"),
     )

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import read_json, require_fields, write_json
+from .imageio import config_field, int_field, read_json, require_fields, write_json
 from .nn import (Dense, Relu, chain_backward, chain_forward, chain_infer, train_epochs,
                  weighted_layers, zero_grads)
 from .rng import rng_for
@@ -247,10 +247,10 @@ def load_classifier(path: str | Path) -> ClassifierModel:
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("kind") != "classifier":
         raise DataError(f"{path}: not a classifier model file")
-    require_fields(obj, path, "w1", "b1", "w2", "b2", "n_classes", "class_names", "config",
-                   "final_loss", "loss_trace")
-    cfg = TrainConfig(**obj["config"])
-    n_classes = int(obj["n_classes"])
+    require_fields(obj, path, "w1", "b1", "w2", "b2", "n_classes", "config",
+                   class_names="list", final_loss="float", loss_trace="list")
+    cfg = config_field(obj, path, "config", TrainConfig)
+    n_classes = int_field(obj, path, "n_classes")
     w1 = np.asarray(obj["w1"], dtype=np.float64)
     layers = build_classifier_layers(w1.shape[0], n_classes, cfg)
     for layer, (wk, bk) in zip(weighted_layers(layers), (("w1", "b1"), ("w2", "b2"))):

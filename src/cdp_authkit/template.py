@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import int_field, read_json, read_pgm, require_fields, write_json, write_pgm
+from .imageio import read_json, read_pgm, require_fields, write_json, write_pgm
 from .rng import rng_for
 
 
@@ -162,9 +162,8 @@ def load_template(path: str | Path) -> Template:
     sidecar = base.with_suffix(".json")
     raster_path = base.with_suffix(".pgm")
     meta = read_json(sidecar)
-    require_fields(meta, sidecar, "seed", "n_sym", "symbol_px", "marker_width_px")
-    seed, n_sym, symbol_px, w = (int_field(meta, sidecar, name) for name in (
-        "seed", "n_sym", "symbol_px", "marker_width_px"))
+    require_fields(meta, sidecar, seed="int", n_sym="int", symbol_px="int", marker_width_px="int")
+    seed, n_sym, symbol_px, w = (meta[k] for k in ("seed", "n_sym", "symbol_px", "marker_width_px"))
     pixels = (read_pgm(raster_path) == 0).astype(np.uint8)
     side = n_sym * symbol_px
     if pixels.shape != (side + 2 * w, side + 2 * w):

@@ -5,9 +5,7 @@ it bit for bit; scipy is a test dependency and the package never imports it.
 """
 
 import ast
-import json
 import os
-import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -242,9 +240,10 @@ def test_save_load_roundtrip_gray_and_color(tmp_path):
         p = default_original_params(seed=2, plane_jitter=jitter)
         code = acquire(print_template(t, p, "t8"), p, "original")
         base = tmp_path / f"code{ext}"
-        save_observed(code, base)
-        assert (tmp_path / f"code{ext}").exists()
-        back = load_observed(base)
+        save_observed(code, tmp_path / "code")
+        # the raster is the whole record of a code: no sidecar is written
+        assert sorted(tmp_path.iterdir()) == [base]
+        back = load_observed(base, "original", "t8", 3)
         assert back.label == code.label
         assert back.template_id == code.template_id
         assert back.symbol_px == code.symbol_px
@@ -257,31 +256,11 @@ def test_save_load_roundtrip_gray_and_color(tmp_path):
         else:
             assert back.planes is None
         # quantized roundtrip: re-saving is byte identical
-        save_observed(back, tmp_path / f"again{ext}")
-        assert (tmp_path / f"again{ext}").read_bytes() == base.read_bytes()
-        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "code.json").read_bytes()
-
-
-def test_sidecar_with_retired_channel_keys_loads_unchanged(tmp_path):
-    # sidecars written before gamma, illum_scale and rotation_deg left
-    # ChannelParams still carry them under params, at their no-op values
-    retired = {"gamma": 1.0, "illum_scale": 1.0, "rotation_deg": 0.0}
-    t = generate_template(8, 3, 0.5, seed=8)
-    for jitter, ext in ((0.0, ".pgm"), (0.04, ".ppm")):
-        p = default_original_params(seed=2, plane_jitter=jitter)
-        save_observed(acquire(print_template(t, p, "t8"), p, "original"), tmp_path / f"new{ext}")
-        meta = json.loads((tmp_path / "new.json").read_text())
-        assert not set(retired) & set(meta["params"])
-        meta["params"].update(retired)
-        (tmp_path / "old.json").write_text(json.dumps(meta))
-        shutil.copy(tmp_path / f"new{ext}", tmp_path / f"old{ext}")
-        new, old = load_observed(tmp_path / "new"), load_observed(tmp_path / "old")
-        assert old.image.tobytes() == new.image.tobytes()
-        if jitter > 0:
-            assert old.planes.tobytes() == new.planes.tobytes()
-        else:
-            assert old.planes is None and new.planes is None
-        assert old.params == {**new.params, **retired}
+        again = tmp_path / f"again{ext}"
+        save_observed(back, again)
+        assert again.read_bytes() == base.read_bytes()
+        for path in (base, again):
+            path.unlink()
 
 
 def test_loaded_uint8_planes_give_the_float_planes_features(tmp_path):
@@ -291,8 +270,8 @@ def test_loaded_uint8_planes_give_the_float_planes_features(tmp_path):
     loaded = []
     for seed in (2, 3):
         p = default_original_params(seed=seed, plane_jitter=0.04)
-        save_observed(acquire(print_template(t, p, "t8"), p, "original"), tmp_path / f"c{seed}")
-        loaded.append(load_observed(tmp_path / f"c{seed}"))
+        save_observed(acquire(print_template(t, p, "t8"), p, "original"), tmp_path / f"c{seed}.ppm")
+        loaded.append(load_observed(tmp_path / f"c{seed}.ppm", "original", "t8", 3))
     probe, ref = loaded
     as_float = [replace(c, planes=from_uint8(c.planes)) for c in loaded]
     assert all(c.planes.dtype == np.float64 for c in as_float)

@@ -269,12 +269,21 @@ def test_tampered_rasters_exit_1(small_dataset_dir, tmp_path, capsys):
     assert code == 1
     assert f"{manifest}: template t0002: " in err and "t0002.pgm is missing" in err
 
+    # a code raster whose side is not n_sym * symbol_px (36 here)
+    shutil.copytree(small_dataset_dir, tmp_path / "geometry")
+    fake = tmp_path / "geometry" / "codes" / "t0003_fake1_white.ppm"
+    write_ppm(fake, np.full((33, 33, 3), 128, np.uint8))
+    code, _, err = run_cli(["metrics", "--dataset", str(tmp_path / "geometry"),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert f"error: {fake}: raster shape (33, 33) is not (36, 36), n_sym * symbol_px" in err
+    assert "Traceback" not in err
+
 
 def test_tampered_sidecars_exit_1(small_dataset_dir, tmp_path, capsys):
     data_dir = tmp_path / "data"
     shutil.copytree(small_dataset_dir, data_dir)
     manifest = data_dir / "manifest.json"
-    code_json = data_dir / "codes" / "t0003_fake1_white.json"
     template_json = data_dir / "templates" / "t0001.json"
 
     def edit(change):
@@ -287,27 +296,33 @@ def test_tampered_sidecars_exit_1(small_dataset_dir, tmp_path, capsys):
         return edit(lambda meta: {**meta, name: value})
 
     cases = (
-        (code_json, drop("symbol_px"), f"{code_json}: missing field 'symbol_px'"),
-        (code_json, edit(lambda meta: [meta]), f"{code_json}: expected a JSON object"),
-        (code_json, setting("label", "fake3_white"), f"{code_json}: unknown label 'fake3_white'"),
-        (code_json, lambda text: "{", f"{code_json}: not valid JSON: "),
-        (code_json, setting("symbol_px", "3"),
-         f"{code_json}: field 'symbol_px' must be an integer, got '3'"),
-        (code_json, setting("params", None), f"{code_json}: field 'params' must be an object"),
+        (template_json, edit(lambda meta: [meta]), f"{template_json}: expected a JSON object"),
+        (template_json, lambda text: "{", f"{template_json}: not valid JSON: "),
         (manifest, lambda text: text[: len(text) // 2], f"{manifest}: not valid JSON: "),
+        # a manifest entry without a split or a path, and a codes field that is no list
+        (manifest, edit(lambda obj: {**obj, "codes": [
+            {k: v for k, v in e.items() if k != "split"} for e in obj["codes"]]}),
+         f"{manifest}: codes[0]: missing field 'split'"),
+        (manifest, edit(lambda obj: {**obj, "codes": [
+            {k: v for k, v in e.items() if k != "path"} for e in obj["codes"]]}),
+         f"{manifest}: codes[0]: missing field 'path'"),
+        (manifest, setting("codes", {}), f"{manifest}: field 'codes' must be a list, got dict"),
+        (manifest, setting("template_ids", "t0000"),
+         f"{manifest}: field 'template_ids' must be a list, got 't0000'"),
+        (manifest, setting("template_ids", [0]),
+         f"{manifest}: field 'template_ids' must hold strings"),
+        (manifest, edit(lambda obj: {**obj, "config": {**obj["config"], "n_sym": "12"}}),
+         f"{manifest}: field 'config.n_sym' must be an integer, got '12'"),
+        (manifest, edit(lambda obj: {**obj, "config": {**obj["config"], "colour": True}}),
+         f"{manifest}: field 'config' has unknown key 'colour'"),
+        (manifest, edit(lambda obj: {**obj, "config": {**obj["config"], "n_templates": 0}}),
+         f"{manifest}: field 'config': n_templates must be positive"),
         (template_json, drop("n_sym"), f"{template_json}: missing field 'n_sym'"),
         (template_json, drop("marker_width_px"), f"{template_json}: missing field 'marker_width_px'"),
         (template_json, setting("n_sym", None),
          f"{template_json}: field 'n_sym' must be an integer, got None"),
         (template_json, setting("n_sym", 11),
          f"{data_dir / 'templates' / 't0001.pgm'}: raster shape disagrees"),
-        # the sidecar disagrees with its manifest entry or the dataset config
-        (code_json, setting("label", "original"),
-         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar label 'original'"),
-        (code_json, setting("template_id", "t0004"),
-         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar template_id 't0004'"),
-        (code_json, setting("symbol_px", 2),
-         f"{manifest}: entry codes/t0003_fake1_white.ppm: sidecar symbol_px 2"),
     )
     for path, tamper, message in cases:
         original = path.read_bytes()
@@ -350,6 +365,24 @@ def test_train_ocsvm_eval_report_cycle(small_dataset_dir, tmp_path, capsys):
     assert "# Report: ocsvm-spatial-digital-gray" in text
     assert "All rates in percent" in text
 
+    obj = json.loads((rep / "report.json").read_text())
+    bad = tmp_path / "bad-report.json"
+    for change, message in (
+        ({"rows": [{k: v for k, v in obj["rows"][0].items() if k != "mean"}]},
+         "rows[0]: missing field 'mean'"),
+        ({"rows": 5}, "field 'rows' must be a list, got 5"),
+        ({"rows": [{**obj["rows"][0], "std": "0"}]}, "rows[0]: field 'std' must be a number"),
+        ({"rows": [{**obj["rows"][0], "setup": None}]}, "rows[0]: field 'setup' must be a string"),
+        ({"extras": [1]}, "field 'extras' must be an object, got list"),
+        ({"extras": {"nu": 1}}, "extras.nu: expected a JSON object"),
+    ):
+        bad.write_text(json.dumps({**obj, **change}))
+        code, _, err = run_cli(["report", "--in", str(bad), "--out", str(tmp_path / "r.md")],
+                               capsys)
+        assert code == 1, message
+        assert f"error: {bad}: {message}" in err
+        assert "Traceback" not in err
+
 
 def test_train_ae_and_calibrate(small_dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "ae.json"
@@ -371,6 +404,18 @@ def test_train_ae_and_calibrate(small_dataset_dir, tmp_path, capsys):
     )
     assert code == 0
     assert "calibrated on 2 validation originals" in text
+    model = json.loads(model_path.read_text())
+    for key, value, message in (
+        ("config", {**model["config"], "epochs": "3"},
+         "field 'config.epochs' must be an integer, got '3'"),
+        ("scenario", None, "field 'scenario' must be an integer, got None"),
+    ):
+        bad = tmp_path / "bad-ae.json"
+        bad.write_text(json.dumps({**model, key: value}))
+        code, _, err = run_cli(["calibrate", "--model", str(bad), "--dataset",
+                                str(small_dataset_dir), "--out", str(tmp_path / "t.json")], capsys)
+        assert code == 1
+        assert f"error: {bad}: {message}" in err and "Traceback" not in err
     thr = json.loads(thr_path.read_text())
     assert thr["kind"] == "thresholds"
     assert thr["gamma1"] >= 0

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cdp_authkit.experiment import (
     synthesize_dataset,
     write_features_csv,
 )
+from cdp_authkit.imageio import config_field
 from cdp_authkit.metrics import feature_vector
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import images_to_features
@@ -53,15 +55,15 @@ def test_config_hash_stable_and_sensitive():
 
 def test_dataset_config_validation_and_roundtrip():
     cfg = DatasetConfig(n_templates=5, n_sym=8, seed=3)
-    assert DatasetConfig.from_dict(cfg.to_dict()) == cfg
+    assert config_field({"config": cfg.to_dict()}, "m.json", "config", DatasetConfig) == cfg
     with pytest.raises(ParameterError):
         DatasetConfig(n_templates=0)
     with pytest.raises(ParameterError):
         DatasetConfig(black_fraction=1.0)
     with pytest.raises(ParameterError):
         DatasetConfig(plane_jitter=-0.1)
-    with pytest.raises(ParameterError):
-        DatasetConfig.from_dict({**cfg.to_dict(), "extra": 1})
+    with pytest.raises(DataError, match="m.json: field 'config' has unknown key 'extra'"):
+        config_field({"config": {**cfg.to_dict(), "extra": 1}}, "m.json", "config", DatasetConfig)
 
 
 def test_manifest_contract(small_dataset_dir, small_dataset):
@@ -90,25 +92,58 @@ def test_manifest_contract(small_dataset_dir, small_dataset):
         load_manifest(bad_dir)
 
 
-# each edit leaves codes[1] (the first template's second code) as the bad entry
+# each edit leaves codes[1] (the first template's second code) as the bad entry,
+# named by its path, or by its index where the entry itself is malformed
 TAMPERED_ENTRIES = [
     (lambda codes: codes.append(dict(codes[1])), "duplicates"),
     (lambda codes: codes[1].update(template_id="t9999"), "template t9999 is not in template_ids"),
     (lambda codes: codes[1].update(split="val" if codes[1]["split"] != "val" else "test"),
      "but template t0000 is in "),
+    (lambda codes: codes[1].update(label="fake3_white"), "unknown label 'fake3_white'"),
+    (lambda codes: codes[1].update(split="holdout"), "unknown split 'holdout'"),
+    (lambda codes: codes[1].update(path=codes[1]["path"].replace(".ppm", ".pgm")),
+     r"this dataset's rasters are \.ppm files"),
+    (lambda codes: codes[1].pop("split"), r"codes\[1\]: missing field 'split'"),
+    (lambda codes: codes[1].pop("path"), r"codes\[1\]: missing field 'path'"),
+    (lambda codes: codes[1].update(template_id=7),
+     r"codes\[1\]: field 'template_id' must be a string"),
+    (lambda codes: codes.__setitem__(1, [codes[1]]), r"codes\[1\]: expected a JSON object"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", TAMPERED_ENTRIES,
-                         ids=["duplicate", "unknown-template", "split"])
+                         ids=["duplicate", "unknown-template", "split", "unknown-label",
+                              "unknown-split", "raster-kind", "no-split", "no-path",
+                              "template-id-type", "not-an-object"])
 def test_manifest_rejects_inconsistent_entries(small_dataset_dir, tmp_path, edit, message):
     obj = json.loads((small_dataset_dir / "manifest.json").read_text())
-    entry = dict(obj["codes"][1])
     edit(obj["codes"])
     (tmp_path / "manifest.json").write_text(json.dumps(obj))
     with pytest.raises(DataError, match=message) as info:
         load_manifest(tmp_path)
-    assert str(info.value).startswith(f"{tmp_path / 'manifest.json'}: entry {entry['path']}: ")
+    where = "codes[1]" if message.startswith("codes") else f"entry {obj['codes'][1]['path']}"
+    assert str(info.value).startswith(f"{tmp_path / 'manifest.json'}: {where}: ")
+
+
+def test_code_sidecars_of_older_datasets_are_ignored(small_dataset_dir, small_dataset, tmp_path):
+    # older datasets hold a JSON sidecar beside each code raster;
+    # loading and every report ignore them, even a corrupt one
+    old = tmp_path / "old"
+    shutil.copytree(small_dataset_dir, old)
+    for entry in small_dataset.manifest.codes:
+        sidecar = (old / entry["path"]).with_suffix(".json")
+        sidecar.write_text(json.dumps({
+            "label": entry["label"], "template_id": entry["template_id"], "symbol_px": 3,
+            "acquisition_seed": 0, "params": {}, "raster": "ppm"}))
+    (old / small_dataset.manifest.codes[1]["path"]).with_suffix(".json").write_text("{")
+    loaded = load_dataset(old)
+    assert loaded.codes.keys() == small_dataset.codes.keys()
+    for key, code in small_dataset.codes.items():
+        assert loaded.codes[key].planes.tobytes() == code.planes.tobytes()
+    for name, data in (("new", small_dataset_dir), ("old", old)):
+        run_experiment(data, "ocsvm-spatial", runs=2, seed=3, out_dir=tmp_path / f"r-{name}")
+    for name in ("report.json", "runs.csv", "report.md"):
+        assert (tmp_path / "r-old" / name).read_bytes() == (tmp_path / "r-new" / name).read_bytes()
 
 
 def test_synthesis_deterministic_and_parallel_equal(tmp_path):
@@ -116,7 +151,12 @@ def test_synthesis_deterministic_and_parallel_equal(tmp_path):
     for name, jobs in (("a", 1), ("b", 1), ("c", 2)):
         synthesize_dataset(cfg, tmp_path / name, jobs=jobs)
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
-    assert files
+    # the manifest, a raster and a sidecar per template, and one raster per code
+    manifest = load_manifest(tmp_path / "a")
+    assert [str(f) for f in files] == sorted(
+        ["manifest.json", *(c["path"] for c in manifest.codes),
+         *(f"templates/{tid}{ext}" for tid in manifest.template_ids for ext in (".json", ".pgm"))])
+    assert len(files) == 1 + 2 * 6 + 6 * 6
     for other in ("b", "c"):
         for rel in files:
             assert (tmp_path / other / rel).read_bytes() == (tmp_path / "a" / rel).read_bytes()

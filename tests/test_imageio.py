@@ -69,19 +69,55 @@ def _ocsvm():
     return train_ocsvm(rng_for(13, "loader").normal(size=(10, 2)), nu=0.5)
 
 
+def _set(**fields):
+    return lambda obj: obj.update(fields)
+
+
+def _set_config(**fields):
+    return lambda obj: obj["config"].update(fields)
+
+
 @pytest.mark.parametrize(
-    "make, save, load, field",
+    "make, save, load, field, tampered",
     [
-        (_ae, save_ae, load_ae, "config"),
-        (_classifier, save_classifier, load_classifier, "config"),
-        (_ocsvm, save_model, load_model, "alphas"),
+        (_ae, save_ae, load_ae, "config", [
+            (_set_config(widgets=3), "field 'config' has unknown key 'widgets'"),
+            (_set_config(epochs="3"), "field 'config.epochs' must be an integer, got '3'"),
+            (_set_config(lr=None), "field 'config.lr' must be a number, got None"),
+            (_set_config(epochs=0), "field 'config': epochs and batch_size must be positive"),
+            (_set(scenario=None), "field 'scenario' must be an integer, got None"),
+            (_set(n_sym=12.0), "field 'n_sym' must be an integer, got 12.0"),
+            (_set(groups=[]), "field 'groups' must be an object, got list"),
+            (lambda obj: obj["groups"].update(encoder={}),
+             "groups: field 'encoder' must be a list, got dict"),
+            (lambda obj: obj["groups"]["encoder"][0].pop("b"),
+             "groups.encoder[0]: missing field 'b'"),
+        ]),
+        (_classifier, save_classifier, load_classifier, "config", [
+            (_set_config(widgets=3), "field 'config' has unknown key 'widgets'"),
+            (_set_config(hidden=True), "field 'config.hidden' must be an integer, got True"),
+            (_set(n_classes="2"), "field 'n_classes' must be an integer, got '2'"),
+            (_set(final_loss=None), "field 'final_loss' must be a number, got None"),
+            (_set(class_names="ab"), "field 'class_names' must be a list, got 'ab'"),
+        ]),
+        (_ocsvm, save_model, load_model, "alphas", [
+            (_set(n_train="10"), "field 'n_train' must be an integer, got '10'"),
+            (_set(rho=None), "field 'rho' must be a number, got None"),
+        ]),
     ],
     ids=["ae", "classifier", "ocsvm"],
 )
-def test_malformed_model_file_names_file_and_field(tmp_path, make, save, load, field):
+def test_malformed_model_file_names_file_and_field(tmp_path, make, save, load, field, tampered):
     path = tmp_path / "model.json"
     save(make(), path)
     obj = json.loads(path.read_text())
+    for edit, message in tampered:
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
     del obj[field]
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError) as info:

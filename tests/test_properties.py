@@ -113,8 +113,7 @@ def test_pearson_and_lp_reject_non_finite(shape, index, bad, first):
 
 
 def _code(image, label, spx):
-    return ObservedCode(image=image, label=label, template_id="t0000", symbol_px=spx,
-                        acquisition_seed=0, params={})
+    return ObservedCode(image=image, label=label, template_id="t0000", symbol_px=spx)
 
 
 @PROPERTY
