@@ -9,7 +9,9 @@ pipeline end to end and layer by layer.
 
 Configuration comes from an optional JSON file (--config) overridden by
 flags; the seed additionally honors the CDP_AUTHKIT_SEED environment
-variable between the two. Unknown config keys are rejected. All outputs are
+variable between the two. A config section's keys are the dests of the flags
+declared for that section, and each value must have its flag's type and
+pass its choices; anything else is rejected. All outputs are
 byte-deterministic for a given seed; wall-clock timestamps appear only in
 the optional --log file. Exit codes: 0 success, 1 validation error, 2
 runtime failure.
@@ -22,14 +24,15 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .decision import calibrate
 from .deepfeat import AeConfig, load_ae, save_ae, train_ae
-from .errors import ParameterError
-from .imageio import read_json, write_json
+from .errors import DataError, ParameterError
+from .imageio import check_type, read_json, write_json
 from .ocsvm import decision_function, save_model
 from .rng import derive_seed
 from .supervised import TrainConfig, save_classifier
@@ -56,69 +59,100 @@ from .experiment import (
 
 LOG = logging.getLogger("cdp_authkit.cli")
 
-TOP_KEYS = {"seed", "out_dir", "jobs", "template", "dataset", "model", "experiment"}
+# Top-level config keys with no section, and the JSON kind of each.
+TOP_KINDS = {"seed": "int", "jobs": "int", "out_dir": "str"}
 
-# Config keys per command; each is also the dest of the command's flag.
-TEMPLATE_KEYS = ("count", "n_sym", "symbol_px", "black_fraction", "marker_width")
-DATASET_KEYS = ("templates", "n_sym", "symbol_px", "black_fraction", "physical_refs", "plane_jitter")
-OCSVM_KEYS = ("nu", "rbf_gamma", "reference", "color")
-CLASSIFIER_KEYS = ("epochs", "batch_size", "lr", "hidden")
-AE_KEYS = ("epochs", "batch_size", "lr", "lambda1", "lambda2", "beta", "channels", "disc_hidden")
-EXPERIMENT_KEYS = ("preset", "runs")
+# JSON kind a config value must have, by the type of the flag it stands for.
+FLAG_KINDS = {int: "int", float: "float", None: "str"}
 
-SECTION_KEYS = {
-    "template": set(TEMPLATE_KEYS),
-    "dataset": set(DATASET_KEYS),
-    "model": {*OCSVM_KEYS, *CLASSIFIER_KEYS, *AE_KEYS, "scenario"},
-    "experiment": set(EXPERIMENT_KEYS),
-}
+# Settings of train ocsvm; the other model kinds read their config dataclass's fields.
+OCSVM_SETTINGS = ("nu", "rbf_gamma", "reference", "color")
 
 
 class CliParser(argparse.ArgumentParser):
-    """Parser whose usage errors exit with status 1 instead of argparse's 2."""
+    """Parser whose usage errors exit with status 1 instead of argparse's 2.
+
+    `option` declares a flag that a --config section may also set, under the
+    flag's dest; `options` maps each section to those flags' actions (for the
+    top-level parser, the union over its commands).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.options = {}
+
+    def option(self, section: str, *flags, **kwargs) -> None:
+        action = self.add_argument(*flags, **kwargs)
+        self.options.setdefault(section, {})[action.dest] = action
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path) -> dict:
+def _check_option(value, action, path, name: str) -> None:
+    """DataError naming the config file and the field unless value has the
+    flag's type and passes its choices (a JSON integer passes as a float)."""
+    bool_flag = isinstance(action, argparse.BooleanOptionalAction)
+    check_type(value, path, name, "bool" if bool_flag else FLAG_KINDS[action.type])
+    if action.choices is not None and value not in action.choices:
+        allowed = ", ".join(str(choice) for choice in action.choices)
+        raise DataError(f"{path}: field '{name}' must be one of {allowed}, got {value!r}")
+
+
+def _load_config(path, options: dict) -> dict:
+    """The --config file's object; DataError naming the file unless every key is
+    a top-level key or a flag's dest in its section, and every value that is
+    not null (null means not set) has that key's type and choices."""
     if path is None:
         return {}
     try:
         obj = read_json(path)
     except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
+        raise DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ParameterError("config file must hold a JSON object")
-    unknown = set(obj) - TOP_KEYS
+        raise DataError(f"{path}: config file must hold a JSON object")
+    unknown = set(obj) - set(TOP_KINDS) - set(options)
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in SECTION_KEYS.items():
+        raise DataError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, kind in TOP_KINDS.items():
+        if obj.get(key) is not None:
+            check_type(obj[key], path, key, kind)
+    for section, actions in options.items():
         sec = obj.get(section, {})
         if not isinstance(sec, dict):
-            raise ParameterError(f"config section {section!r} must be an object")
-        bad = set(sec) - allowed
+            raise DataError(f"{path}: config section {section!r} must be an object")
+        bad = set(sec) - set(actions)
         if bad:
-            raise ParameterError(f"unknown keys in config section {section!r}: {sorted(bad)}")
+            raise DataError(f"{path}: unknown keys in config section {section!r}: {sorted(bad)}")
+        for key, value in sec.items():
+            if value is not None:
+                _check_option(value, actions[key], path, f"{section}.{key}")
     return obj
 
 
-def _settings(args, config: dict, section: str, keys) -> dict:
-    """Flag > config section for each key; keys set by neither are left out.
+def _settings(args, config: dict, section: str, only=None) -> dict:
+    """Flag > config section for each of the command's options in section (those
+    named in only, when given); keys set by neither are left out.
 
     Leaving a key out lets the receiving dataclass or function apply its own
     default, so defaults live in one place.
     """
     from_config = config.get(section, {})
     out = {}
-    for key in keys:
-        value = getattr(args, key, None)
+    for key in args.options.get(section, ()):
+        if only is not None and key not in only:
+            continue
+        value = getattr(args, key)
         if value is None:
             value = from_config.get(key)
         if value is not None:
             out[key] = value
     return out
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
 
 
 def _seed(args, config: dict) -> int:
@@ -131,19 +165,20 @@ def _seed(args, config: dict) -> int:
             return int(env)
         except ValueError as exc:
             raise ParameterError("CDP_AUTHKIT_SEED must be an integer") from exc
-    return int(config.get("seed", 0))
+    return config.get("seed") or 0
 
 
 def _jobs(args, config: dict) -> int:
     if args.jobs is not None:
         return args.jobs
-    return int(config.get("jobs", os.cpu_count() or 1))
+    jobs = config.get("jobs")
+    return jobs if jobs is not None else os.cpu_count() or 1
 
 
 def _out_path(args, config: dict, default_name: str) -> Path:
     if getattr(args, "out", None) is not None:
         return Path(args.out)
-    return Path(config.get("out_dir", ".")) / default_name
+    return Path(config.get("out_dir") or ".") / default_name
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +187,7 @@ def _out_path(args, config: dict, default_name: str) -> Path:
 
 def cmd_gen(args, config) -> int:
     seed = _seed(args, config)
-    opts = _settings(args, config, "template", TEMPLATE_KEYS)
+    opts = _settings(args, config, "template")
     count = opts.get("count", 1)
     n_sym = opts.get("n_sym", DatasetConfig.n_sym)
     symbol_px = opts.get("symbol_px", DatasetConfig.symbol_px)
@@ -170,7 +205,7 @@ def cmd_gen(args, config) -> int:
 
 
 def cmd_dataset(args, config) -> int:
-    opts = _settings(args, config, "dataset", DATASET_KEYS)
+    opts = _settings(args, config, "dataset")
     if "templates" in opts:
         opts["n_templates"] = opts.pop("templates")
     cfg = DatasetConfig(**opts, seed=_seed(args, config))
@@ -197,7 +232,7 @@ def cmd_train(args, config) -> int:
     assignment = manifest_assignment(data)
 
     if args.kind == "ocsvm":
-        opts = _settings(args, config, "model", OCSVM_KEYS)
+        opts = _settings(args, config, "model", OCSVM_SETTINGS)
         reference = opts.pop("reference", "digital")
         color = opts.pop("color", "gray")
         model, nu, val = fit_spatial_ocsvm(data, assignment, reference, color, **opts)
@@ -212,7 +247,7 @@ def cmd_train(args, config) -> int:
         return 0
 
     if args.kind == "supervised":
-        cfg = TrainConfig(**_settings(args, config, "model", CLASSIFIER_KEYS), seed=seed)
+        cfg = TrainConfig(**_settings(args, config, "model", _field_names(TrainConfig)), seed=seed)
         model = fit_classifier(data, assignment, cfg)
         out = _out_path(args, config, "model-supervised.json")
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -221,7 +256,7 @@ def cmd_train(args, config) -> int:
         return 0
 
     # autoencoder
-    opts = _settings(args, config, "model", AE_KEYS + ("scenario",))
+    opts = _settings(args, config, "model", _field_names(AeConfig) | {"scenario"})
     scenario = opts.pop("scenario", None)
     if scenario is None:
         raise ParameterError("train ae requires --scenario (1..4)")
@@ -257,7 +292,7 @@ def cmd_calibrate(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    opts = _settings(args, config, "experiment", EXPERIMENT_KEYS)
+    opts = _settings(args, config, "experiment")
     if "preset" not in opts:
         raise ParameterError("eval requires --preset")
     out = _out_path(args, config, f"report-{opts['preset']}")
@@ -266,7 +301,7 @@ def cmd_eval(args, config) -> int:
         **opts,
         seed=_seed(args, config),
         out_dir=out,
-        ae_config=AeConfig(**_settings(args, config, "model", AE_KEYS)),
+        ae_config=AeConfig(**_settings(args, config, "model")),
         jobs=_jobs(args, config),
     )
     for row in report.rows:
@@ -327,6 +362,25 @@ def cmd_selftest(args, config) -> int:
 # parser assembly
 
 
+def _symbol_options(p: CliParser, section: str) -> None:
+    """The symbol-grid flags gen and dataset share."""
+    p.option(section, "--n-sym", type=int, help="symbols per side (default 24)")
+    p.option(section, "--symbol-px", type=int, help="pixels per symbol (default 3)")
+    p.option(section, "--black-fraction", type=float, help="ink probability (default 0.5)")
+
+
+def _ae_options(p: CliParser) -> None:
+    """The AeConfig flags train and eval share (the deep presets of eval train an autoencoder)."""
+    p.option("model", "--epochs", type=int, help="training epochs")
+    p.option("model", "--batch-size", type=int, help="minibatch size")
+    p.option("model", "--lr", type=float, help="learning rate")
+    p.option("model", "--channels", type=int, help="ae: conv channels (default 8)")
+    p.option("model", "--disc-hidden", type=int, help="ae: discriminator width (default 64)")
+    p.option("model", "--lambda1", type=float, help="ae: template loss weight (default 1)")
+    p.option("model", "--lambda2", type=float, help="ae: reconstruction weight (default 1)")
+    p.option("model", "--beta", type=float, help="ae: x-side weight (default 0.01)")
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="cdp-authkit", description=__doc__.splitlines()[0])
     common = CliParser(add_help=False)
@@ -338,34 +392,29 @@ def build_parser() -> CliParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
     p = sub.add_parser("gen", parents=[common], help="generate digital templates")
-    p.add_argument("--count", type=int, help="number of templates (default 1)")
-    p.add_argument("--n-sym", type=int, dest="n_sym", help="symbols per side (default 24)")
-    p.add_argument("--symbol-px", type=int, dest="symbol_px", help="pixels per symbol (default 3)")
-    p.add_argument("--black-fraction", type=float, dest="black_fraction", help="ink probability (default 0.5)")
-    p.add_argument("--marker-width", type=int, dest="marker_width", help="corner marker width in px (default 0)")
+    p.option("template", "--count", type=int, help="number of templates (default 1)")
+    _symbol_options(p, "template")
+    p.option("template", "--marker-width", type=int, help="corner marker width in px (default 0)")
     p.add_argument("--out", help="output directory (default <out_dir>/templates)")
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("dataset", parents=[common], help="synthesize a benchmark dataset")
-    p.add_argument("--templates", type=int, help="template count (default 300)")
-    p.add_argument("--n-sym", type=int, dest="n_sym", help="symbols per side (default 24)")
-    p.add_argument("--symbol-px", type=int, dest="symbol_px", help="pixels per symbol (default 3)")
-    p.add_argument("--black-fraction", type=float, dest="black_fraction", help="ink probability (default 0.5)")
-    p.add_argument(
+    p.option("dataset", "--templates", type=int, help="template count (default 300)")
+    _symbol_options(p, "dataset")
+    p.option(
+        "dataset",
         "--physical-refs",
         action=argparse.BooleanOptionalAction,
-        dest="physical_refs",
-        default=None,
         help="enroll a second acquisition per original (default on)",
     )
-    p.add_argument("--plane-jitter", type=float, dest="plane_jitter", help="color plane albedo jitter; 0 = grayscale (default 0.03)")
+    p.option("dataset", "--plane-jitter", type=float, help="color plane albedo jitter; 0 = grayscale (default 0.03)")
     p.add_argument("--out", help="dataset directory (default <out_dir>/dataset)")
     p.set_defaults(handler=cmd_dataset)
 
     p = sub.add_parser("metrics", parents=[common], help="export per-code spatial metrics as CSV")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--reference", choices=("digital", "physical"), default="digital")
-    p.add_argument("--use-planes", action="store_true", dest="use_planes", help="average metrics over color planes")
+    p.add_argument("--use-planes", action="store_true", help="average metrics over color planes")
     p.add_argument("--out", help="CSV path (default <dataset>/features.csv)")
     p.set_defaults(handler=cmd_metrics)
 
@@ -373,20 +422,13 @@ def build_parser() -> CliParser:
     p.add_argument("kind", choices=("ocsvm", "supervised", "ae"))
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", help="model JSON path (default <out_dir>/model-<kind>.json)")
-    p.add_argument("--nu", type=float, help="ocsvm: fixed nu (default: validation grid search)")
-    p.add_argument("--rbf-gamma", type=float, dest="rbf_gamma", help="ocsvm: kernel width (default 0.1)")
-    p.add_argument("--reference", choices=("digital", "physical"), help="ocsvm: feature reference (default digital)")
-    p.add_argument("--color", choices=("gray", "rgb"), help="ocsvm: feature channels (default gray)")
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), help="ae: loss scenario (required)")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size", help="minibatch size")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--hidden", type=int, help="supervised: hidden width (default 128)")
-    p.add_argument("--channels", type=int, help="ae: conv channels (default 8)")
-    p.add_argument("--disc-hidden", type=int, dest="disc_hidden", help="ae: discriminator width (default 64)")
-    p.add_argument("--lambda1", type=float, help="ae: template loss weight (default 1)")
-    p.add_argument("--lambda2", type=float, help="ae: reconstruction weight (default 1)")
-    p.add_argument("--beta", type=float, help="ae: x-side weight (default 0.01)")
+    p.option("model", "--nu", type=float, help="ocsvm: fixed nu (default: validation grid search)")
+    p.option("model", "--rbf-gamma", type=float, help="ocsvm: kernel width (default 0.1)")
+    p.option("model", "--reference", choices=("digital", "physical"), help="ocsvm: feature reference (default digital)")
+    p.option("model", "--color", choices=("gray", "rgb"), help="ocsvm: feature channels (default gray)")
+    p.option("model", "--scenario", type=int, choices=(1, 2, 3, 4), help="ae: loss scenario (required)")
+    p.option("model", "--hidden", type=int, help="supervised: hidden width (default 128)")
+    _ae_options(p)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("calibrate", parents=[common], help="calibrate decision thresholds on validation originals")
@@ -395,19 +437,18 @@ def build_parser() -> CliParser:
     p.add_argument("--out", help="thresholds JSON path (default <out_dir>/thresholds.json)")
     p.set_defaults(handler=cmd_calibrate)
 
-    p = sub.add_parser("eval", parents=[common], help="run a preset experiment over repeated splits")
+    p = sub.add_parser(
+        "eval",
+        parents=[common],
+        help="run a preset experiment over repeated splits",
+        description="Run a preset experiment over repeated splits. The training flags "
+        "set the autoencoder of the deep presets.",
+    )
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
-    p.add_argument("--runs", type=int, help="repetitions (default 5)")
+    p.option("experiment", "--preset", choices=sorted(PRESETS), help="experiment preset")
+    p.option("experiment", "--runs", type=int, help="repetitions (default 5)")
     p.add_argument("--out", help="report directory (default <out_dir>/report-<preset>)")
-    p.add_argument("--epochs", type=int, help="deep presets: override ae epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size", help="deep presets: override batch size")
-    p.add_argument("--lr", type=float, help="deep presets: override learning rate")
-    p.add_argument("--channels", type=int, help="deep presets: override conv channels")
-    p.add_argument("--disc-hidden", type=int, dest="disc_hidden", help="deep presets: override discriminator width")
-    p.add_argument("--lambda1", type=float, help="deep presets: override template loss weight")
-    p.add_argument("--lambda2", type=float, help="deep presets: override reconstruction weight")
-    p.add_argument("--beta", type=float, help="deep presets: override x-side weight")
+    _ae_options(p)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("report", parents=[common], help="render a report JSON as Markdown")
@@ -418,7 +459,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("embed", parents=[common], help="export a PCA embedding of spatial metrics")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--reference", choices=("digital", "physical"), default="digital")
-    p.add_argument("--use-planes", action="store_true", dest="use_planes")
+    p.add_argument("--use-planes", action="store_true")
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--out", help="CSV path (default <dataset>/embedding.csv)")
     p.set_defaults(handler=cmd_embed)
@@ -426,6 +467,10 @@ def build_parser() -> CliParser:
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance checks at reduced size")
     p.set_defaults(handler=cmd_selftest)
 
+    for p in sub.choices.values():
+        p.set_defaults(options=p.options)
+        for section, actions in p.options.items():
+            parser.options.setdefault(section, {}).update(actions)
     return parser
 
 
@@ -447,7 +492,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     LOG.info("command %s starting", args.command)
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, parser.options)
         code = args.handler(args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import config_field, int_field, read_json, require_fields, write_json
+from .imageio import array_field, config_field, int_field, read_json, require_fields, write_json
 from .nn import (
     Adam,
     Conv2d,
@@ -61,6 +61,7 @@ from .rng import rng_for
 
 SCENARIOS = (1, 2, 3, 4)
 TRACE_KEYS = ("total", "template_rms", "adv_t", "recon_rms", "adv_x", "disc_t", "disc_x")
+FD_STEP = 1e-5  # gradient_check's central-difference step
 
 
 @dataclass
@@ -395,9 +396,7 @@ def _set_mask_mode(model: AeModel, mode: str) -> None:
                     layer.mask_log = []
 
 
-def gradient_check(
-    model: AeModel, images: np.ndarray, symbols: np.ndarray, h: float = 1e-5
-) -> float:
+def gradient_check(model: AeModel, images: np.ndarray, symbols: np.ndarray) -> float:
     """Central finite differences vs analytic gradients for every active group.
 
     Each objective has one definition, the training step. The analytic
@@ -436,12 +435,12 @@ def gradient_check(
                     fd_flat = fd.reshape(-1)
                     for i in range(flat.size):
                         orig = flat[i]
-                        flat[i] = orig + h
+                        flat[i] = orig + FD_STEP
                         up = probe(objective)
-                        flat[i] = orig - h
+                        flat[i] = orig - FD_STEP
                         down = probe(objective)
                         flat[i] = orig
-                        fd_flat[i] = (up - down) / (2.0 * h)
+                        fd_flat[i] = (up - down) / (2.0 * FD_STEP)
                     fd_parts.append(fd.ravel())
                     an_parts.append(grad.ravel())
             fd_vec = np.concatenate(fd_parts)
@@ -502,12 +501,9 @@ def load_ae(path: str | Path) -> AeModel:
         if len(stored) != len(weighted):
             raise DataError(f"{path}: group {name} has unexpected layer count")
         for i, (layer, entry) in enumerate(zip(weighted, stored)):
-            require_fields(entry, f"{path}: groups.{name}[{i}]", "w", "b")
-            w = np.asarray(entry["w"], dtype=np.float64)
-            b = np.asarray(entry["b"], dtype=np.float64)
-            if w.shape != layer.w.shape or b.shape != layer.b.shape:
-                raise DataError(f"{path}: group {name} has unexpected weight shapes")
-            layer.w = w
-            layer.b = b
+            where = f"{path}: groups.{name}[{i}]"
+            require_fields(entry, where, "w", "b")
+            layer.w = array_field(entry, where, "w", layer.w.shape)
+            layer.b = array_field(entry, where, "b", layer.b.shape)
     model.loss_trace = obj.get("loss_trace", {})
     return model

@@ -114,6 +114,11 @@ def _template_id(index: int) -> str:
     return f"t{index:04d}"
 
 
+def _code_path(template_id: str, label: str, ext: str) -> str:
+    """A code raster's path in its dataset directory, the one name load_manifest accepts."""
+    return f"codes/{template_id}_{label}{ext}"
+
+
 def _synthesize_template(config: DatasetConfig, index: int, out_dir: Path) -> list:
     """Generate and write one template and its codes; returns manifest rows."""
     root = config.seed
@@ -130,7 +135,7 @@ def _synthesize_template(config: DatasetConfig, index: int, out_dir: Path) -> li
     rows = []
 
     def emit(code: ObservedCode) -> None:
-        rel = f"codes/{tid}_{code.label}{ext}"
+        rel = _code_path(tid, code.label, ext)
         save_observed(code, out_dir / rel)
         rows.append(
             {
@@ -218,7 +223,9 @@ def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
     """Read manifest.json; DataError naming the file (and entry) when it is malformed.
 
     Each code entry holds string path, label, template_id and split, with a
-    known label and split and a .ppm (plane_jitter > 0) or .pgm path. Each
+    known label and split, and its path is codes/<template_id>_<label><ext>
+    with ext .ppm (plane_jitter > 0) or .pgm, the one name synthesize_dataset
+    writes, so no path leaves the dataset or names another code's raster. Each
     (template_id, label) appears once, of a listed template that has an
     original code, in the split of that template's other codes.
     """
@@ -254,6 +261,9 @@ def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
         if (tid, label) in seen:
             raise DataError(f"{where}: duplicates ({tid}, {label})")
         seen.add((tid, label))
+        expected = _code_path(tid, label, ext)
+        if entry["path"] != expected:
+            raise DataError(f"{where}: the {label} code of {tid} must be {expected}")
         if splits.setdefault(tid, split) != split:
             raise DataError(f"{where}: split {split}, but template {tid} is in {splits[tid]}")
     return manifest

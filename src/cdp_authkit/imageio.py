@@ -149,6 +149,21 @@ def int_field(obj: dict, path: str | Path, name: str) -> int:
     return check_type(obj[name], path, name, "int")
 
 
+def array_field(obj: dict, where: str | Path, name: str, shape: tuple) -> np.ndarray:
+    """obj[name] as a float64 array; DataError naming where and the field unless it
+    is a (nested) list of finite JSON numbers of that shape (None: any length)."""
+    try:
+        arr = np.asarray(obj[name])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise DataError(f"{where}: field '{name}' must be a list of finite numbers")
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        wanted = ", ".join("n" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        raise DataError(f"{where}: field '{name}' must have shape ({wanted}), got {arr.shape}")
+    return arr.astype(np.float64)
+
+
 def config_field(obj: dict, path: str | Path, name: str, cls):
     """cls(**obj[name]) for a dataclass of int, float and bool fields (missing keys
     take defaults); DataError naming the field unless each value fits cls."""

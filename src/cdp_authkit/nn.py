@@ -70,6 +70,8 @@ import numpy as np
 from .errors import ParameterError, TrainingError
 from .rng import rng_for
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
@@ -403,10 +405,9 @@ def zero_grads(layers) -> None:
 class Adam:
     """Adam over a fixed, ordered list of weighted layers. Deterministic."""
 
-    def __init__(self, layers, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, layers, lr: float):
         self.layers = weighted_layers(layers)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.state = [
             (np.zeros_like(l.w), np.zeros_like(l.w), np.zeros_like(l.b), np.zeros_like(l.b))
@@ -415,15 +416,15 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for layer, (mw, vw, mb, vb) in zip(self.layers, self.state):
             for p, g, m, v in ((layer.w, layer.gw, mw, vw), (layer.b, layer.gb, mb, vb)):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def train_epochs(n: int, epochs: int, batch_size: int, seed: int, step, guard: tuple):

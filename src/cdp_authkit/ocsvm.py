@@ -18,14 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DataError, ParameterError, TrainingError
-from .imageio import int_field, read_json, require_fields, write_json
+from .imageio import array_field, int_field, read_json, require_fields, write_json
 
 ALPHA_EPS = 1e-8  # below this an alpha counts as zero (not a support vector)
+SMO_TOL = 1e-6  # KKT violation below which the pair solver has converged
+SMO_MAX_ITER = 200_000  # pair-update budget
+NU_GRID = (0.0005, 0.01, 0.03, 0.1)  # select_nu's candidates
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,6 @@ def train_ocsvm(
     points: np.ndarray,
     nu: float,
     rbf_gamma: float = 0.1,
-    tol: float = 1e-6,
-    max_iter: int = 200_000,
 ) -> OcSvmModel:
     """Fit the one-class SVM on raw (unstandardized) feature vectors.
 
@@ -81,13 +82,11 @@ def train_ocsvm(
         points: (n, d) training features, finite.
         nu: in (0, 1]; nu * n >= 1 is required for dual feasibility.
         rbf_gamma: RBF kernel width in standardized space.
-        tol: KKT violation threshold for convergence.
-        max_iter: pair-update budget.
 
     Raises:
         ParameterError: invalid nu/gamma or infeasible nu * n < 1.
         DataError: non-finite or badly shaped input.
-        TrainingError: budget exhausted before the tolerance was met.
+        TrainingError: SMO_MAX_ITER pair updates ran before the violation fell below SMO_TOL.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -113,7 +112,7 @@ def train_ocsvm(
     grad = kernel @ alphas  # gradient of the dual objective
     iterations = 0
     hit_tol = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SMO_MAX_ITER + 1):
         up_mask = alphas > ALPHA_EPS  # mass can leave these
         down_mask = alphas < upper - ALPHA_EPS  # mass can enter these
         if not down_mask.any():
@@ -122,7 +121,7 @@ def train_ocsvm(
         i = int(np.argmax(np.where(up_mask, grad, -np.inf)))
         j = int(np.argmin(np.where(down_mask, grad, np.inf)))
         violation = grad[i] - grad[j]
-        if violation < tol:
+        if violation < SMO_TOL:
             hit_tol = True
             break
         eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
@@ -136,7 +135,7 @@ def train_ocsvm(
         grad += delta * (kernel[:, j] - kernel[:, i])
     if not hit_tol:
         raise TrainingError(
-            f"pair solver did not reach tol={tol} within {max_iter} updates"
+            f"pair solver did not reach tol={SMO_TOL} within {SMO_MAX_ITER} updates"
         )
 
     sv = alphas > ALPHA_EPS
@@ -152,7 +151,7 @@ def train_ocsvm(
         n_train=n,
         scaler_mean=mean,
         scaler_std=std,
-        tol=float(tol),
+        tol=SMO_TOL,
         iterations=iterations,
     )
 
@@ -173,11 +172,9 @@ def dual_objective(model: OcSvmModel) -> float:
 def select_nu(
     train_points: np.ndarray,
     val_points: np.ndarray,
-    grid: Sequence[float] = (0.0005, 0.01, 0.03, 0.1),
     rbf_gamma: float = 0.1,
-    tol: float = 1e-6,
 ) -> tuple[OcSvmModel, float, dict]:
-    """Grid-search nu by validation miss rate on genuine points.
+    """Grid-search nu over NU_GRID by validation miss rate on genuine points.
 
     Infeasible grid entries (nu * n < 1) are skipped; ties go to the
     smallest nu. Returns (model, nu, {nu: p_miss}).
@@ -186,10 +183,10 @@ def select_nu(
     table: dict[float, float] = {}
     best: Optional[tuple[float, float]] = None
     models: dict[float, OcSvmModel] = {}
-    for nu in grid:
+    for nu in NU_GRID:
         if nu * n < 1.0:
             continue
-        model = train_ocsvm(train_points, nu=nu, rbf_gamma=rbf_gamma, tol=tol)
+        model = train_ocsvm(train_points, nu=nu, rbf_gamma=rbf_gamma)
         p_miss = float(np.mean(decision_function(model, val_points) < 0.0))
         table[nu] = p_miss
         models[nu] = model
@@ -226,15 +223,17 @@ def load_model(path: str | Path) -> OcSvmModel:
         raise DataError(f"{path}: not a one-class SVM model file")
     require_fields(obj, path, "support_points", "alphas", "n_train", "scaler_mean", "scaler_std",
                    "iterations", rho="float", nu="float", rbf_gamma="float", tol="float")
+    support_points = array_field(obj, path, "support_points", (None, None))
+    m, d = support_points.shape
     return OcSvmModel(
-        support_points=np.asarray(obj["support_points"], dtype=np.float64),
-        alphas=np.asarray(obj["alphas"], dtype=np.float64),
+        support_points=support_points,
+        alphas=array_field(obj, path, "alphas", (m,)),
         rho=float(obj["rho"]),
         nu=float(obj["nu"]),
         rbf_gamma=float(obj["rbf_gamma"]),
         n_train=int_field(obj, path, "n_train"),
-        scaler_mean=np.asarray(obj["scaler_mean"], dtype=np.float64),
-        scaler_std=np.asarray(obj["scaler_std"], dtype=np.float64),
+        scaler_mean=array_field(obj, path, "scaler_mean", (d,)),
+        scaler_std=array_field(obj, path, "scaler_std", (d,)),
         tol=float(obj["tol"]),
         iterations=int_field(obj, path, "iterations"),
     )

@@ -18,10 +18,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .imageio import config_field, int_field, read_json, require_fields, write_json
+from .imageio import array_field, config_field, int_field, read_json, require_fields, write_json
 from .nn import (Dense, Relu, chain_backward, chain_forward, chain_infer, train_epochs,
                  weighted_layers, zero_grads)
 from .rng import rng_for
+
+POOL_SIDE = 32  # pooled images are at most this many pixels on a side
 
 
 @dataclass
@@ -53,13 +55,13 @@ class ClassifierModel:
         return int(self.layers[0].w.shape[0])
 
 
-def pool_image(image: np.ndarray, max_side: int = 32) -> np.ndarray:
-    """Block-average an image down to at most max_side per dimension."""
+def pool_image(image: np.ndarray) -> np.ndarray:
+    """Block-average an image down to at most POOL_SIDE per dimension."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise DataError("pool_image expects a 2-D image")
     side = max(img.shape)
-    factor = -(-side // max_side)  # ceil
+    factor = -(-side // POOL_SIDE)  # ceil
     if factor <= 1:
         return img.copy()
     pad_h = (-img.shape[0]) % factor
@@ -70,12 +72,12 @@ def pool_image(image: np.ndarray, max_side: int = 32) -> np.ndarray:
     return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def images_to_features(images: Iterable[np.ndarray], max_side: int = 32) -> np.ndarray:
+def images_to_features(images: Iterable[np.ndarray]) -> np.ndarray:
     """Pool and flatten images into a fixed-size feature matrix, one image at a time.
 
     `images` may be a generator: only the pooled rows are kept.
     """
-    return np.stack([pool_image(img, max_side).ravel() for img in images])
+    return np.stack([pool_image(img).ravel() for img in images])
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -251,14 +253,12 @@ def load_classifier(path: str | Path) -> ClassifierModel:
                    class_names="list", final_loss="float", loss_trace="list")
     cfg = config_field(obj, path, "config", TrainConfig)
     n_classes = int_field(obj, path, "n_classes")
-    w1 = np.asarray(obj["w1"], dtype=np.float64)
+    w1 = array_field(obj, f"{path}: layer w1/b1", "w1", (None, cfg.hidden))
     layers = build_classifier_layers(w1.shape[0], n_classes, cfg)
-    for layer, (wk, bk) in zip(weighted_layers(layers), (("w1", "b1"), ("w2", "b2"))):
-        w = np.asarray(obj[wk], dtype=np.float64)
-        b = np.asarray(obj[bk], dtype=np.float64)
-        if w.shape != layer.w.shape or b.shape != layer.b.shape:
-            raise DataError(f"{path}: {wk}/{bk} have unexpected shapes")
-        layer.w, layer.b = w, b
+    hidden, output = weighted_layers(layers)
+    hidden.w, hidden.b = w1, array_field(obj, f"{path}: layer w1/b1", "b1", hidden.b.shape)
+    output.w = array_field(obj, f"{path}: layer w2/b2", "w2", output.w.shape)
+    output.b = array_field(obj, f"{path}: layer w2/b2", "b2", output.b.shape)
     return ClassifierModel(
         layers=layers,
         n_classes=n_classes,

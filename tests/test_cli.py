@@ -569,6 +569,34 @@ def test_settings_flag_over_config_over_dataclass_default(
         assert seen[-1].batch_size == AeConfig.batch_size
 
 
+SMALL_DATASET = ["dataset", "--templates", "2", "--n-sym", "4"]
+
+
+# a config value must have the type of the flag it stands for and pass its choices;
+# each command here reads the key, so without the check it would run and write
+@pytest.mark.parametrize("config, field, argv", [
+    ({"template": {"count": 2.5}}, "template.count", ["gen"]),
+    ({"dataset": {"templates": "x"}}, "dataset.templates", ["dataset"]),
+    ({"dataset": {"physical_refs": "no"}}, "dataset.physical_refs", SMALL_DATASET),
+    ({"model": {"reference": "foo"}}, "model.reference", ["train", "ocsvm"]),
+    ({"model": {"color": "blue"}}, "model.color", ["train", "ocsvm"]),
+    ({"seed": "abc"}, "seed", ["gen"]),
+    ({"jobs": True}, "jobs", SMALL_DATASET),
+], ids=["count-float", "templates-str", "physical-refs-str", "reference-choice",
+        "color-choice", "seed-str", "jobs-bool"])
+def test_config_values_pass_their_flags_checks(small_dataset_dir, tmp_path, capsys,
+                                                config, field, argv):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = argv + ["--dataset", str(small_dataset_dir)]
+    code, text, err = run_cli(argv + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert f"error: {cfg}: field '{field}' must be " in err
+    assert text == "" and not out.exists()
+
+
 def test_dataset_matches_conftest_fixture(small_dataset_dir, tmp_path, capsys):
     # the CLI and the library build the same bytes from the same config
     argv = ["dataset", "--templates", str(SMALL_CONFIG.n_templates),

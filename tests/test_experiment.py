@@ -108,13 +108,22 @@ TAMPERED_ENTRIES = [
     (lambda codes: codes[1].update(template_id=7),
      r"codes\[1\]: field 'template_id' must be a string"),
     (lambda codes: codes.__setitem__(1, [codes[1]]), r"codes\[1\]: expected a JSON object"),
+    # a path must be the code's own raster under codes/: none outside the dataset
+    # directory, and no fake read from its original's file
+    (lambda codes: codes[1].update(path="../outside.ppm"),
+     "the physical_reference code of t0000 must be codes/t0000_physical_reference.ppm"),
+    (lambda codes: codes[1].update(path="/tmp/t0000_physical_reference.ppm"),
+     "the physical_reference code of t0000 must be codes/t0000_physical_reference.ppm"),
+    (lambda codes: codes.insert(1, {**codes.pop(2), "path": "codes/t0000_original.ppm"}),
+     "the fake1_white code of t0000 must be codes/t0000_fake1_white.ppm"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", TAMPERED_ENTRIES,
                          ids=["duplicate", "unknown-template", "split", "unknown-label",
                               "unknown-split", "raster-kind", "no-split", "no-path",
-                              "template-id-type", "not-an-object"])
+                              "template-id-type", "not-an-object", "escaping-path",
+                              "absolute-path", "fake-names-original"])
 def test_manifest_rejects_inconsistent_entries(small_dataset_dir, tmp_path, edit, message):
     obj = json.loads((small_dataset_dir / "manifest.json").read_text())
     edit(obj["codes"])

@@ -92,6 +92,8 @@ def _set_config(**fields):
              "groups: field 'encoder' must be a list, got dict"),
             (lambda obj: obj["groups"]["encoder"][0].pop("b"),
              "groups.encoder[0]: missing field 'b'"),
+            (lambda obj: obj["groups"]["encoder"][0]["b"].__setitem__(0, "x"),
+             "groups.encoder[0]: field 'b' must be a list of finite numbers"),
         ]),
         (_classifier, save_classifier, load_classifier, "config", [
             (_set_config(widgets=3), "field 'config' has unknown key 'widgets'"),
@@ -103,6 +105,8 @@ def _set_config(**fields):
         (_ocsvm, save_model, load_model, "alphas", [
             (_set(n_train="10"), "field 'n_train' must be an integer, got '10'"),
             (_set(rho=None), "field 'rho' must be a number, got None"),
+            (_set(scaler_std=[1.0]), "field 'scaler_std' must have shape (2,), got (1,)"),
+            (_set(alphas=None), "field 'alphas' must be a list of finite numbers"),
         ]),
     ],
     ids=["ae", "classifier", "ocsvm"],

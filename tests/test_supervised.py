@@ -138,11 +138,11 @@ def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
 def test_pooling_and_feature_shapes():
     rng = rng_for(4, "pool")
     img = rng.random((64, 64))
-    pooled = pool_image(img, max_side=32)
+    pooled = pool_image(img)
     assert pooled.shape == (32, 32)
     assert pooled[0, 0] == pytest.approx(img[:2, :2].mean())
     small = rng.random((12, 12))
-    assert np.array_equal(pool_image(small, max_side=32), small)
+    assert np.array_equal(pool_image(small), small)
     feats = images_to_features([img, rng.random((64, 64))])
     assert feats.shape == (2, 1024)
 
