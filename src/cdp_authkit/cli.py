@@ -38,7 +38,9 @@ from .rng import derive_seed
 from .supervised import TrainConfig, save_classifier
 from .template import add_markers, generate_template, save_template
 from .experiment import (
+    COLORS,
     PRESETS,
+    REFERENCES,
     DatasetConfig,
     ae_training_arrays,
     codes_in_split,
@@ -413,7 +415,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("metrics", parents=[common], help="export per-code spatial metrics as CSV")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--reference", choices=("digital", "physical"), default="digital")
+    p.add_argument("--reference", choices=REFERENCES, default="digital")
     p.add_argument("--use-planes", action="store_true", help="average metrics over color planes")
     p.add_argument("--out", help="CSV path (default <dataset>/features.csv)")
     p.set_defaults(handler=cmd_metrics)
@@ -424,8 +426,8 @@ def build_parser() -> CliParser:
     p.add_argument("--out", help="model JSON path (default <out_dir>/model-<kind>.json)")
     p.option("model", "--nu", type=float, help="ocsvm: fixed nu (default: validation grid search)")
     p.option("model", "--rbf-gamma", type=float, help="ocsvm: kernel width (default 0.1)")
-    p.option("model", "--reference", choices=("digital", "physical"), help="ocsvm: feature reference (default digital)")
-    p.option("model", "--color", choices=("gray", "rgb"), help="ocsvm: feature channels (default gray)")
+    p.option("model", "--reference", choices=REFERENCES, help="ocsvm: feature reference (default digital)")
+    p.option("model", "--color", choices=COLORS, help="ocsvm: feature channels (default gray)")
     p.option("model", "--scenario", type=int, choices=(1, 2, 3, 4), help="ae: loss scenario (required)")
     p.option("model", "--hidden", type=int, help="supervised: hidden width (default 128)")
     _ae_options(p)
@@ -458,7 +460,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("embed", parents=[common], help="export a PCA embedding of spatial metrics")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--reference", choices=("digital", "physical"), default="digital")
+    p.add_argument("--reference", choices=REFERENCES, default="digital")
     p.add_argument("--use-planes", action="store_true")
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--out", help="CSV path (default <dataset>/embedding.csv)")

@@ -609,12 +609,14 @@ def _run_supervised_binary(data: Dataset, assignment: dict, run_seed: int) -> tu
     return rates, {}
 
 
-OCSVM_SPATIAL_VARIANTS = (
-    ("digital", "gray"),
-    ("digital", "rgb"),
-    ("physical", "gray"),
-    ("physical", "rgb"),
-)
+REFERENCES = ("digital", "physical")  # what a code's spatial features compare against
+COLORS = ("gray", "rgb")  # one gray plane, or the average over the color planes
+OCSVM_SPATIAL_VARIANTS = tuple((reference, color) for reference in REFERENCES for color in COLORS)
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ParameterError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def spatial_features(
@@ -624,8 +626,10 @@ def spatial_features(
 
     The one feature table: each (template_id, label, reference, use_planes)
     row and each code's symbol grid are computed once per loaded dataset and
-    kept on it. DegenerateImageError names the code and the reference kind.
+    kept on it. DegenerateImageError names the code and the reference kind;
+    ParameterError names a reference that is not one of REFERENCES.
     """
+    _check_choice("reference", reference, REFERENCES)
 
     def grid(c: ObservedCode) -> np.ndarray:
         if (c.template_id, c.label) not in data._symbols:
@@ -670,8 +674,11 @@ def fit_spatial_ocsvm(
     """One-class SVM on (pearson, hamming) features of the train-split originals.
 
     nu None selects it on the validation originals (select_nu). Returns
-    (model, nu, validation features).
+    (model, nu, validation features). ParameterError names a reference or
+    color that is not one of REFERENCES or COLORS.
     """
+    _check_choice("reference", reference, REFERENCES)
+    _check_choice("color", color, COLORS)
     if color == "rgb" and data.manifest.config.plane_jitter == 0:
         raise ParameterError("rgb variant needs a dataset with color planes")
 

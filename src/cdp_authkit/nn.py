@@ -31,16 +31,20 @@ et al. 2017). `correlate` views the padded (B, C, Hp, Wp) input as
 (B, C, Hp*Wp): for tap (ki, kj) the inputs of all outputs form one
 contiguous slice starting at ki*Wp + kj, of length (oh - 1)*Wp + ow, so the
 output on an (oh, Wp) grid is the sum of k*k GEMMs w_tap (out_ch x C) @
-slice, and the last Wp - ow columns of each grid row are dropped. The layer
-caches the padded input, k*k times smaller than the patch matrix. The
-weight gradient sums dout_grid @ slice^T per tap, with dout placed on a
-zeroed (oh, Wp) grid so the dropped columns contribute exact zeros; the
-input gradient is the full correlation of dout with the flipped,
+slice, and the last Wp - ow columns of each grid row are dropped. Each tap
+GEMM is one np.matmul over a chunk of samples (see "Chunks" below). The
+layer caches the padded input, k*k times smaller than the patch matrix. The
+weight gradient is dout_grid @ slice^T per tap and sample, with dout placed
+on a zeroed (oh, Wp) grid so the dropped columns contribute exact zeros; the
+per-sample products land in one (B, k*k, out_ch, C) array that is summed
+once over samples, in sample order, as a per-sample loop would add them.
+The input gradient is the full correlation of dout with the flipped,
 channel-transposed weights, the same `correlate` on dout padded by
-k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner dimension is one plane (a one-channel
-input, or the input gradient of a one-channel output), each tap would be an
-outer product, so `correlate` uses im2col's (B, k*k, oh*ow) patch matrix of
-that one plane and a single GEMM instead.
+k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner
+dimension is one plane (a one-channel input, or the input gradient of a
+one-channel output), each tap would be an outer product, so `correlate`
+uses im2col's (B, k*k, oh*ow) patch matrix of that one plane and one GEMM
+per sample instead.
 
 Layers built with upsample=f > 1 (the decoder's symbol-to-pixel conv) are a
 nearest f-fold upsample followed by a stride-1 same-padded conv (k = 2*pad +
@@ -51,14 +55,46 @@ k' x k' window with k' = 2*ceil(pad/f) + 1, so k' = 3 for k = 3 at every f.
 `upsample_fold` is the fixed 0/1 (k*k, f*f*k'*k') matrix that maps each tap
 to the phase and window offset it lands on. The forward pass folds the
 (out_ch, C*k*k) weights through it into phase weights W' of shape
-(f*f*out_ch, C*k'*k'), then runs one im2col at input resolution, one GEMM
-per sample W' @ cols, a depth-to-space and the bias; the f*f-times larger
-upsampled input is never built. Backward does a space-to-depth of dout,
-folds the weight gradient sum_b dz_b @ cols_b^T back through the transposed
-matrix and returns col2im(W'^T @ dz) at input resolution. The weights keep
-the layout and shape of the unfused conv; only the rounding moves (by about
-1e-15 relative), because the fold adds the weights of taps that read the
-same input pixel before multiplying.
+(f*f*out_ch, C*k'*k'), then runs, per chunk of samples, an im2col at
+input resolution, the GEMM W' @ cols, the bias and a depth-to-space; the
+f*f-times larger upsampled input is never built. The layer caches the
+padded input, and backward rebuilds each chunk's patch matrix from it. It
+does a space-to-depth of dout, folds the weight gradient
+sum_b dz_b @ cols_b^T back through the transposed matrix and returns
+col2im(W'^T @ dz) at input resolution. The weights keep the layout and
+shape of the unfused conv; only the rounding moves (by about 1e-15
+relative), because the fold adds the weights of taps that read the same
+input pixel before multiplying.
+
+Chunks. A loop over samples takes them max(1, CHUNK_BYTES // s) at a time,
+where s is the bytes of one sample of the array the loop streams: the
+padded input of a tap GEMM, the patch matrix of a one-plane correlation or
+of the upsampling conv. CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
+were fastest on a 2-core x86-64 host at one BLAS thread: a 16-sample 24x24
+8->8 correlation took 2.27 ms one sample per GEMM, 1.45 ms in chunks of 8
+and 2.36 ms in chunks of 16; at 72x72 one sample per GEMM was fastest. So
+at the autoencoder's shapes a chunk is 8 samples at 24x24 and one at
+72x72, and the upsampling conv's 332 KB per-sample phase GEMM result stays
+in cache between the GEMM and the depth-to-space. Every GEMM still
+multiplies one sample's matrices, and each sum adds in the same order, so
+the chunk size never changes a bit of any result.
+
+Workspaces. Each Conv2d and Relu owns a `Workspace` (`_work`, apart from
+`_cache`, so `chain_infer` still leaves `_cache` None) of scratch arrays it
+reuses while their shapes repeat, a [:b] view for a smaller last batch or
+chunk, a new array for a new shape. A Conv2d holds its padded input (zero
+border written once, at allocation), the backward cache of stride-1 and
+upsampling layers; its patch matrix, the backward cache of a strided layer
+and one chunk's scratch elsewhere; the phase GEMM result, shared with
+backward's space-to-depth; the tap accumulator and its tmp; the zeroed dout
+grid and the padded dout; the per-sample weight-gradient products; dcols
+and the col2im target. A Relu holds its mask and logs copies of it in record mode.
+An array returned by forward or backward is always new and never written
+again by the layer; only scratch and the layer's own backward cache are
+overwritten by its next call. At the shapes of a `deep-s3` autoencoder step
+(batch 16, 72x72 codes, 8 channels) the held arrays of encoder and decoder
+total about 21 MB, 10.5 MB of which is the backward caches a step holds
+anyway; the largest is the last decoder conv's padded 72x72 input (5.6 MB).
 """
 
 from __future__ import annotations
@@ -94,17 +130,60 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _pad2(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+CHUNK_BYTES = 350 * 1024  # per-chunk budget of a sample loop's operand (module docstring)
 
 
-def im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(B, C, H, W) -> (B, C*k*k, oh*ow) channels-first patch matrix plus (oh, ow)."""
+class Workspace:
+    """Scratch arrays held by name across calls.
+
+    get(name, shape) returns the held array while the shape repeats, a [:n]
+    view of it when only the first axis shrank (the last batch of an epoch,
+    the last chunk of a batch), and a newly allocated array for any other
+    shape. A zeroed array is zeroed when it is allocated and never again.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def get(self, name: str, shape: tuple, zeroed: bool = False, dtype=np.float64) -> np.ndarray:
+        held = self._arrays.get(name)
+        if held is None or held.shape[1:] != shape[1:] or held.shape[0] < shape[0]:
+            held = np.zeros(shape, dtype) if zeroed else np.empty(shape, dtype)
+            self._arrays[name] = held
+        return held[: shape[0]]
+
+
+def _pad2(x: np.ndarray, pad: int, work: Workspace, name: str = "xp") -> np.ndarray:
+    """x zero-padded by pad on both spatial axes, in work's zero-bordered array name."""
     b, c, h, w = x.shape
-    xp = _pad2(x, pad)
+    xp = work.get(name, (b, c, h + 2 * pad, w + 2 * pad), zeroed=True)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
+def _chunks(shape: tuple) -> list:
+    """Sample slices over a float64 batch of this shape.
+
+    Each holds max(1, CHUNK_BYTES // bytes of one sample) samples but the
+    last; an empty batch is one empty chunk.
+    """
+    b, sample_bytes = shape[0], 8 * math.prod(shape[1:])
+    step = max(1, CHUNK_BYTES // max(1, sample_bytes))
+    return [slice(s, min(s + step, b)) for s in range(0, max(b, 1), step)]
+
+
+def im2col(x: np.ndarray, k: int, stride: int, pad: int, work: Workspace | None = None):
+    """(B, C, H, W) -> (B, C*k*k, oh*ow) channels-first patch matrix plus (oh, ow).
+
+    The padded input and the patch matrix are work's "xp" and "cols"
+    (default: new arrays); with pad 0 x is read in place.
+    """
+    work = Workspace() if work is None else work
+    b, c, h, w = x.shape
+    xp = x if pad == 0 else _pad2(x, pad, work)
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    cols = np.empty((b, c, k, k, oh, ow))
+    cols = work.get("cols", (b, c, k, k, oh, ow))
     for ki in range(k):
         for kj in range(k):
             cols[:, :, ki, kj] = xp[:, :, ki : ki + stride * oh : stride,
@@ -112,43 +191,63 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int):
     return cols.reshape(b, c * k * k, oh * ow), (oh, ow)
 
 
-def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int):
-    """Adjoint of im2col: scatter (B, C*k*k, oh*ow) patch gradients back onto the input grid."""
+def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int,
+           work: Workspace | None = None, out: np.ndarray | None = None):
+    """Adjoint of im2col: scatter (B, C*k*k, oh*ow) patch gradients back onto the input grid.
+
+    Accumulates in work's "dxp" (default: a new array) and returns the
+    interior written into out, or as a new array.
+    """
+    work = Workspace() if work is None else work
     b, c, h, w = x_shape
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    dxp = work.get("dxp", (b, c, h + 2 * pad, w + 2 * pad))
+    dxp.fill(0.0)
     d6 = dcols.reshape(b, c, k, k, oh, ow)
     for ki in range(k):
         for kj in range(k):
             dxp[:, :, ki : ki + stride * oh : stride,
                 kj : kj + stride * ow : stride] += d6[:, :, ki, kj]
-    return dxp[:, :, pad : pad + h, pad : pad + w].copy()
+    interior = dxp[:, :, pad : pad + h, pad : pad + w]
+    if out is None:
+        return interior.copy()
+    np.copyto(out, interior)
+    return out
 
 
-def correlate(xp: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace | None = None,
+              fresh: bool = False) -> np.ndarray:
     """Stride-1 valid cross-correlation of a padded (B, C, Hp, Wp) input with (O, C*k*k) weights.
 
     Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
-    flattened input (see the module docstring); a one-plane input goes
-    through im2col instead.
+    flattened input, a chunk of samples per GEMM (see the module docstring);
+    a one-plane input goes through im2col instead. Scratch comes from work
+    (default: new arrays). The result is a view of work's "acc", which the
+    next call overwrites, unless fresh, which makes it a new array.
     """
+    work = Workspace() if work is None else work
     b, c, hp, wp = xp.shape
     o = w.shape[0]
     oh, ow = hp - k + 1, wp - k + 1
+    width = ow if c == 1 else wp
+    out = np.empty((b, o, oh * width)) if fresh else work.get("acc", (b, o, oh * width))
     if c == 1:
-        cols, _ = im2col(xp, k, 1, 0)
-        return (w @ cols).reshape(b, o, oh, ow)
+        for rows in _chunks((b, k * k, oh * ow)):
+            cols, _ = im2col(xp[rows], k, 1, 0, work)
+            np.matmul(w, cols, out=out[rows])
+        return out.reshape(b, o, oh, ow)
     n = (oh - 1) * wp + ow
     flat = xp.reshape(b, c, hp * wp)
     taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
-    out = np.empty((b, o, oh * wp))
-    tmp = np.empty((o, n))
-    for s in range(b):  # one sample at a time keeps the accumulator in cache
-        acc = out[s, :, :n]
-        np.matmul(taps[0], flat[s, :, :n], out=acc)
+    chunks = _chunks(xp.shape)
+    tmp = work.get("tmp", (chunks[0].stop, o, n))
+    for rows in chunks:  # a chunk of samples keeps the accumulator in cache
+        acc = out[rows, :, :n]
+        part = tmp[: rows.stop - rows.start]
+        np.matmul(taps[0], flat[rows, :, :n], out=acc)
         for t in range(1, k * k):
             off = (t // k) * wp + t % k
-            np.matmul(taps[t], flat[s, :, off : off + n], out=tmp)
-            acc += tmp
+            np.matmul(taps[t], flat[rows, :, off : off + n], out=part)
+            acc += part
     return out.reshape(b, o, oh, wp)[:, :, :, :ow]
 
 
@@ -187,6 +286,7 @@ class Conv2d:
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self._cache = None
+        self._work = Workspace()
         self._fold = upsample_fold(k, pad, upsample) if upsample > 1 else None
 
     def _phase_geometry(self):
@@ -206,13 +306,14 @@ class Conv2d:
         if self.upsample > 1:
             return self._forward_upsample(x)
         if self.stride == 1:
-            xp = _pad2(x, self.pad)
+            xp = _pad2(x, self.pad, self._work)
             self._cache = xp
-            return correlate(xp, self.w, self.k) + self.b[:, None, None]
-        cols, (oh, ow) = im2col(x, self.k, self.stride, self.pad)
-        out = self.w @ cols + self.b[:, None]
+            return correlate(xp, self.w, self.k, self._work) + self.b[:, None, None]
+        b, o = x.shape[0], self.out_ch
+        cols, (oh, ow) = im2col(x, self.k, self.stride, self.pad, self._work)
+        z = np.matmul(self.w, cols, out=self._work.get("z", (b, o, oh * ow)))
         self._cache = (cols, x.shape, oh, ow)
-        return out.reshape(x.shape[0], self.out_ch, oh, ow)
+        return (z + self.b[:, None]).reshape(b, o, oh, ow)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
         """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
@@ -226,34 +327,50 @@ class Conv2d:
         self.gw += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0)
         if not input_grad:
             return None
-        return col2im(self.w.T @ dmat, x_shape, self.k, self.stride, self.pad, oh, ow)
+        dcols = np.matmul(self.w.T, dmat, out=self._work.get("dcols", cols.shape))
+        return col2im(dcols, x_shape, self.k, self.stride, self.pad, oh, ow, self._work)
 
     def _forward_upsample(self, x: np.ndarray) -> np.ndarray:
         f, kk, lo = self._phase_geometry()
-        b, _, h, w = x.shape
+        b, c, h, w = x.shape
         o = self.out_ch
-        cols, _ = im2col(x, kk, 1, lo)
+        xp = _pad2(x, lo, self._work)
         wp = self._phase_weights()
-        z = (wp @ cols).reshape(b, o, f, f, h, w)
+        chunks = _chunks((b, c * kk * kk, h * w))
+        z = self._work.get("z", (chunks[0].stop, o * f * f, h * w))
         out = np.empty((b, o, h, f, w, f))  # depth-to-space: (o, p, q, i, j) -> (o, i, p, j, q)
-        np.add(z.transpose(0, 1, 4, 2, 5, 3), self.b[:, None, None, None, None], out=out)
-        self._cache = (cols, x.shape, wp)
+        for rows in chunks:
+            m = rows.stop - rows.start
+            cols, _ = im2col(xp[rows], kk, 1, 0, self._work)
+            zs = np.matmul(wp, cols, out=z[:m]).reshape(m, o, f * f * h * w)
+            zs += self.b[:, None]  # contiguous here; a plain copy does the strided part
+            np.copyto(out[rows], zs.reshape(m, o, f, f, h, w).transpose(0, 1, 4, 2, 5, 3))
+        self._cache = (xp, x.shape, wp)
         return out.reshape(b, o, h * f, w * f)
 
     def _backward_upsample(self, dout: np.ndarray, input_grad: bool):
-        cols, x_shape, wp = self._cache
+        xp, x_shape, wp = self._cache
         f, kk, lo = self._phase_geometry()
         b, c, h, w = x_shape
         o = self.out_ch
-        # space-to-depth: (o, i, p, j, q) -> (o, p, q, i, j)
-        dz = dout.reshape(b, o, h, f, w, f).transpose(0, 1, 3, 5, 2, 4).reshape(
-            b, o * f * f, h * w)
-        gwp = (dz @ cols.transpose(0, 2, 1)).sum(axis=0)
-        gwp = gwp.reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
+        chunks = _chunks((b, c * kk * kk, h * w))
+        dz = self._work.get("z", (chunks[0].stop, o * f * f, h * w))  # the forward's z is spent
+        dcols = self._work.get("dcols", (chunks[0].stop, c * kk * kk, h * w))
+        prods = self._work.get("wgrad", (b, o * f * f, c * kk * kk))
+        dx = np.empty(x_shape) if input_grad else None
+        for rows in chunks:
+            m = rows.stop - rows.start
+            cols, _ = im2col(xp[rows], kk, 1, 0, self._work)  # the forward's, rebuilt
+            # space-to-depth: (o, i, p, j, q) -> (o, p, q, i, j)
+            np.copyto(dz[:m].reshape(m, o, f, f, h, w),
+                      dout[rows].reshape(m, o, h, f, w, f).transpose(0, 1, 3, 5, 2, 4))
+            np.matmul(dz[:m], cols.transpose(0, 2, 1), out=prods[rows])
+            if input_grad:
+                np.matmul(wp.T, dz[:m], out=dcols[:m])
+                col2im(dcols[:m], (m, c, h, w), kk, 1, lo, h, w, self._work, out=dx[rows])
+        gwp = prods.sum(axis=0).reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
         self.gw += (gwp.reshape(o * c, f * f * kk * kk) @ self._fold.T).reshape(o, -1)
-        if not input_grad:
-            return None
-        return col2im(wp.T @ dz, x_shape, kk, 1, lo, h, w)
+        return dx
 
     def _backward_stride1(self, dout: np.ndarray, input_grad: bool):
         xp = self._cache
@@ -261,20 +378,23 @@ class Conv2d:
         o, k = self.out_ch, self.k
         oh, ow = dout.shape[2:]
         n = (oh - 1) * wp + ow
-        grid = np.zeros((b, o, oh, wp))
-        grid[:, :, :, :ow] = dout
+        grid = self._work.get("grid", (b, o, oh, wp), zeroed=True)
+        grid[:, :, :, :ow] = dout  # the dropped columns stay zero
         dgrid = grid.reshape(b, o, oh * wp)
         flat = xp.reshape(b, c, hp * wp)
-        gw = np.zeros((k * k, o, c))
-        for s in range(b):
+        prods = self._work.get("wgrad", (b, k * k, o, c))
+        for rows in _chunks(xp.shape):
             for t in range(k * k):
                 off = (t // k) * wp + t % k
-                gw[t] += dgrid[s, :, :n] @ flat[s, :, off : off + n].T
-        self.gw += gw.transpose(1, 2, 0).reshape(o, c * k * k)
+                np.matmul(dgrid[rows, :, :n], flat[rows, :, off : off + n].transpose(0, 2, 1),
+                          out=prods[rows, t])
+        # one sum over samples, in sample order, as a per-sample loop would add them
+        self.gw += prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
         if not input_grad:
             return None
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return correlate(_pad2(dout, k - 1 - self.pad), flipped.reshape(c, o * k * k), k)
+        dp = _pad2(dout, k - 1 - self.pad, self._work, "dpad")
+        return correlate(dp, flipped.reshape(c, o * k * k), k, self._work, fresh=True)
 
 
 class Dense:
@@ -317,20 +437,24 @@ class Relu:
 
     def __init__(self):
         self._cache = None
+        self._work = Workspace()
         self.mask_mode = "normal"
         self.mask_log: list = []
         self.replay_idx = 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.mask_mode == "replay":
-            mask = self.mask_log[self.replay_idx]
+            self._cache = self.mask_log[self.replay_idx]
             self.replay_idx += 1
-        else:
-            mask = x > 0
-            if self.mask_mode == "record":
-                self.mask_log.append(mask)
-        self._cache = mask
-        return np.where(mask, x, 0.0)
+            return np.where(self._cache, x, 0.0)
+        self._cache = np.greater(x, 0.0, out=self._work.get("mask", x.shape, dtype=bool))
+        if self.mask_mode == "record":
+            self.mask_log.append(self._cache.copy())  # the held mask is rewritten next call
+        # np.where(x > 0, x, 0.0) bit for bit without its per-element branch: fmax
+        # sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into +0.0
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return np.where(self._cache, dout, 0.0)

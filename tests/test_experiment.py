@@ -23,6 +23,7 @@ from cdp_authkit.experiment import (
     augment_symbols,
     codes_in_split,
     config_hash,
+    fit_spatial_ocsvm,
     load_dataset,
     load_manifest,
     manifest_assignment,
@@ -309,6 +310,18 @@ def test_pair_features_need_enrolled_reference(tmp_path):
     codes = [c for c in data.codes.values() if c.label == "original"]
     with pytest.raises(DataError):
         spatial_features(data, codes, "physical", False)
+
+
+def test_spatial_features_reject_unknown_reference_and_color(small_dataset_dir):
+    data = load_dataset(small_dataset_dir)
+    assignment = manifest_assignment(data)
+    codes = codes_in_split(data, assignment, "train", ("original",))
+    with pytest.raises(ParameterError, match="reference .*'foo'"):
+        spatial_features(data, codes, "foo", False)
+    for reference, color, bad in (("foo", "blue", "'foo'"), ("digital", "blue", "color .*'blue'")):
+        with pytest.raises(ParameterError, match=bad):
+            fit_spatial_ocsvm(data, assignment, reference, color)
+    assert not data._features  # rejected before any row is computed
 
 
 def test_presets_registry():

@@ -1,5 +1,7 @@
 """Conv2d against a direct convolution, finite differences and its own adjoint;
-the upsampling conv against an explicit upsample and conv; the shared epoch loop."""
+the upsampling conv against an explicit upsample and conv; batch passes against
+per-sample passes, bit for bit, and returned arrays against the layers' held
+scratch; Relu's mask log; the shared epoch loop."""
 
 import numpy as np
 import pytest
@@ -198,3 +200,85 @@ def test_epoch_loop_weights_batches_and_guards_the_named_terms():
     with pytest.raises(TrainingError, match="non-finite") as info:
         train_epochs(4, 3, 2, 0, stepper(1.0, np.inf), ("a", "b"))
     assert set(info.value.trace) == {"a", "b", "other"} and len(info.value.trace["a"]) == 1
+
+
+# Every Conv2d path at sizes that split a batch into several sample chunks,
+# the last one short: (in_ch, out_ch, k, stride, upsample, (h, w)).
+CHUNKED_PATHS = {
+    "strided": (1, 8, 5, 3, 1, (36, 36)),
+    "stride1-planes": (8, 8, 3, 1, 1, (41, 43)),
+    "one-plane-in": (1, 8, 3, 1, 1, (41, 43)),
+    "one-plane-out": (8, 1, 3, 1, 1, (41, 43)),
+    "upsample3": (8, 8, 3, 1, 3, (12, 14)),
+}
+
+
+def _chunked_layer(path, batch):
+    in_ch, out_ch, k, stride, up, hw = CHUNKED_PATHS[path]
+    rng = np.random.default_rng([len(path), batch])
+    layer = Conv2d(rng, in_ch, out_ch, k=k, stride=stride, pad=1, upsample=up)
+    layer.b = rng.standard_normal(out_ch)
+    twin = Conv2d(rng, in_ch, out_ch, k=k, stride=stride, pad=1, upsample=up)
+    twin.w, twin.b = layer.w.copy(), layer.b.copy()
+    x = rng.standard_normal((batch, in_ch, *hw))
+    dout = rng.standard_normal(layer.forward(x).shape)
+    return layer, twin, x, dout, rng
+
+
+@pytest.mark.parametrize("batch", [16, 5])
+@pytest.mark.parametrize("path", sorted(CHUNKED_PATHS))
+def test_batch_pass_is_the_per_sample_passes_bit_for_bit(path, batch):
+    layer, twin, x, dout, _ = _chunked_layer(path, batch)
+    y = layer.forward(x)
+    dx = layer.backward(dout)
+    ys, dxs = [], []
+    for s in range(batch):  # twin's gw/gb add up the per-sample gradients in sample order
+        ys.append(twin.forward(x[s : s + 1]))
+        dxs.append(twin.backward(dout[s : s + 1]))
+    assert np.array_equal(y, np.concatenate(ys))
+    assert np.array_equal(dx, np.concatenate(dxs))
+    if path == "upsample3":
+        # the phase gradients add up in sample order too, but the fold back to
+        # tap weights runs once on their sum, not once per sample
+        assert _rel_err(layer.gw, twin.gw) < 1e-14
+    else:
+        assert np.array_equal(layer.gw, twin.gw)
+    assert _rel_err(layer.gb, twin.gb) < 1e-14  # numpy's own reduction order
+
+
+@pytest.mark.parametrize("path", sorted(CHUNKED_PATHS))
+def test_returned_arrays_are_never_reused(path):
+    layer, _, x, dout, rng = _chunked_layer(path, 16)
+    y, dx = layer.forward(x), layer.backward(dout)
+    kept = y.copy(), dx.copy()
+    for batch in (16, 5, 16):  # same shape, a short batch, then the held size again
+        x2 = rng.standard_normal((batch,) + x.shape[1:])
+        y2 = layer.forward(x2)
+        dx2 = layer.backward(rng.standard_normal(y2.shape))
+        assert not np.shares_memory(y2, y) and not np.shares_memory(dx2, dx)
+    assert np.array_equal(y, kept[0]) and np.array_equal(dx, kept[1])
+
+
+def test_relu_records_a_copy_of_each_mask():
+    relu = Relu()
+    relu.mask_mode = "record"
+    xs = np.random.default_rng(3).standard_normal((2, 4, 3, 5, 5))
+    for x in xs:
+        relu.forward(x)
+    assert [np.array_equal(mask, x > 0) for mask, x in zip(relu.mask_log, xs)] == [True, True]
+    relu.mask_mode, relu.replay_idx = "replay", 0
+    probe = np.ones_like(xs[0])
+    assert [np.array_equal(relu.forward(probe), x > 0) for x in xs] == [True, True]
+
+
+def test_relu_forward_is_where_bit_for_bit_on_special_values():
+    x = np.array([[np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf]])
+    got = Relu().forward(x)
+    assert np.array_equal(got.view(np.int64), np.where(x > 0, x, 0.0).view(np.int64))
+
+
+@pytest.mark.parametrize("path", sorted(CHUNKED_PATHS))
+def test_empty_batch_passes_through(path):
+    layer, _, x, dout, _ = _chunked_layer(path, 5)
+    assert layer.forward(x[:0]).shape == (0,) + dout.shape[1:]
+    assert layer.backward(dout[:0]).shape == (0,) + x.shape[1:]
