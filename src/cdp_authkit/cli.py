@@ -13,8 +13,9 @@ variable between the two. A config section's keys are the dests of the flags
 declared for that section, and each value must have its flag's type and
 pass its choices; anything else is rejected. All outputs are
 byte-deterministic for a given seed; wall-clock timestamps appear only in
-the optional --log file. Exit codes: 0 success, 1 validation error, 2
-runtime failure.
+the optional --log file. Exit codes: 0 success, 1 bad input (a usage error,
+or the toolkit's ParameterError, DataError or DegenerateImageError), 2
+runtime failure (any other exception).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .decision import calibrate
 from .deepfeat import AeConfig, load_ae, save_ae, train_ae
-from .errors import DataError, ParameterError
+from .errors import DataError, DegenerateImageError, ParameterError
 from .imageio import check_type, read_json, write_json
 from .ocsvm import decision_function, save_model
 from .rng import derive_seed
@@ -110,7 +111,7 @@ def _load_config(path, options: dict) -> dict:
         return {}
     try:
         obj = read_json(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, DataError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: config file must hold a JSON object")
@@ -171,10 +172,13 @@ def _seed(args, config: dict) -> int:
 
 
 def _jobs(args, config: dict) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    jobs = config.get("jobs")
-    return jobs if jobs is not None else os.cpu_count() or 1
+    """Flag > config > core count; ParameterError below 1, whatever the command."""
+    jobs = args.jobs if args.jobs is not None else config.get("jobs")
+    if jobs is None:
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _out_path(args, config: dict, default_name: str) -> Path:
@@ -212,7 +216,7 @@ def cmd_dataset(args, config) -> int:
         opts["n_templates"] = opts.pop("templates")
     cfg = DatasetConfig(**opts, seed=_seed(args, config))
     out = _out_path(args, config, "dataset")
-    manifest = synthesize_dataset(cfg, out, jobs=_jobs(args, config))
+    manifest = synthesize_dataset(cfg, out, jobs=args.jobs)
     print(
         f"manifest {manifest.config_hash}: {cfg.n_templates} templates, "
         f"{len(manifest.codes)} codes -> {out}"
@@ -304,7 +308,7 @@ def cmd_eval(args, config) -> int:
         seed=_seed(args, config),
         out_dir=out,
         ae_config=AeConfig(**_settings(args, config, "model")),
-        jobs=_jobs(args, config),
+        jobs=args.jobs,
     )
     for row in report.rows:
         print(
@@ -495,8 +499,9 @@ def main(argv=None) -> int:
     LOG.info("command %s starting", args.command)
     try:
         config = _load_config(args.config, parser.options)
+        args.jobs = _jobs(args, config)
         code = args.handler(args, config)
-    except ValueError as exc:
+    except (ParameterError, DataError, DegenerateImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         LOG.error("validation error: %s", exc)
         return 1

@@ -34,6 +34,7 @@ batch order stream does not depend on the scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -287,9 +288,10 @@ def train_ae(
 
     Raises:
         ParameterError: bad scenario or inconsistent shapes.
-        TrainingError: a loss term became non-finite, or template_rms +
-            recon_rms ends more than twice its value at the first step, on
-            the untrained weights (nn.train_epochs; trace attached).
+        TrainingError: a loss term became non-finite, an epoch mean of
+            adv_t, disc_t or disc_x went above -ln(eps/2), or template_rms
+            + recon_rms ends more than twice its value at the first step,
+            on the untrained weights (nn.train_epochs; trace attached).
     """
     cfg = config if config is not None else AeConfig()
     x = np.asarray(images, dtype=np.float64)
@@ -322,8 +324,17 @@ def train_ae(
 
     # No adversarial term in the guard: one rises when the other player wins
     # (a default scenario-2 run ended at 2.4 times its first-step total).
+    # Blown-up logits are bounded instead: a softplus(u) mean above
+    # -ln(eps/2) ~ 36.74 needs a logit u past the point where nn.sigmoid(u)
+    # rounds to exactly 1.0, so a discriminator has saturated. adv_x is left
+    # out: at beta 0.01 the decoder barely resists D_x, which can saturate
+    # for several epochs at default settings (adv_x / beta peaked at 71.5 in
+    # a run on a 25-template 72x72 dataset and ended at 0.7). Default runs
+    # kept adv_t, disc_t and disc_x below 15.
+    bound = -math.log(np.finfo(np.float64).eps / 2)
+    limits = {"adv_t": bound, "disc_t": bound, "disc_x": bound}
     model.loss_trace = train_epochs(x.shape[0], cfg.epochs, cfg.batch_size, cfg.seed, step,
-                                    guard=("template_rms", "recon_rms"))
+                                    guard=("template_rms", "recon_rms"), limits=limits)
     return model
 
 

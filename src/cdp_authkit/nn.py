@@ -12,28 +12,16 @@ call sites turn off where the gradient with respect to the input would be
 thrown away (the input is data, or only the weight gradients are wanted);
 gw/gb are the same bits either way.
 
-Convolution takes one of three paths, chosen by the layer's stride and
-upsample factor.
+Convolution runs one of two kernels: taps for a plain stride-1 layer, and
+patches for every other layer, strided or built with upsample=f > 1.
 
-Strided layers (the first encoder conv, k = symbol_px + 2, stride =
-symbol_px) use the channels-first (Caffe) im2col layout: the patch matrix of
-a (B, C, H, W) input is (B, C*k*k, oh*ow), row c*k*k + ki*k + kj holding
-input channel c shifted by (ki, kj) at every output position. im2col fills
-it with k*k slice copies of the padded input and col2im scatters back with
-k*k adds, each over whole rows. A layer's weights are (out_ch, C*k*k) in the
-same (c, ki, kj) order, so the forward pass is one GEMM per sample,
-w @ cols, whose (B, out_ch, oh*ow) result is already in NCHW order; the
-weight gradient is dout @ cols^T summed over the batch, and the input
-gradient is col2im(w^T @ dout).
-
-Stride-1 layers build no patch matrix at full resolution (kn2row, Vasudevan
-et al. 2017). `correlate` views the padded (B, C, Hp, Wp) input as
+Taps (stride 1, f = 1) build no patch matrix at full resolution (kn2row,
+Vasudevan et al. 2017). `correlate` views the padded (B, C, Hp, Wp) input as
 (B, C, Hp*Wp): for tap (ki, kj) the inputs of all outputs form one
 contiguous slice starting at ki*Wp + kj, of length (oh - 1)*Wp + ow, so the
 output on an (oh, Wp) grid is the sum of k*k GEMMs w_tap (out_ch x C) @
 slice, and the last Wp - ow columns of each grid row are dropped. Each tap
 GEMM is one np.matmul over a chunk of samples (see "Chunks" below). The
-layer caches the padded input, k*k times smaller than the patch matrix. The
 weight gradient is dout_grid @ slice^T per tap and sample, with dout placed
 on a zeroed (oh, Wp) grid so the dropped columns contribute exact zeros; the
 per-sample products land in one (B, k*k, out_ch, C) array that is summed
@@ -46,36 +34,45 @@ one-channel output), each tap would be an outer product, so `correlate`
 uses im2col's (B, k*k, oh*ow) patch matrix of that one plane and one GEMM
 per sample instead.
 
-Layers built with upsample=f > 1 (the decoder's symbol-to-pixel conv) are a
-nearest f-fold upsample followed by a stride-1 same-padded conv (k = 2*pad +
-1), run as one sub-pixel convolution at the input's resolution (Shi et al.
-2016). Output pixel (f*i + p, f*j + q) at phase (p, q) reads, through tap
-(ki, kj), input pixel (i + (p + ki - pad) // f, j + (q + kj - pad) // f): a
-k' x k' window with k' = 2*ceil(pad/f) + 1, so k' = 3 for k = 3 at every f.
+Patches. A layer built with upsample=f > 1 (the decoder's symbol-to-pixel
+conv) is a nearest f-fold upsample followed by a stride-1 same-padded conv
+(k = 2*pad + 1), run as one sub-pixel convolution at the input's resolution
+(Shi et al. 2016). Output pixel (f*i + p, f*j + q) at phase (p, q) reads,
+through tap (ki, kj), input pixel
+(i + (p + ki - pad) // f, j + (q + kj - pad) // f). Over all taps that is a
+k' x k' window around (i, j), with pad' = ceil(pad/f) and
+k' = k + 2*(pad' - pad) = 2*pad' + 1, so k' = 3 for k = 3 at every f.
 `upsample_fold` is the fixed 0/1 (k*k, f*f*k'*k') matrix that maps each tap
-to the phase and window offset it lands on. The forward pass folds the
-(out_ch, C*k*k) weights through it into phase weights W' of shape
-(f*f*out_ch, C*k'*k'), then runs, per chunk of samples, an im2col at
-input resolution, the GEMM W' @ cols, the bias and a depth-to-space; the
-f*f-times larger upsampled input is never built. The layer caches the
-padded input, and backward rebuilds each chunk's patch matrix from it. It
-does a space-to-depth of dout, folds the weight gradient
-sum_b dz_b @ cols_b^T back through the transposed matrix and returns
-col2im(W'^T @ dz) at input resolution. The weights keep the layout and
-shape of the unfused conv; only the rounding moves (by about 1e-15
+to the phase and window offset it lands on, and the (out_ch, C*k*k) weights
+fold through it into patch weights W' of shape (f*f*out_ch, C*k'*k'). A
+strided layer (the first encoder conv, k = symbol_px + 2,
+stride = symbol_px) is the f = 1 case: k' = k, pad' = pad and W' is w
+itself. Per chunk of samples the kernel runs im2col of the padded input
+with the layer's stride, the GEMM W' @ cols, the bias and a depth-to-space
+by f (a plain copy at f = 1); the f*f-times larger upsampled input is never
+built. im2col's channels-first (Caffe) patch matrix of a (B, C, H, W) input
+is (B, C*k'*k', oh*ow), row c*k'*k' + ki*k' + kj holding input channel c
+shifted by (ki, kj) at every output position; it is filled with k'*k' slice
+copies, and col2im scatters back with k'*k' adds, each over whole rows.
+Backward rebuilds each chunk's patch matrix from the cached padded input,
+does a space-to-depth of dout into dz, sums dz_b @ cols_b^T over samples
+for the weight gradient (folded back through the transposed matrix only at
+f > 1) and returns col2im(W'^T @ dz). At f > 1 the weights keep the layout
+and shape of the unfused conv; only the rounding moves (by about 1e-15
 relative), because the fold adds the weights of taps that read the same
 input pixel before multiplying.
 
 Chunks. A loop over samples takes them max(1, CHUNK_BYTES // s) at a time,
 where s is the bytes of one sample of the array the loop streams: the
 padded input of a tap GEMM, the patch matrix of a one-plane correlation or
-of the upsampling conv. CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
+of the patch kernel. CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
 were fastest on a 2-core x86-64 host at one BLAS thread: a 16-sample 24x24
 8->8 correlation took 2.27 ms one sample per GEMM, 1.45 ms in chunks of 8
 and 2.36 ms in chunks of 16; at 72x72 one sample per GEMM was fastest. So
-at the autoencoder's shapes a chunk is 8 samples at 24x24 and one at
-72x72, and the upsampling conv's 332 KB per-sample phase GEMM result stays
-in cache between the GEMM and the depth-to-space. Every GEMM still
+at the autoencoder's shapes a tap chunk is 8 samples at 24x24 and one at
+72x72, a chunk of the strided encoder conv is 3 samples, and the
+upsampling conv's 332 KB per-sample phase GEMM result stays in cache
+between the GEMM and the depth-to-space. Every GEMM still
 multiplies one sample's matrices, and each sum adds in the same order, so
 the chunk size never changes a bit of any result.
 
@@ -83,18 +80,18 @@ Workspaces. Each Conv2d and Relu owns a `Workspace` (`_work`, apart from
 `_cache`, so `chain_infer` still leaves `_cache` None) of scratch arrays it
 reuses while their shapes repeat, a [:b] view for a smaller last batch or
 chunk, a new array for a new shape. A Conv2d holds its padded input (zero
-border written once, at allocation), the backward cache of stride-1 and
-upsampling layers; its patch matrix, the backward cache of a strided layer
-and one chunk's scratch elsewhere; the phase GEMM result, shared with
-backward's space-to-depth; the tap accumulator and its tmp; the zeroed dout
-grid and the padded dout; the per-sample weight-gradient products; dcols
-and the col2im target. A Relu holds its mask and logs copies of it in record mode.
-An array returned by forward or backward is always new and never written
-again by the layer; only scratch and the layer's own backward cache are
-overwritten by its next call. At the shapes of a `deep-s3` autoencoder step
-(batch 16, 72x72 codes, 8 channels) the held arrays of encoder and decoder
-total about 21 MB, 10.5 MB of which is the backward caches a step holds
-anyway; the largest is the last decoder conv's padded 72x72 input (5.6 MB).
+border written once, at allocation), which is the whole of its backward
+cache under either kernel; one chunk's patch matrix; the patch GEMM result,
+shared with backward's space-to-depth; the tap accumulator and its tmp; the
+zeroed dout grid and the padded dout; the per-sample weight-gradient
+products; dcols and the col2im target. A Relu holds its mask and logs
+copies of it in record mode. An array returned by forward or backward is
+always new and never written again by the layer; only scratch and the
+layer's own backward cache are overwritten by its next call. At the shapes
+of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8 channels) the
+held arrays of encoder and decoder total about 19.3 MB, 9.4 MB of which is
+the padded inputs and ReLU masks a step holds anyway; the largest is the
+last decoder conv's padded 72x72 input (5.6 MB).
 """
 
 from __future__ import annotations
@@ -214,17 +211,16 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
     return out
 
 
-def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace | None = None,
+def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
               fresh: bool = False) -> np.ndarray:
     """Stride-1 valid cross-correlation of a padded (B, C, Hp, Wp) input with (O, C*k*k) weights.
 
     Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
     flattened input, a chunk of samples per GEMM (see the module docstring);
-    a one-plane input goes through im2col instead. Scratch comes from work
-    (default: new arrays). The result is a view of work's "acc", which the
-    next call overwrites, unless fresh, which makes it a new array.
+    a one-plane input goes through im2col instead. Scratch comes from work.
+    The result is a view of work's "acc", which the next call overwrites,
+    unless fresh, which makes it a new array.
     """
-    work = Workspace() if work is None else work
     b, c, hp, wp = xp.shape
     o = w.shape[0]
     oh, ow = hp - k + 1, wp - k + 1
@@ -271,7 +267,9 @@ class Conv2d:
     """2-D convolution (cross-correlation) over (B, C, H, W) tensors.
 
     With upsample=f > 1 the layer is a nearest f-fold upsample followed by
-    this stride-1 conv, computed at the input's resolution (module docstring).
+    this stride-1 conv, computed at the input's resolution. A plain stride-1
+    layer runs the tap kernel, every other layer the patch kernel (module
+    docstring).
     """
 
     def __init__(self, rng: np.random.Generator, in_ch: int, out_ch: int, k: int,
@@ -289,90 +287,78 @@ class Conv2d:
         self._work = Workspace()
         self._fold = upsample_fold(k, pad, upsample) if upsample > 1 else None
 
-    def _phase_geometry(self):
-        """(f, k', pad') of the sub-pixel path."""
+    def _patch_geometry(self):
+        """(f, k', pad') of the patch kernel: the layer's own k and pad at f = 1."""
         lo = -(-self.pad // self.upsample)
-        return self.upsample, 2 * lo + 1, lo
+        return self.upsample, self.k + 2 * (lo - self.pad), lo
 
-    def _phase_weights(self) -> np.ndarray:
-        """w folded into (f*f*out_ch, C*k'*k') phase weights, rows in (o, p, q) order."""
-        f, kk, _ = self._phase_geometry()
+    def _patch_weights(self) -> np.ndarray:
+        """w at f = 1, else w folded into (f*f*out_ch, C*k'*k') phase weights, rows (o, p, q)."""
+        if self.upsample == 1:
+            return self.w
+        f, kk, _ = self._patch_geometry()
         o, c = self.out_ch, self.in_ch
         folded = self.w.reshape(o * c, self.k * self.k) @ self._fold
         return folded.reshape(o, c, f, f, kk, kk).transpose(0, 2, 3, 1, 4, 5).reshape(
             o * f * f, c * kk * kk)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.upsample > 1:
-            return self._forward_upsample(x)
-        if self.stride == 1:
-            xp = _pad2(x, self.pad, self._work)
-            self._cache = xp
+        if self.stride == 1 and self.upsample == 1:
+            self._cache = xp = _pad2(x, self.pad, self._work)
             return correlate(xp, self.w, self.k, self._work) + self.b[:, None, None]
-        b, o = x.shape[0], self.out_ch
-        cols, (oh, ow) = im2col(x, self.k, self.stride, self.pad, self._work)
-        z = np.matmul(self.w, cols, out=self._work.get("z", (b, o, oh * ow)))
-        self._cache = (cols, x.shape, oh, ow)
-        return (z + self.b[:, None]).reshape(b, o, oh, ow)
+        f, kk, lo = self._patch_geometry()
+        b, c = x.shape[:2]
+        o, s = self.out_ch, self.stride
+        self._cache = xp = _pad2(x, lo, self._work)
+        oh, ow = (xp.shape[2] - kk) // s + 1, (xp.shape[3] - kk) // s + 1
+        wp = self._patch_weights()
+        chunks = _chunks((b, c * kk * kk, oh * ow))
+        z = self._work.get("z", (chunks[0].stop, o * f * f, oh * ow))
+        out = np.empty((b, o, oh, f, ow, f))  # depth-to-space: (o, p, q, i, j) -> (o, i, p, j, q)
+        for rows in chunks:
+            m = rows.stop - rows.start
+            cols, _ = im2col(xp[rows], kk, s, 0, self._work)
+            zs = np.matmul(wp, cols, out=z[:m]).reshape(m, o, f * f * oh * ow)
+            zs += self.b[:, None]  # contiguous here; a plain copy does the strided part
+            np.copyto(out[rows], zs.reshape(m, o, f, f, oh, ow).transpose(0, 1, 4, 2, 5, 3))
+        return out.reshape(b, o, oh * f, ow * f)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
         """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
         self.gb += dout.sum(axis=(0, 2, 3))
-        if self.upsample > 1:
-            return self._backward_upsample(dout, input_grad)
-        if self.stride == 1:
-            return self._backward_stride1(dout, input_grad)
-        cols, x_shape, oh, ow = self._cache
-        dmat = dout.reshape(x_shape[0], self.out_ch, oh * ow)
-        self.gw += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0)
-        if not input_grad:
-            return None
-        dcols = np.matmul(self.w.T, dmat, out=self._work.get("dcols", cols.shape))
-        return col2im(dcols, x_shape, self.k, self.stride, self.pad, oh, ow, self._work)
-
-    def _forward_upsample(self, x: np.ndarray) -> np.ndarray:
-        f, kk, lo = self._phase_geometry()
-        b, c, h, w = x.shape
-        o = self.out_ch
-        xp = _pad2(x, lo, self._work)
-        wp = self._phase_weights()
-        chunks = _chunks((b, c * kk * kk, h * w))
-        z = self._work.get("z", (chunks[0].stop, o * f * f, h * w))
-        out = np.empty((b, o, h, f, w, f))  # depth-to-space: (o, p, q, i, j) -> (o, i, p, j, q)
-        for rows in chunks:
-            m = rows.stop - rows.start
-            cols, _ = im2col(xp[rows], kk, 1, 0, self._work)
-            zs = np.matmul(wp, cols, out=z[:m]).reshape(m, o, f * f * h * w)
-            zs += self.b[:, None]  # contiguous here; a plain copy does the strided part
-            np.copyto(out[rows], zs.reshape(m, o, f, f, h, w).transpose(0, 1, 4, 2, 5, 3))
-        self._cache = (xp, x.shape, wp)
-        return out.reshape(b, o, h * f, w * f)
-
-    def _backward_upsample(self, dout: np.ndarray, input_grad: bool):
-        xp, x_shape, wp = self._cache
-        f, kk, lo = self._phase_geometry()
-        b, c, h, w = x_shape
-        o = self.out_ch
-        chunks = _chunks((b, c * kk * kk, h * w))
-        dz = self._work.get("z", (chunks[0].stop, o * f * f, h * w))  # the forward's z is spent
-        dcols = self._work.get("dcols", (chunks[0].stop, c * kk * kk, h * w))
+        if self.stride == 1 and self.upsample == 1:
+            return self._backward_taps(dout, input_grad)
+        xp = self._cache
+        f, kk, lo = self._patch_geometry()
+        b, c, hp, wpad = xp.shape
+        o, s = self.out_ch, self.stride
+        oh, ow = dout.shape[2] // f, dout.shape[3] // f
+        wp = self._patch_weights()
+        chunks = _chunks((b, c * kk * kk, oh * ow))
+        n = chunks[0].stop  # samples in a chunk
+        dz = self._work.get("z", (n, o * f * f, oh * ow))  # the forward's z is spent
         prods = self._work.get("wgrad", (b, o * f * f, c * kk * kk))
+        x_shape = (b, c, hp - 2 * lo, wpad - 2 * lo)
         dx = np.empty(x_shape) if input_grad else None
+        dcols = self._work.get("dcols", (n, c * kk * kk, oh * ow)) if input_grad else None
         for rows in chunks:
             m = rows.stop - rows.start
-            cols, _ = im2col(xp[rows], kk, 1, 0, self._work)  # the forward's, rebuilt
+            cols, _ = im2col(xp[rows], kk, s, 0, self._work)  # the forward's, rebuilt
             # space-to-depth: (o, i, p, j, q) -> (o, p, q, i, j)
-            np.copyto(dz[:m].reshape(m, o, f, f, h, w),
-                      dout[rows].reshape(m, o, h, f, w, f).transpose(0, 1, 3, 5, 2, 4))
+            np.copyto(dz[:m].reshape(m, o, f, f, oh, ow),
+                      dout[rows].reshape(m, o, oh, f, ow, f).transpose(0, 1, 3, 5, 2, 4))
             np.matmul(dz[:m], cols.transpose(0, 2, 1), out=prods[rows])
             if input_grad:
                 np.matmul(wp.T, dz[:m], out=dcols[:m])
-                col2im(dcols[:m], (m, c, h, w), kk, 1, lo, h, w, self._work, out=dx[rows])
-        gwp = prods.sum(axis=0).reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
-        self.gw += (gwp.reshape(o * c, f * f * kk * kk) @ self._fold.T).reshape(o, -1)
+                col2im(dcols[:m], (m, *x_shape[1:]), kk, s, lo, oh, ow, self._work, out=dx[rows])
+        gw = prods.sum(axis=0)
+        if f > 1:
+            gwp = gw.reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
+            gw = (gwp.reshape(o * c, f * f * kk * kk) @ self._fold.T).reshape(o, -1)
+        self.gw += gw
         return dx
 
-    def _backward_stride1(self, dout: np.ndarray, input_grad: bool):
+    def _backward_taps(self, dout: np.ndarray, input_grad: bool):
         xp = self._cache
         b, c, hp, wp = xp.shape
         o, k = self.out_ch, self.k
@@ -551,15 +537,17 @@ class Adam:
                 p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train_epochs(n: int, epochs: int, batch_size: int, seed: int, step, guard: tuple):
+def train_epochs(n: int, epochs: int, batch_size: int, seed: int, step, guard: tuple,
+                 limits: dict | None = None):
     """Run epochs of step over n rows shuffled by the seed's "batches" stream.
 
     step(idx) takes one optimizer step on rows idx and returns (losses, weight);
     a term's epoch trace value is sum(weight * loss) / sum(weight). Returns a
     one-term trace as its list, else a dict of lists. Raises TrainingError, with
-    the trace, when a term's epoch mean is non-finite, or when the guard terms'
-    sum ends above twice its first-step value, on the untrained weights. A run
-    that learns nothing ends near that value (a binary classifier on the
+    the trace, when a term's epoch mean is non-finite or above its entry in
+    limits (term -> bound), both checked after every epoch, or when the guard
+    terms' sum ends above twice its first-step value, on the untrained weights.
+    A run that learns nothing ends near that value (a binary classifier on the
     25-template test dataset ended at 1.007 ln 2); a blown-up one far above it.
     """
     shuffle = rng_for(seed, "batches")
@@ -579,6 +567,11 @@ def train_epochs(n: int, epochs: int, batch_size: int, seed: int, step, guard: t
         shaped = next(iter(trace.values())) if len(trace) == 1 else trace
         if not all(math.isfinite(values[-1]) for values in trace.values()):
             raise TrainingError("training loss became non-finite", trace=shaped)
+        for key, bound in (limits or {}).items():
+            if trace[key][-1] > bound:
+                means = ", ".join(f"{value:.6g}" for value in trace[key])
+                raise TrainingError(f"training diverged: epoch means of {key} [{means}] went "
+                                    f"above {bound:.6g}", trace=shaped)
     last = sum(trace[key][-1] for key in guard)
     if last > 2.0 * first:
         raise TrainingError(

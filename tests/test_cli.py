@@ -134,10 +134,34 @@ def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_d
     assert f"{bare}: missing field 'config'" in err
 
 
-def test_runtime_errors_exit_2(tmp_path, capsys):
+def test_runtime_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["metrics", "--dataset", str(tmp_path / "missing")], capsys)
     assert code == 2
     assert "runtime failure" in err
+
+    # exit 1 is kept for the toolkit's own input errors; a ValueError from
+    # anywhere else (numpy, a bug) is not bad input
+    def broken(*args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr("cdp_authkit.cli.generate_template", broken)
+    code, _, err = run_cli(["gen", "--out", str(tmp_path / "t")], capsys)
+    assert code == 2
+    assert "runtime failure: ValueError: not an input error" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jobs_below_1_exit_1_on_every_command(small_dataset_dir, tmp_path, capsys, source):
+    # metrics and gen start no worker pool, yet take --jobs and the config's jobs
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"jobs": 0}))
+    out = tmp_path / "out"
+    for argv in (["metrics", "--dataset", str(small_dataset_dir)], ["gen"]):
+        extra = ["--jobs", "0"] if source == "flag" else ["--config", str(cfg)]
+        code, text, err = run_cli(argv + extra + ["--out", str(out)], capsys)
+        assert code == 1, argv
+        assert "jobs must be at least 1, got 0" in err
+        assert text == "" and not out.exists()
 
 
 def test_gen_writes_templates(tmp_path, capsys):
@@ -451,6 +475,18 @@ def test_train_divergence_exits_2(small_dataset_dir, tmp_path, capsys, args):
     assert "TrainingError: training diverged" in err and "twice its untrained value" in err
     if args[0] == "supervised":  # the untrained loss of 5 classes is ln 5
         assert "1.60944" in err
+    assert not out.exists()
+
+
+def test_adversarial_blow_up_exits_2(small_dataset_dir, tmp_path, capsys):
+    # a discriminator whose logits pass the float64 range of a probability
+    # stops the run, though template_rms stays bounded
+    out = tmp_path / "model.json"
+    code, _, err = run_cli(["train", "ae", "--scenario", "2", "--lr", "1e12", "--epochs", "3",
+                            "--dataset", str(small_dataset_dir), "--out", str(out)], capsys)
+    assert code == 2
+    assert re.search(r"TrainingError: training diverged: epoch means of adv_t \[[-+.e\d, ]+\] "
+                     r"went above 36\.7368", err), err
     assert not out.exists()
 
 

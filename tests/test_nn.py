@@ -202,6 +202,17 @@ def test_epoch_loop_weights_batches_and_guards_the_named_terms():
     assert set(info.value.trace) == {"a", "b", "other"} and len(info.value.trace["a"]) == 1
 
 
+def test_epoch_loop_stops_at_the_first_epoch_over_a_limit():
+    def stepper():
+        means = iter([1.0, 1.0, 50.0, 50.0, 2.0, 2.0])  # epoch means 1, 50, 2 over batches of 2
+        return lambda idx: ({"a": 0.5, "adv": next(means)}, 1)
+
+    assert train_epochs(4, 1, 2, 0, stepper(), ("a",), limits={"adv": 1.0})["adv"] == [1.0]
+    with pytest.raises(TrainingError, match=r"epoch means of adv \[1, 50\] went above 36") as info:
+        train_epochs(4, 3, 2, 0, stepper(), ("a",), limits={"adv": 36.0})
+    assert info.value.trace == {"a": [0.5, 0.5], "adv": [1.0, 50.0]}
+
+
 # Every Conv2d path at sizes that split a batch into several sample chunks,
 # the last one short: (in_ch, out_ch, k, stride, upsample, (h, w)).
 CHUNKED_PATHS = {
