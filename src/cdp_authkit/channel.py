@@ -32,6 +32,7 @@ those calls as the oracle):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -78,16 +79,17 @@ class ChannelParams:
     plane_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.dot_gain < 0:
-            raise ParameterError("dot_gain must be nonnegative")
-        if self.blur_sigma < 0 or self.noise_sigma < 0 or self.plane_jitter < 0:
-            raise ParameterError("sigmas must be nonnegative")
+        if not 0 <= self.dot_gain < math.inf:
+            raise ParameterError("dot_gain must be nonnegative and finite")
+        sigmas = (self.blur_sigma, self.noise_sigma, self.plane_jitter)
+        if not all(0 <= v < math.inf for v in sigmas):
+            raise ParameterError("sigmas must be nonnegative and finite")
         if not 0.0 < self.substrate_albedo <= 1.0:
             raise ParameterError("substrate_albedo must lie in (0, 1]")
         if not 0.0 <= self.ink_albedo < self.substrate_albedo:
             raise ParameterError("ink_albedo must lie in [0, substrate_albedo)")
-        if int(self.spread_radius) < 1:
-            raise ParameterError("spread_radius must be >= 1")
+        if not 1 <= self.spread_radius < math.inf:
+            raise ParameterError("spread_radius must be >= 1 and finite")
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .nn import (
     chain_backward,
     chain_forward,
     chain_infer,
+    drop_scratch,
     sigmoid,
     softplus,
     train_epochs,
@@ -82,10 +83,10 @@ class AeConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be positive")
-        if self.lr <= 0 or self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ParameterError("lr, lambda1 and lambda2 must be positive")
-        if self.beta < 0:
-            raise ParameterError("beta must be nonnegative")
+        if not all(0 < v < math.inf for v in (self.lr, self.lambda1, self.lambda2)):
+            raise ParameterError("lr, lambda1 and lambda2 must be positive and finite")
+        if not 0 <= self.beta < math.inf:
+            raise ParameterError("beta must be nonnegative and finite")
         if self.channels < 1 or self.disc_hidden < 1:
             raise ParameterError("channels and disc_hidden must be positive")
 
@@ -335,6 +336,8 @@ def train_ae(
     limits = {"adv_t": bound, "disc_t": bound, "disc_x": bound}
     model.loss_trace = train_epochs(x.shape[0], cfg.epochs, cfg.batch_size, cfg.seed, step,
                                     guard=("template_rms", "recon_rms"), limits=limits)
+    for layers in model.groups().values():  # only another pass would reuse the scratch
+        drop_scratch(layers)
     return model
 
 
@@ -393,6 +396,8 @@ def extract_features_batch(
         if recon_l2 is not None:
             diff = decode(model, t_hat) - x[chunk]
             recon_l2[chunk] = np.sqrt((diff * diff).mean(axis=(1, 2)))
+    for layers in model.groups().values():
+        drop_scratch(layers)
     return {"hamming_sym": hamming, "recon_l2": recon_l2}
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -88,8 +89,8 @@ class DatasetConfig:
             raise ParameterError("n_templates must be positive")
         if not 0.0 < self.black_fraction < 1.0:
             raise ParameterError("black_fraction must be in (0, 1)")
-        if self.plane_jitter < 0:
-            raise ParameterError("plane_jitter must be nonnegative")
+        if not 0 <= self.plane_jitter < math.inf:
+            raise ParameterError("plane_jitter must be nonnegative and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)

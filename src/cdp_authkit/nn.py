@@ -91,7 +91,13 @@ layer's own backward cache are overwritten by its next call. At the shapes
 of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8 channels) the
 held arrays of encoder and decoder total about 19.3 MB, 9.4 MB of which is
 the padded inputs and ReLU masks a step holds anyway; the largest is the
-last decoder conv's padded 72x72 input (5.6 MB).
+last decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a
+layer list's workspace arrays and backward caches; deepfeat calls it when
+training or feature extraction returns, so a model handed back holds none.
+
+Dense. `Dense.forward`/`Dense.backward` serve only the autoencoder's
+discriminators; the supervised classifier keeps its weights in Dense layers
+but runs its own fused step over them (supervised._ce_loss_and_grads).
 """
 
 from __future__ import annotations
@@ -148,6 +154,10 @@ class Workspace:
             held = np.zeros(shape, dtype) if zeroed else np.empty(shape, dtype)
             self._arrays[name] = held
         return held[: shape[0]]
+
+    def clear(self) -> None:
+        """Drop every held array; the next get allocates anew."""
+        self._arrays.clear()
 
 
 def _pad2(x: np.ndarray, pad: int, work: Workspace, name: str = "xp") -> np.ndarray:
@@ -500,6 +510,14 @@ def chain_backward(layers, dout: np.ndarray, input_grad: bool = True):
     if input_grad:
         return layers[0].backward(dout)
     return layers[0].backward(dout, input_grad=False)
+
+
+def drop_scratch(layers) -> None:
+    """Free what layers keep between passes, their backward caches and Workspace arrays."""
+    for layer in layers:
+        layer._cache = None
+        if hasattr(layer, "_work"):
+            layer._work.clear()
 
 
 def weighted_layers(layers):

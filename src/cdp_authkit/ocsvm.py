@@ -16,6 +16,7 @@ is preserved by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -95,8 +96,8 @@ def train_ocsvm(
         raise DataError("points must be finite")
     if not 0.0 < nu <= 1.0:
         raise ParameterError("nu must lie in (0, 1]")
-    if rbf_gamma <= 0:
-        raise ParameterError("rbf_gamma must be positive")
+    if not 0 < rbf_gamma < math.inf:
+        raise ParameterError("rbf_gamma must be positive and finite")
     n = pts.shape[0]
     if nu * n < 1.0:
         raise ParameterError(f"infeasible: nu*n = {nu * n:.4g} < 1")

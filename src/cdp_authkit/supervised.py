@@ -1,9 +1,13 @@
 """Supervised multi-class / binary classification over acquired codes.
 
 A deliberately small network (block-pooled input, one hidden ReLU layer,
-K logits) built from `nn`'s layers and trained by mini-batch SGD on
-cross-entropy through `nn`'s layer chain. The output layer is
-zero-initialized so training starts from exactly uniform class posteriors.
+K logits) held as `nn` layers [Dense, Relu, Dense] and trained by mini-batch
+SGD on cross-entropy. The output layer is zero-initialized so training starts
+from exactly uniform class posteriors. A step (_ce_loss_and_grads) is one
+fused pass over the two Dense layers, bit for bit nn's layer chain: it runs in
+place on a Workspace, writes the gradients into each Dense's gw/gb and never
+forms the hidden layer's input gradient. The update scales gw/gb by lr in
+place, so after training they hold lr times the last batch's gradient.
 Also houses the mutual-information lower-bound estimator
 I(A; C) >= H(C) - H(C|A) computed from predicted log-probabilities.
 """
@@ -19,8 +23,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .imageio import array_field, config_field, int_field, read_json, require_fields, write_json
-from .nn import (Dense, Relu, chain_backward, chain_forward, chain_infer, train_epochs,
-                 weighted_layers, zero_grads)
+from .nn import Dense, Relu, Workspace, train_epochs, weighted_layers
 from .rng import rng_for
 
 POOL_SIDE = 32  # pooled images are at most this many pixels on a side
@@ -37,8 +40,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise ParameterError("epochs, batch_size and hidden must be positive")
-        if self.lr <= 0:
-            raise ParameterError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError("lr must be positive and finite")
 
 
 @dataclass
@@ -80,11 +83,6 @@ def images_to_features(images: Iterable[np.ndarray]) -> np.ndarray:
     return np.stack([pool_image(img).ravel() for img in images])
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def build_classifier_layers(d_in: int, n_classes: int, config: TrainConfig) -> list:
     """[Dense, Relu, Dense] with each weighted layer drawn from its own stream.
 
@@ -97,21 +95,45 @@ def build_classifier_layers(d_in: int, n_classes: int, config: TrainConfig) -> l
     ]
 
 
-def _ce_loss_and_grads(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
-    """Mean cross-entropy of one batch; leaves gradients on the weighted layers.
+def _forward(layers: list, x: np.ndarray, work: Workspace):
+    """(hidden activations, logits) of rows x in work's "a" and "z"; ReLU as nn.Relu's."""
+    hidden, _, output = layers
+    a = np.matmul(x, hidden.w, out=work.get("a", (len(x), hidden.w.shape[1])))
+    a += hidden.b
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    z = np.matmul(a, output.w, out=work.get("z", (len(x), output.w.shape[1])))
+    z += output.b
+    return a, z
 
-    Factored out of the training loop so gradient-correctness tests probe the
-    exact arithmetic the optimizer consumes.
-    """
-    logp = _log_softmax(chain_forward(layers, xb))
-    rows = np.arange(len(yb))
-    loss = -float(logp[rows, yb].mean())
 
-    dlogits = np.exp(logp)
-    dlogits[rows, yb] -= 1.0
-    dlogits /= len(yb)
-    zero_grads(layers)
-    chain_backward(layers, dlogits, input_grad=False)  # input is data
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Overwrite logit rows z with their log-softmax."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
+    return z
+
+
+def _ce_loss_and_grads(layers: list, xb: np.ndarray, yb: np.ndarray, work=None) -> float:
+    """Mean cross-entropy of one batch; writes its gradients into each Dense's gw/gb.
+
+    The training step itself, so the gradient checks probe what SGD consumes."""
+    work = Workspace() if work is None else work
+    hidden, _, output = layers
+    n, k = len(yb), output.w.shape[1]
+    a, logp = _forward(layers, xb, work)
+    _log_softmax(logp)
+    picked = np.arange(0, n * k, k) + yb  # flat index of each row's label
+    loss = -float(np.add.reduce(logp.take(picked)) / n)  # as ndarray.mean: sum, then divide
+
+    dz = np.exp(logp)
+    dz.reshape(-1)[picked] -= 1.0
+    dz /= n
+    np.matmul(a.T, dz, out=output.gw)
+    np.add.reduce(dz, axis=0, out=output.gb)
+    dh = np.where(a > 0.0, dz @ output.w.T, 0.0)  # nn.Relu.backward; a > 0 exactly where h > 0
+    np.matmul(xb.T, dh, out=hidden.gw)  # the hidden layer's input gradient is never formed
+    np.add.reduce(dh, axis=0, out=hidden.gb)
     return loss
 
 
@@ -156,24 +178,22 @@ def train_classifier(
 
     n, d = x.shape
     layers = build_classifier_layers(d, n_classes, cfg)
+    work = Workspace()
 
     def step(idx):
-        loss = _ce_loss_and_grads(layers, x[idx], y[idx])
+        # idx is in range, and mode="raise" would buffer the output
+        xb = np.take(x, idx, axis=0, out=work.get("x", (len(idx), d)), mode="clip")
+        loss = _ce_loss_and_grads(layers, xb, y[idx], work)
         for layer in weighted_layers(layers):
-            layer.w -= cfg.lr * layer.gw
-            layer.b -= cfg.lr * layer.gb
+            for param, grad in ((layer.w, layer.gw), (layer.b, layer.gb)):
+                grad *= cfg.lr  # param -= grad then rounds as param -= lr * grad does
+                param -= grad
         return {"loss": loss}, len(idx)
 
     trace = train_epochs(n, cfg.epochs, cfg.batch_size, cfg.seed, step, guard=("loss",))
 
-    return ClassifierModel(
-        layers=layers,
-        n_classes=n_classes,
-        class_names=names,
-        config=cfg,
-        final_loss=trace[-1],
-        loss_trace=trace,
-    )
+    return ClassifierModel(layers=layers, n_classes=n_classes, class_names=names, config=cfg,
+                           final_loss=trace[-1], loss_trace=trace)
 
 
 def predict(model: ClassifierModel, features: np.ndarray):
@@ -181,9 +201,8 @@ def predict(model: ClassifierModel, features: np.ndarray):
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise DataError(f"expected {model.input_dim}-dimensional features")
-    logits = chain_infer(model.layers, x)
-    logp = _log_softmax(logits)
-    return np.argmax(logits, axis=1), logp
+    logits = _forward(model.layers, x, Workspace())[1]
+    return np.argmax(logits, axis=1), _log_softmax(logits)  # argmax before the overwrite
 
 
 @dataclass(frozen=True)

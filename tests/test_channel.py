@@ -5,6 +5,7 @@ it bit for bit; scipy is a test dependency and the package never imports it.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +55,11 @@ def test_channel_params_validation():
         ChannelParams(ink_albedo=0.96)  # above substrate
     with pytest.raises(ParameterError):
         ChannelParams(spread_radius=0)
+    for name in ("dot_gain", "blur_sigma", "substrate_albedo", "ink_albedo", "noise_sigma",
+                 "spread_radius", "plane_jitter"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ChannelParams(**{name: value})
 
 
 def test_spread_ink_identity_monotone_and_padding():

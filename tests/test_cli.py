@@ -478,6 +478,31 @@ def test_train_divergence_exits_2(small_dataset_dir, tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["train", "supervised", "--lr", "nan"],
+        ["train", "supervised", "--lr", "inf"],
+        ["train", "ae", "--scenario", "3", "--beta", "nan"],
+        ["train", "ae", "--scenario", "3", "--lambda1", "inf"],
+        ["train", "ocsvm", "--rbf-gamma", "nan"],
+        ["train", "ocsvm", "--rbf-gamma", "inf"],
+        ["dataset", "--plane-jitter", "nan"],
+        ["dataset", "--plane-jitter", "inf"],
+    ],
+    ids=lambda args: "-".join(arg.strip("-") for arg in args),
+)
+def test_non_finite_parameters_exit_1_before_writing(small_dataset_dir, tmp_path, capsys, args):
+    # a NaN passes every `<= 0` check, and inf trained to a non-finite loss,
+    # ran an OCSVM to its iteration cap or wrote a manifest holding NaN
+    out = tmp_path / "out"
+    data = [] if args[0] == "dataset" else ["--dataset", str(small_dataset_dir)]
+    code, _, err = run_cli([*args, *data, "--out", str(out)], capsys)
+    assert code == 1, err
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_adversarial_blow_up_exits_2(small_dataset_dir, tmp_path, capsys):
     # a discriminator whose logits pass the float64 range of a probability
     # stops the run, though template_rms stays bounded

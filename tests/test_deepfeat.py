@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdp_authkit.checks import toy_batch
+from cdp_authkit import deepfeat
 from cdp_authkit.deepfeat import (
     SCENARIOS,
     AeConfig,
@@ -231,6 +232,41 @@ def test_extraction_memory_is_bounded_by_the_batch():
     one_batch = _extract_peak_bytes(model, images[: cfg.batch_size], symbols[: cfg.batch_size])
     four_batches = _extract_peak_bytes(model, images, symbols)
     assert four_batches <= 1.5 * one_batch, (four_batches, one_batch)
+
+
+def _held_scratch_bytes(model) -> int:
+    """Bytes of the Workspace arrays and backward caches that a model's layers keep."""
+    held = 0
+    for layers in model.groups().values():
+        for layer in layers:
+            work = getattr(layer, "_work", None)
+            held += sum(a.nbytes for a in work._arrays.values()) if work else 0
+            held += getattr(layer._cache, "nbytes", 0)
+    return held
+
+
+@pytest.mark.parametrize("scenario", [3, 4])
+def test_a_model_handed_back_holds_no_scratch(tmp_path, monkeypatch, scenario):
+    """train_ae and extract_features_batch drop their layers' scratch when they
+    return; the same calls with the drop switched off give the same bits."""
+    images, symbols = toy_batch((13,), 8)
+    cfg = AeConfig(epochs=1, seed=2, **TINY)
+
+    def run(tag):
+        model = train_ae(images, symbols, scenario, cfg)
+        after_train = _held_scratch_bytes(model)
+        feats = extract_features_batch(model, images, symbols)
+        path = tmp_path / f"{tag}.json"
+        save_ae(model, path)
+        return after_train, _held_scratch_bytes(model), feats, path.read_bytes()
+
+    dropped = run("dropped")
+    monkeypatch.setattr(deepfeat, "drop_scratch", lambda layers: None)
+    kept = run("kept")
+    assert dropped[:2] == (0, 0) and min(kept[:2]) > 0, (dropped[:2], kept[:2])
+    for key, value in dropped[2].items():
+        assert np.array_equal(value, kept[2][key]), key
+    assert dropped[3] == kept[3]
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -2,18 +2,21 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cdp_authkit import checks, experiment
+from cdp_authkit import checks, experiment, supervised
 from cdp_authkit.errors import DataError, TrainingError
 from cdp_authkit.experiment import run_experiment
-from cdp_authkit.nn import Dense, Relu
+from cdp_authkit.nn import Dense, Relu, Workspace, chain_infer, train_epochs
+from cdp_authkit.oracles import classifier_step_chain, train_classifier_chain
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
     TrainConfig,
     _ce_loss_and_grads,
+    _forward,
     estimate_mi_lower_bound,
     images_to_features,
     load_classifier,
@@ -110,29 +113,118 @@ def test_hidden_layer_gradient_matches_finite_differences():
     checks.supervised_gradient((3,), 12)
 
 
+def _layers(seed, d_in=6, hidden=16, n_classes=4):
+    """Classifier layers with random output weights and hidden biases, so
+    some hidden units are dead and every gradient term is live."""
+    layers = [Dense(rng_for(seed, "h"), d_in, hidden), Relu(),
+              Dense(rng_for(seed, "o"), hidden, n_classes)]
+    layers[0].b[:] = rng_for(seed, "b").normal(size=hidden)
+    return layers
+
+
+def _nan_grads(layers):
+    for layer in (layers[0], layers[2]):
+        layer.gw[:] = np.nan
+        layer.gb[:] = np.nan
+    return layers
+
+
+def _same_bits(a, b) -> bool:
+    return a.tobytes() == b.tobytes()
+
+
+def test_fused_step_matches_the_layer_chain_bit_for_bit():
+    """_ce_loss_and_grads is chain_forward + zero_grads + chain_backward with the
+    input gradient off, bit for bit; gradients pre-filled with NaN show that it
+    writes every entry. One workspace serves a full, a short and a one-row batch."""
+    rng = rng_for(9, "fused")
+    x, y = _blobs(rng, 20, [(0,) * 6, (2,) * 6, (0, 2) * 3, (2, 0) * 3])
+    work = Workspace()
+    for seed, rows in ((1, slice(0, 32)), (2, slice(32, 39)), (3, slice(39, 40))):
+        xb, yb = x[rows], y[rows]
+        chain, fused = _layers(seed), _nan_grads(_layers(seed))
+        assert classifier_step_chain(chain, xb, yb) == _ce_loss_and_grads(fused, xb, yb, work)
+        for a, b in ((chain[0], fused[0]), (chain[2], fused[2])):
+            assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
+
+
+def test_predict_logits_equal_chain_infer():
+    rng = rng_for(10, "predict")
+    layers = _layers(4)
+    x = rng.normal(size=(50, 6))
+    assert _same_bits(_forward(layers, x, Workspace())[1], chain_infer(layers, x))
+    model = supervised.ClassifierModel(layers, 4, tuple("abcd"), TrainConfig(hidden=16))
+    pred, logp = predict(model, x)
+    logits = chain_infer(layers, x)
+    assert np.array_equal(pred, np.argmax(logits, axis=1))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    assert _same_bits(logp, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+
+
+def _trained_bytes(train, tmp_path, x, y, cfg) -> bytes:
+    save_classifier(train(x, y, 3, cfg), tmp_path / "clf.json")
+    return (tmp_path / "clf.json").read_bytes()
+
+
+def test_trained_model_bytes_equal_the_layer_chain_sgd(tmp_path):
+    # 70 rows in batches of 32 end each epoch with a short batch of 6
+    rng = rng_for(11, "sgd")
+    x, y = _blobs(rng, 23, [(0, 0, 0), (3, 3, 0), (0, 3, 3)])
+    x, y = np.vstack([x, x[:1]]), np.append(y, y[0])
+    cfg = TrainConfig(epochs=6, hidden=8, seed=5)
+    assert _trained_bytes(train_classifier, tmp_path, x, y, cfg) == _trained_bytes(
+        train_classifier_chain, tmp_path, x, y, cfg)
+
+
 def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
     tmp_path, monkeypatch
 ):
-    """_ce_loss_and_grads skips the hidden layer's input gradient; forcing it back
-    on must leave every gw/gb and the saved classifier bytes unchanged."""
+    """The fused step never forms the hidden layer's input gradient; the layer
+    chain with that gradient forced back on must give the same gw/gb and the
+    same saved classifier bytes."""
     rng = rng_for(8, "skip")
     x, y = _blobs(rng, 20, [(0, 0, 0), (3, 3, 0), (0, 3, 3)])
     cfg = TrainConfig(epochs=4, hidden=8, seed=5)
-
-    def run():
-        layers = [Dense(rng_for(8, "h"), 3, 8), Relu(), Dense(rng_for(8, "o"), 8, 3)]
-        loss = _ce_loss_and_grads(layers, x[:16], y[:16])
-        save_classifier(train_classifier(x, y, n_classes=3, config=cfg), tmp_path / "clf.json")
-        return loss, layers[0], layers[2], (tmp_path / "clf.json").read_bytes()
-
-    skipped = run()
     full_backward = Dense.backward
-    monkeypatch.setattr(Dense, "backward", lambda self, dout, input_grad=True: full_backward(self, dout))
-    full = run()
-    assert skipped[0] == full[0]
-    for a, b in zip(skipped[1:3], full[1:3]):
-        assert np.array_equal(a.gw, b.gw) and np.array_equal(a.gb, b.gb)
-    assert skipped[3] == full[3]
+    monkeypatch.setattr(Dense, "backward",
+                        lambda self, dout, input_grad=True: full_backward(self, dout))
+    fused, chain = _layers(8, 3, 8, 3), _layers(8, 3, 8, 3)
+    xb, yb = x[:16], y[:16]
+    assert _ce_loss_and_grads(fused, xb, yb) == classifier_step_chain(chain, xb, yb)
+    for a, b in ((fused[0], chain[0]), (fused[2], chain[2])):
+        assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
+    assert _trained_bytes(train_classifier, tmp_path, x, y, cfg) == _trained_bytes(
+        train_classifier_chain, tmp_path, x, y, cfg)
+
+
+def test_classifier_steps_allocate_no_weight_sized_array(monkeypatch):
+    """Guard against the temporaries of the layer-chain step coming back:
+    w -= lr * gw and gw += x.T @ dout each allocate an array the size of the
+    hidden weights. tracemalloc sees numpy's allocations; a step's peak above
+    what was live before it must stay below one hidden weight matrix."""
+    rng = rng_for(12, "alloc")
+    x, y = _blobs(rng, 24, [np.zeros(256), np.full(256, 1.0), np.full(256, -1.0)], spread=1.0)
+    cfg = TrainConfig(epochs=1, batch_size=16, hidden=32, seed=3)
+    peaks = []
+
+    def traced_epochs(n, epochs, batch_size, seed, step, **kwargs):
+        def traced_step(idx):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = step(idx)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        return train_epochs(n, epochs, batch_size, seed, traced_step, **kwargs)
+
+    monkeypatch.setattr(supervised, "train_epochs", traced_epochs)
+    tracemalloc.start()
+    try:
+        model = train_classifier(x, y, n_classes=3, config=cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 5  # 72 rows in batches of 16
+    assert max(peaks) < model.layers[0].w.nbytes, (peaks, model.layers[0].w.nbytes)
 
 
 def test_pooling_and_feature_shapes():
