@@ -739,6 +739,21 @@ def deep_features(data: Dataset, model, codes: Sequence[ObservedCode]) -> dict:
     return extract_features_batch(model, images, symbols)
 
 
+def deep_features_per_set(data: Dataset, model, *code_sets: Sequence[ObservedCode]) -> list:
+    """deep_features of each code list, from one extraction call over all of them.
+
+    One call builds the layers' scratch once; features are per-probe
+    arithmetic, so each list's arrays are the bits deep_features gives it.
+    """
+    feats = deep_features(data, model, [code for codes in code_sets for code in codes])
+    out, start = [], 0
+    for codes in code_sets:
+        stop = start + len(codes)
+        out.append({key: None if v is None else v[start:stop] for key, v in feats.items()})
+        start = stop
+    return out
+
+
 def _run_deep(
     data: Dataset,
     assignment: dict,
@@ -752,8 +767,11 @@ def _run_deep(
 
     val_codes = codes_in_split(data, assignment, "val", ("original",))
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
-    val_feats = deep_features(data, model, val_codes)
-    test_feats = deep_features(data, model, test_codes)
+    # the train originals' features feed only the two-metric one-class SVM
+    train_codes = (codes_in_split(data, assignment, "train", ("original",))
+                   if model.decoder is not None else [])
+    val_feats, test_feats, train_feats = deep_features_per_set(
+        data, model, val_codes, test_codes, train_codes)
 
     rates = {}
     extras = {}
@@ -782,8 +800,6 @@ def _run_deep(
             rule_two_metric(test_feats["hamming_sym"], test_feats["recon_l2"], thr2, mode="any"),
             rule_two_metric(val_feats["hamming_sym"], val_feats["recon_l2"], thr2, mode="any"),
         )
-        train_codes = codes_in_split(data, assignment, "train", ("original",))
-        train_feats = deep_features(data, model, train_codes)
         train_x = np.column_stack([train_feats["hamming_sym"], train_feats["recon_l2"]])
         val_x = np.column_stack([val_feats["hamming_sym"], val_feats["recon_l2"]])
         test_x = np.column_stack([test_feats["hamming_sym"], test_feats["recon_l2"]])

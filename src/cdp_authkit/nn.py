@@ -32,7 +32,15 @@ k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner
 dimension is one plane (a one-channel input, or the input gradient of a
 one-channel output), each tap would be an outer product, so `correlate`
 uses im2col's (B, k*k, oh*ow) patch matrix of that one plane and one GEMM
-per sample instead.
+per sample instead. Where its outer dimension is one plane (a one-channel
+output, such as the decoder's last 8->1 conv at 72x72, or the input
+gradient of a one-channel input), each tap would be a matrix-vector product
+that reads the whole input again, so `correlate` runs one (k*k, C) @
+(C, Hp*Wp) GEMM per sample and adds its k*k rows, each shifted by its tap's
+offset, in tap order (kn2row's GEMM-then-shift-add form). numpy runs a
+one-row product as a GEMV, which sums the C terms in another order than a
+GEMM, so these outputs move in the low bits against trees that ran a GEMV
+per tap; at 16x8x72x72 the forward took 0.85 ms against 1.70 ms.
 
 Patches. A layer built with upsample=f > 1 (the decoder's symbol-to-pixel
 conv) is a nearest f-fold upsample followed by a stride-1 same-padded conv
@@ -44,28 +52,47 @@ k' x k' window around (i, j), with pad' = ceil(pad/f) and
 k' = k + 2*(pad' - pad) = 2*pad' + 1, so k' = 3 for k = 3 at every f.
 `upsample_fold` is the fixed 0/1 (k*k, f*f*k'*k') matrix that maps each tap
 to the phase and window offset it lands on, and the (out_ch, C*k*k) weights
-fold through it into patch weights W' of shape (f*f*out_ch, C*k'*k'). A
-strided layer (the first encoder conv, k = symbol_px + 2,
-stride = symbol_px) is the f = 1 case: k' = k, pad' = pad and W' is w
-itself. Per chunk of samples the kernel runs im2col of the padded input
-with the layer's stride, the GEMM W' @ cols, the bias and a depth-to-space
-by f (a plain copy at f = 1); the f*f-times larger upsampled input is never
-built. im2col's channels-first (Caffe) patch matrix of a (B, C, H, W) input
-is (B, C*k'*k', oh*ow), row c*k'*k' + ki*k' + kj holding input channel c
-shifted by (ki, kj) at every output position; it is filled with k'*k' slice
-copies, and col2im scatters back with k'*k' adds, each over whole rows.
-Backward rebuilds each chunk's patch matrix from the cached padded input,
-does a space-to-depth of dout into dz, sums dz_b @ cols_b^T over samples
-for the weight gradient (folded back through the transposed matrix only at
-f > 1) and returns col2im(W'^T @ dz). At f > 1 the weights keep the layout
-and shape of the unfused conv; only the rounding moves (by about 1e-15
-relative), because the fold adds the weights of taps that read the same
-input pixel before multiplying.
+fold through it into patch weights W' of shape (f*f*out_ch, k'*k'*C), rows
+phase-major (p, q, o), columns offset-major (di, dj, c). A strided layer
+(the first encoder conv, k = symbol_px + 2, stride = symbol_px) is the
+f = 1 case: k' = k, pad' = pad and W' is w with its columns reordered.
+im2col's offset-major patch matrix of a (B, C, H, W) input is
+(B, k'*k'*C, oh*ow), row (ki*k' + kj)*C + c holding input channel c shifted
+by (ki, kj) at every output position; it is filled with k'*k' slice copies,
+and col2im scatters back with k'*k' adds, each over whole rows.
+
+Row phase p reads only a run [lo, hi) of the window's row offsets
+(`phase_blocks`: 2, 1 and 2 of the 3 at k = 3, f = 3; the fold's other
+entries of that phase are structural zeros), and in these orders the run is
+one contiguous block of W' columns and of patch-matrix rows. Per chunk of
+samples the kernel runs im2col of the padded input with the layer's stride;
+for each p, the GEMM of the phase-p rows and live columns of W' with the
+live rows of cols; and the depth-to-space by f with the bias added, one strided
+add per phase (p, q); the f*f-times larger upsampled input is never built.
+Backward rebuilds each chunk's patch matrix from the cached padded input and
+does a space-to-depth of dout into dz. The weight gradient is, for each p,
+dz_p @ cols_block^T written into phase p's block of the per-sample
+products, whose other blocks stay zero; the products are summed over
+samples and, at f > 1, folded back through the transposed fold matrix. The
+input gradient runs one GEMM per run of row offsets read by the same phases
+(at f = 3: offset 0 by phase 0, offset 1 by all three, offset 2 by phase 2),
+the transposed block of W' times those phases' dz rows, into dcols, and returns
+col2im(dcols). So each of the three GEMMs computes 45 of the 81
+(phase, offset) slots at f = 3, and at f = 1 one block spans every column,
+so every GEMM is the dense one. The weights keep the layout and shape of
+the unfused conv (tap-major (c, ki, kj) columns), so model files of any tree
+load unchanged. Only the rounding moves, by about 1e-15 relative: at f > 1
+the fold adds the weights of taps that read the same input pixel before
+multiplying, and against trees before the phase blocks, which ran one dense
+GEMM over channel-major (c, di, dj) patches, the GEMMs sum their terms in
+another order and skip the zero slots (a one-plane strided layer keeps its
+order, since with C = 1 the two patch orders are the same).
 
 Chunks. A loop over samples takes them max(1, CHUNK_BYTES // s) at a time,
 where s is the bytes of one sample of the array the loop streams: the
 padded input of a tap GEMM, the patch matrix of a one-plane correlation or
-of the patch kernel. CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
+of the patch kernel (a one-output-plane correlation takes one sample per
+GEMM). CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
 were fastest on a 2-core x86-64 host at one BLAS thread: a 16-sample 24x24
 8->8 correlation took 2.27 ms one sample per GEMM, 1.45 ms in chunks of 8
 and 2.36 ms in chunks of 16; at 72x72 one sample per GEMM was fastest. So
@@ -82,17 +109,21 @@ reuses while their shapes repeat, a [:b] view for a smaller last batch or
 chunk, a new array for a new shape. A Conv2d holds its padded input (zero
 border written once, at allocation), which is the whole of its backward
 cache under either kernel; one chunk's patch matrix; the patch GEMM result,
-shared with backward's space-to-depth; the tap accumulator and its tmp; the
-zeroed dout grid and the padded dout; the per-sample weight-gradient
-products; dcols and the col2im target. A Relu holds its mask and logs
-copies of it in record mode. An array returned by forward or backward is
-always new and never written again by the layer; only scratch and the
-layer's own backward cache are overwritten by its next call. At the shapes
-of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8 channels) the
-held arrays of encoder and decoder total about 19.3 MB, 9.4 MB of which is
-the padded inputs and ReLU masks a step holds anyway; the largest is the
-last decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a
-layer list's workspace arrays and backward caches; deepfeat calls it when
+shared with backward's space-to-depth; the tap accumulator and its tmp, or
+for one output plane the k*k tap product rows; the zeroed dout grid and the padded dout; the per-sample weight-gradient
+products (zeroed at allocation, so the patch kernel's unwritten blocks read
+0); dcols and the col2im target. A Relu holds its mask and logs copies of
+it in record mode. An array returned by forward or backward is always new
+and never written again by the layer; only scratch and the layer's own
+backward cache are overwritten by its next call. A Conv2d's output is such
+a new array that only the next layer sees, so `chain_forward` and
+`chain_infer` run a Relu that follows a Conv2d in place on it (fmax and
++0.0 give the same bits in place as into a new array). At the shapes of a
+`deep-s3` autoencoder step (batch 16, 72x72 codes, 8 channels) the held
+arrays of encoder and decoder total about 19.7 MB, 9.4 MB of which is the
+padded inputs and ReLU masks a step holds anyway; the largest is the last
+decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer
+list's workspace arrays and backward caches; deepfeat calls it when
 training or feature extraction returns, so a model handed back holds none.
 
 Dense. `Dense.forward`/`Dense.backward` serve only the autoencoder's
@@ -117,14 +148,11 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1/(1 + e) for z >= 0, else e/(1 + e), e = exp(-|z|)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -180,27 +208,28 @@ def _chunks(shape: tuple) -> list:
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int, work: Workspace | None = None):
-    """(B, C, H, W) -> (B, C*k*k, oh*ow) channels-first patch matrix plus (oh, ow).
+    """(B, C, H, W) -> (B, k*k*C, oh*ow) offset-major patch matrix plus (oh, ow).
 
-    The padded input and the patch matrix are work's "xp" and "cols"
-    (default: new arrays); with pad 0 x is read in place.
+    Row (ki*k + kj)*C + c holds input channel c shifted by (ki, kj). The
+    padded input and the patch matrix are work's "xp" and "cols" (default:
+    new arrays); with pad 0 x is read in place.
     """
     work = Workspace() if work is None else work
     b, c, h, w = x.shape
     xp = x if pad == 0 else _pad2(x, pad, work)
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    cols = work.get("cols", (b, c, k, k, oh, ow))
+    cols = work.get("cols", (b, k, k, c, oh, ow))
     for ki in range(k):
         for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki : ki + stride * oh : stride,
-                                    kj : kj + stride * ow : stride]
-    return cols.reshape(b, c * k * k, oh * ow), (oh, ow)
+            cols[:, ki, kj] = xp[:, :, ki : ki + stride * oh : stride,
+                                 kj : kj + stride * ow : stride]
+    return cols.reshape(b, k * k * c, oh * ow), (oh, ow)
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int,
            work: Workspace | None = None, out: np.ndarray | None = None):
-    """Adjoint of im2col: scatter (B, C*k*k, oh*ow) patch gradients back onto the input grid.
+    """Adjoint of im2col: scatter (B, k*k*C, oh*ow) patch gradients back onto the input grid.
 
     Accumulates in work's "dxp" (default: a new array) and returns the
     interior written into out, or as a new array.
@@ -209,11 +238,11 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
     b, c, h, w = x_shape
     dxp = work.get("dxp", (b, c, h + 2 * pad, w + 2 * pad))
     dxp.fill(0.0)
-    d6 = dcols.reshape(b, c, k, k, oh, ow)
+    d6 = dcols.reshape(b, k, k, c, oh, ow)
     for ki in range(k):
         for kj in range(k):
             dxp[:, :, ki : ki + stride * oh : stride,
-                kj : kj + stride * ow : stride] += d6[:, :, ki, kj]
+                kj : kj + stride * ow : stride] += d6[:, ki, kj]
     interior = dxp[:, :, pad : pad + h, pad : pad + w]
     if out is None:
         return interior.copy()
@@ -227,7 +256,8 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
 
     Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
     flattened input, a chunk of samples per GEMM (see the module docstring);
-    a one-plane input goes through im2col instead. Scratch comes from work.
+    a one-plane input goes through im2col instead, and one output plane
+    through one GEMM of all taps per sample. Scratch comes from work.
     The result is a view of work's "acc", which the next call overwrites,
     unless fresh, which makes it a new array.
     """
@@ -243,6 +273,17 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
         return out.reshape(b, o, oh, ow)
     n = (oh - 1) * wp + ow
     flat = xp.reshape(b, c, hp * wp)
+    if o == 1:  # one GEMM of all k*k taps per sample reads the input once
+        prods = work.get("taps", (k * k, hp * wp))
+        taps = w.reshape(c, k * k).T.copy()
+        for s in range(b):
+            np.matmul(taps, flat[s], out=prods)
+            acc = out[s, 0, :n]
+            np.copyto(acc, prods[0, :n])
+            for t in range(1, k * k):
+                off = (t // k) * wp + t % k
+                acc += prods[t, off : off + n]
+        return out.reshape(b, o, oh, wp)[:, :, :, :ow]
     taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
     chunks = _chunks(xp.shape)
     tmp = work.get("tmp", (chunks[0].stop, o, n))
@@ -273,6 +314,17 @@ def upsample_fold(k: int, pad: int, f: int) -> np.ndarray:
     return np.einsum("ipa,jqb->ijpqab", axis, axis).reshape(k * k, f * f * kk * kk)
 
 
+def phase_blocks(k: int, pad: int, f: int) -> list:
+    """Per row phase p, the [lo, hi) run of window row offsets its taps read.
+
+    Tap row ki of phase p reads offset (p + ki - pad) // f + pad', so a
+    phase reads one contiguous run, and both ends rise with p. At f = 1
+    the one phase reads every offset of the k x k window.
+    """
+    lo = -(-pad // f)
+    return [((p - pad) // f + lo, (p + k - 1 - pad) // f + lo + 1) for p in range(f)]
+
+
 class Conv2d:
     """2-D convolution (cross-correlation) over (B, C, H, W) tensors.
 
@@ -296,6 +348,17 @@ class Conv2d:
         self._cache = None
         self._work = Workspace()
         self._fold = upsample_fold(k, pad, upsample) if upsample > 1 else None
+        self._blocks = phase_blocks(k, pad, upsample)
+        # the input gradient's blocks: runs [a0, a1) of row offsets read by the
+        # same phases [p0, p1), contiguous since both block ends rise with p
+        runs: list = []
+        for a in range(self._blocks[-1][1]):
+            phases = [p for p, (lo, hi) in enumerate(self._blocks) if lo <= a < hi]
+            if runs and runs[-1][2:] == [phases[0], phases[-1] + 1]:
+                runs[-1][1] = a + 1
+            else:
+                runs.append([a, a + 1, phases[0], phases[-1] + 1])
+        self._runs = runs
 
     def _patch_geometry(self):
         """(f, k', pad') of the patch kernel: the layer's own k and pad at f = 1."""
@@ -303,14 +366,17 @@ class Conv2d:
         return self.upsample, self.k + 2 * (lo - self.pad), lo
 
     def _patch_weights(self) -> np.ndarray:
-        """w at f = 1, else w folded into (f*f*out_ch, C*k'*k') phase weights, rows (o, p, q)."""
-        if self.upsample == 1:
-            return self.w
+        """w as (f*f*out_ch, k'*k'*C) patch weights: rows (p, q, o), columns (di, dj, c).
+
+        At f > 1, w folded through upsample_fold; at f = 1, w's columns reordered.
+        """
         f, kk, _ = self._patch_geometry()
         o, c = self.out_ch, self.in_ch
+        if f == 1:
+            return self.w.reshape(o, c, kk, kk).transpose(0, 2, 3, 1).reshape(o, kk * kk * c)
         folded = self.w.reshape(o * c, self.k * self.k) @ self._fold
-        return folded.reshape(o, c, f, f, kk, kk).transpose(0, 2, 3, 1, 4, 5).reshape(
-            o * f * f, c * kk * kk)
+        return folded.reshape(o, c, f, f, kk, kk).transpose(2, 3, 0, 4, 5, 1).reshape(
+            f * f * o, kk * kk * c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.stride == 1 and self.upsample == 1:
@@ -322,15 +388,22 @@ class Conv2d:
         self._cache = xp = _pad2(x, lo, self._work)
         oh, ow = (xp.shape[2] - kk) // s + 1, (xp.shape[3] - kk) // s + 1
         wp = self._patch_weights()
-        chunks = _chunks((b, c * kk * kk, oh * ow))
-        z = self._work.get("z", (chunks[0].stop, o * f * f, oh * ow))
-        out = np.empty((b, o, oh, f, ow, f))  # depth-to-space: (o, p, q, i, j) -> (o, i, p, j, q)
+        fo, kc = f * o, kk * c  # rows of one row phase (q, o); columns of one row offset (dj, c)
+        chunks = _chunks((b, kk * kk * c, oh * ow))
+        z = self._work.get("z", (chunks[0].stop, f * fo, oh * ow))
+        # a bias plane, not a broadcast b: numpy's strided add runs faster without a 0 stride
+        bias = np.repeat(self.b, oh * ow).reshape(o, oh, ow)
+        out = np.empty((b, o, oh, f, ow, f))
         for rows in chunks:
             m = rows.stop - rows.start
             cols, _ = im2col(xp[rows], kk, s, 0, self._work)
-            zs = np.matmul(wp, cols, out=z[:m]).reshape(m, o, f * f * oh * ow)
-            zs += self.b[:, None]  # contiguous here; a plain copy does the strided part
-            np.copyto(out[rows], zs.reshape(m, o, f, f, oh, ow).transpose(0, 1, 4, 2, 5, 3))
+            for p, (a0, a1) in enumerate(self._blocks):
+                np.matmul(wp[p * fo : (p + 1) * fo, a0 * kc : a1 * kc], cols[:, a0 * kc : a1 * kc],
+                          out=z[:m, p * fo : (p + 1) * fo])
+            zs = z[:m].reshape(m, f, f, o, oh, ow)
+            for p in range(f):  # bias add and depth-to-space, one phase (p, q) at a time
+                for q in range(f):
+                    np.add(zs[:, p, q], bias, out=out[rows, :, :, p, :, q])
         return out.reshape(b, o, oh * f, ow * f)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
@@ -344,28 +417,34 @@ class Conv2d:
         o, s = self.out_ch, self.stride
         oh, ow = dout.shape[2] // f, dout.shape[3] // f
         wp = self._patch_weights()
-        chunks = _chunks((b, c * kk * kk, oh * ow))
+        fo, kc = f * o, kk * c
+        chunks = _chunks((b, kk * kk * c, oh * ow))
         n = chunks[0].stop  # samples in a chunk
-        dz = self._work.get("z", (n, o * f * f, oh * ow))  # the forward's z is spent
-        prods = self._work.get("wgrad", (b, o * f * f, c * kk * kk))
+        dz = self._work.get("z", (n, f * fo, oh * ow))  # the forward's z is spent
+        # the weight gradient's blocks outside a phase's offsets are never written
+        prods = self._work.get("wgrad", (b, f * fo, kk * kc), zeroed=True)
         x_shape = (b, c, hp - 2 * lo, wpad - 2 * lo)
         dx = np.empty(x_shape) if input_grad else None
-        dcols = self._work.get("dcols", (n, c * kk * kk, oh * ow)) if input_grad else None
+        dcols = self._work.get("dcols", (n, kk * kc, oh * ow)) if input_grad else None
         for rows in chunks:
             m = rows.stop - rows.start
             cols, _ = im2col(xp[rows], kk, s, 0, self._work)  # the forward's, rebuilt
-            # space-to-depth: (o, i, p, j, q) -> (o, p, q, i, j)
-            np.copyto(dz[:m].reshape(m, o, f, f, oh, ow),
-                      dout[rows].reshape(m, o, oh, f, ow, f).transpose(0, 1, 3, 5, 2, 4))
-            np.matmul(dz[:m], cols.transpose(0, 2, 1), out=prods[rows])
+            # space-to-depth: (o, i, p, j, q) -> (p, q, o, i, j)
+            np.copyto(dz[:m].reshape(m, f, f, o, oh, ow),
+                      dout[rows].reshape(m, o, oh, f, ow, f).transpose(0, 3, 5, 1, 2, 4))
+            for p, (a0, a1) in enumerate(self._blocks):
+                np.matmul(dz[:m, p * fo : (p + 1) * fo],
+                          cols[:, a0 * kc : a1 * kc].transpose(0, 2, 1),
+                          out=prods[rows, p * fo : (p + 1) * fo, a0 * kc : a1 * kc])
             if input_grad:
-                np.matmul(wp.T, dz[:m], out=dcols[:m])
+                for a0, a1, p0, p1 in self._runs:
+                    np.matmul(wp[p0 * fo : p1 * fo, a0 * kc : a1 * kc].T, dz[:m, p0 * fo : p1 * fo],
+                              out=dcols[:m, a0 * kc : a1 * kc])
                 col2im(dcols[:m], (m, *x_shape[1:]), kk, s, lo, oh, ow, self._work, out=dx[rows])
-        gw = prods.sum(axis=0)
+        gw = prods.sum(axis=0).reshape(f, f, o, kk, kk, c).transpose(2, 5, 0, 1, 3, 4)
         if f > 1:
-            gwp = gw.reshape(o, f, f, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
-            gw = (gwp.reshape(o * c, f * f * kk * kk) @ self._fold.T).reshape(o, -1)
-        self.gw += gw
+            gw = gw.reshape(o * c, f * f * kk * kk) @ self._fold.T
+        self.gw += gw.reshape(o, -1)
         return dx
 
     def _backward_taps(self, dout: np.ndarray, input_grad: bool):
@@ -438,7 +517,8 @@ class Relu:
         self.mask_log: list = []
         self.replay_idx = 0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """max(x, 0) as a new array, or written over x with in_place on."""
         if self.mask_mode == "replay":
             self._cache = self.mask_log[self.replay_idx]
             self.replay_idx += 1
@@ -448,7 +528,7 @@ class Relu:
             self.mask_log.append(self._cache.copy())  # the held mask is rewritten next call
         # np.where(x > 0, x, 0.0) bit for bit without its per-element branch: fmax
         # sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into +0.0
-        out = np.fmax(x, 0.0)
+        out = np.fmax(x, 0.0, out=x if in_place else None)
         out += 0.0
         return out
 
@@ -485,18 +565,28 @@ class UpsampleNearest:
         return dout.reshape(b, c, h // f, f, w // f, f).sum(axis=(3, 5))
 
 
-def chain_forward(layers, x: np.ndarray) -> np.ndarray:
+def _run_chain(layers, x: np.ndarray, keep_cache: bool) -> np.ndarray:
+    """The forward chain. A Conv2d's output is a new array that only the next
+    layer sees, so a Relu right after a Conv2d runs in place on it."""
+    prev = None
     for layer in layers:
-        x = layer.forward(x)
+        if isinstance(layer, Relu) and isinstance(prev, Conv2d):
+            x = layer.forward(x, in_place=True)
+        else:
+            x = layer.forward(x)
+        if not keep_cache:
+            layer._cache = None
+        prev = layer
     return x
+
+
+def chain_forward(layers, x: np.ndarray) -> np.ndarray:
+    return _run_chain(layers, x, keep_cache=True)
 
 
 def chain_infer(layers, x: np.ndarray) -> np.ndarray:
     """chain_forward for passes that never run backward: no layer keeps its cache."""
-    for layer in layers:
-        x = layer.forward(x)
-        layer._cache = None
-    return x
+    return _run_chain(layers, x, keep_cache=False)
 
 
 def chain_backward(layers, dout: np.ndarray, input_grad: bool = True):

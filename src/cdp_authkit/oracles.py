@@ -3,9 +3,10 @@
 Every routine here deliberately takes a different algorithmic route from the
 production code it validates: exhaustive search instead of cumulative
 moments, projected gradient descent instead of pair updates, plain-Python
-accumulation instead of vectorized identities, nn's generic layer chain
-instead of the classifier's fused training step. They are slow on purpose
-and exist only for tests and the `selftest` subcommand.
+accumulation instead of vectorized identities. They are slow on purpose and
+serve the `selftest` checks (checks.py) and the tests. References that only
+tests use (direct-loop convolution, the classifier's layer-chain SGD step)
+live in tests/references.py.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .metrics import N_BINS
-from .nn import chain_backward, chain_forward, train_epochs, weighted_layers, zero_grads
-from .supervised import ClassifierModel, TrainConfig, build_classifier_layers
 
 
 def otsu_exhaustive(image: np.ndarray) -> float:
@@ -48,30 +47,6 @@ def otsu_exhaustive(image: np.ndarray) -> float:
     if best_k < 0:
         raise DegenerateImageError("constant image: histogram occupies one bin")
     return (best_k + 1) / N_BINS
-
-
-def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int, stride: int,
-                  pad: int) -> np.ndarray:
-    """Cross-correlation by direct loops over samples, output channels and positions.
-
-    x is (B, C, H, W); w is (out_ch, C*k*k) in (c, ki, kj) order, the layout
-    nn.Conv2d stores; b is (out_ch,). Each output value is the sum of one
-    zero-padded input window times the filter, with no patch matrix or GEMM.
-    """
-    n, c, h, width = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, width + 2 * pad))
-    xp[:, :, pad : pad + h, pad : pad + width] = x
-    filters = w.reshape(w.shape[0], c, k, k)
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (width + 2 * pad - k) // stride + 1
-    out = np.zeros((n, w.shape[0], oh, ow))
-    for s in range(n):
-        for o in range(w.shape[0]):
-            for i in range(oh):
-                for j in range(ow):
-                    window = xp[s, :, i * stride : i * stride + k, j * stride : j * stride + k]
-                    out[s, o, i, j] = float((window * filters[o]).sum()) + b[o]
-    return out
 
 
 def pearson_naive(a, b) -> float:
@@ -204,47 +179,3 @@ def ocsvm_kkt_violation(model, train_points: np.ndarray) -> float:
     if up.size == 0 or down.size == 0:
         return 0.0
     return float(up.max() - down.min())
-
-
-def classifier_step_chain(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
-    """Mean cross-entropy of one batch, leaving its gradients on the weighted layers.
-
-    The classifier's training step run through nn's generic layer chain:
-    chain_forward, a log-softmax, zero_grads and chain_backward with the
-    input gradient off, each forming new arrays. supervised._ce_loss_and_grads
-    fuses the same arithmetic into one in-place step and must match it bit
-    for bit.
-    """
-    logits = chain_forward(layers, xb)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(len(yb))
-    loss = -float(logp[rows, yb].mean())
-    dlogits = np.exp(logp)
-    dlogits[rows, yb] -= 1.0
-    dlogits /= len(yb)
-    zero_grads(layers)
-    chain_backward(layers, dlogits, input_grad=False)
-    return loss
-
-
-def train_classifier_chain(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                           config: TrainConfig) -> ClassifierModel:
-    """supervised.train_classifier on valid input, by classifier_step_chain and
-    w -= lr * gw, which forms lr * gw as a new array."""
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    layers = build_classifier_layers(x.shape[1], n_classes, config)
-
-    def step(idx):
-        loss = classifier_step_chain(layers, x[idx], y[idx])
-        for layer in weighted_layers(layers):
-            layer.w -= config.lr * layer.gw
-            layer.b -= config.lr * layer.gb
-        return {"loss": loss}, len(idx)
-
-    trace = train_epochs(len(x), config.epochs, config.batch_size, config.seed, step,
-                         guard=("loss",))
-    return ClassifierModel(layers=layers, n_classes=n_classes,
-                           class_names=tuple(str(i) for i in range(n_classes)), config=config,
-                           final_loss=trace[-1], loss_trace=trace)

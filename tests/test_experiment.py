@@ -8,8 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from cdp_authkit import checks, metrics
-from cdp_authkit.deepfeat import AeConfig
+from cdp_authkit import checks, experiment, metrics
+from cdp_authkit.deepfeat import AeConfig, build_ae_model
 from cdp_authkit.errors import DataError, ParameterError
 from cdp_authkit.experiment import (
     AUGMENT_TAGS,
@@ -23,6 +23,8 @@ from cdp_authkit.experiment import (
     augment_symbols,
     codes_in_split,
     config_hash,
+    deep_features,
+    deep_features_per_set,
     fit_spatial_ocsvm,
     load_dataset,
     load_manifest,
@@ -445,3 +447,29 @@ def test_pca_embed_properties():
     with pytest.warns(UserWarning):
         flat = pca_embed(np.outer(rng.normal(size=50), np.ones(3)), dims=2)
     assert flat.shape == (50, 1)  # rank-deficient input drops trailing dims
+
+
+def test_one_extraction_call_per_deep_run_gives_the_per_split_features(small_dataset,
+                                                                       monkeypatch):
+    """_run_deep extracts val, test and train codes in one call; each set's
+    features are the bits of its own deep_features call, although the one
+    call's batches of 4 straddle the sets."""
+    data = small_dataset
+    assignment = split_by_template(data.template_ids, 5)
+    sets = [codes_in_split(data, assignment, "val", ("original",)),
+            codes_in_split(data, assignment, "test", CLASS_ORDER),
+            codes_in_split(data, assignment, "train", ("original",))]
+    assert any(len(codes) % 4 for codes in sets)
+    model = build_ae_model(3, SMALL_CONFIG.n_sym, SMALL_CONFIG.symbol_px,
+                           AeConfig(batch_size=4, seed=2))
+    for got, codes in zip(deep_features_per_set(data, model, *sets), sets):
+        want = deep_features(data, model, codes)
+        for key in ("hamming_sym", "recon_l2"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+    calls = []
+    real = experiment.extract_features_batch
+    monkeypatch.setattr(experiment, "extract_features_batch",
+                        lambda model, images, symbols: calls.append(len(images))
+                        or real(model, images, symbols))
+    experiment._run_deep(data, assignment, 5, 3, AeConfig(epochs=1, channels=2))
+    assert calls == [sum(map(len, sets))]

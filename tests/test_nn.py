@@ -1,15 +1,31 @@
 """Conv2d against a direct convolution, finite differences and its own adjoint;
-the upsampling conv against an explicit upsample and conv; batch passes against
-per-sample passes, bit for bit, and returned arrays against the layers' held
-scratch; Relu's mask log; the shared epoch loop."""
+the upsampling conv against an explicit upsample and conv, and its row-phase
+blocks against the fold; batch passes against per-sample passes, bit for bit,
+and returned arrays against the layers' held scratch; Relu's mask log and its
+in-place run after a conv; sigmoid's special values; the shared epoch loop."""
 
 import numpy as np
 import pytest
 
 from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
 from cdp_authkit.errors import ParameterError, TrainingError
-from cdp_authkit.nn import Conv2d, Relu, UpsampleNearest, chain_infer, col2im, im2col, train_epochs
-from cdp_authkit.oracles import conv2d_direct
+from cdp_authkit.nn import (
+    Conv2d,
+    Relu,
+    UpsampleNearest,
+    chain_backward,
+    chain_forward,
+    chain_infer,
+    col2im,
+    im2col,
+    phase_blocks,
+    sigmoid,
+    train_epochs,
+    upsample_fold,
+    weighted_layers,
+    zero_grads,
+)
+from references import conv2d_direct
 
 # The two geometries deepfeat builds, the strided first encoder layer
 # (k = symbol_px + 2, stride = symbol_px, one input plane) and the 3x3
@@ -137,6 +153,22 @@ def test_upsampling_conv_gradients_match_finite_differences():
     assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
     assert _rel_err(fused.gw, _fd_grad(loss, fused.w)) < 1e-7
     assert _rel_err(fused.gb, _fd_grad(loss, fused.b)) < 1e-7
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_phase_blocks_are_the_live_row_offsets_of_the_fold(f):
+    # fold axes: (tap row, tap column, row phase, column phase, row offset, column offset)
+    fold = upsample_fold(3, 1, f).reshape(3, 3, f, f, 3, 3)
+    blocks = phase_blocks(3, 1, f)
+    for p, (lo, hi) in enumerate(blocks):
+        assert np.flatnonzero(fold[:, :, p].any(axis=(0, 1, 2, 4))).tolist() == list(range(lo, hi))
+    if f == 1:  # one block spans every column of the patch matrix
+        assert blocks == [(0, 3)]
+    if f == 3:  # 45 of the 81 (phase, offset) slots are computed
+        assert sum((hi - lo) * 3 * f for lo, hi in blocks) == 45
+    assert Conv2d(np.random.default_rng(0), 2, 2, k=3, upsample=f)._blocks == blocks
+    # the strided encoder conv (k = symbol_px + 2, stride = symbol_px) is one block too
+    assert Conv2d(np.random.default_rng(0), 1, 2, k=5, stride=3)._blocks == [(0, 5)]
 
 
 def test_upsampling_conv_needs_a_same_padded_stride_1_conv():
@@ -286,6 +318,81 @@ def test_relu_forward_is_where_bit_for_bit_on_special_values():
     x = np.array([[np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf]])
     got = Relu().forward(x)
     assert np.array_equal(got.view(np.int64), np.where(x > 0, x, 0.0).view(np.int64))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_relu_after_a_conv_runs_in_place_bit_for_bit():
+    """chain_forward and chain_infer run a Relu that follows a Conv2d in place on
+    the conv's new output; outputs, masks and gradients are the bits of the
+    layer-by-layer chain, on a conv output holding NaN, +-inf and -0.0."""
+    special = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, -1.0, 2.0]
+    values = np.resize(np.array(special), (2, 3, 4, 5))
+    handed = []
+
+    class Fixed(Conv2d):
+        def forward(self, x):
+            handed.append(values.copy())
+            return handed[-1]
+
+    def layers():
+        return [Fixed(np.random.default_rng(0), 1, 3, k=3), Relu()]
+
+    x = np.zeros((2, 1, 4, 5))
+    dout = np.resize(np.array([1.0, -np.inf, np.nan, -0.0]), values.shape)
+    ref = layers()
+    want = ref[1].forward(ref[0].forward(x))
+    want_dx = ref[1].backward(dout)
+    chain = layers()
+    got = chain_forward(chain, x)
+    assert np.shares_memory(got, handed[-1])  # the conv's output, overwritten
+    assert _same_bits(got, want) and _same_bits(chain[1]._cache, ref[1]._cache)
+    assert _same_bits(chain[1].backward(dout), want_dx)
+    assert _same_bits(chain_infer(layers(), x), want)
+    # a Relu that follows anything else still returns a new array
+    relu = Relu()
+    kept = values.copy()
+    assert _same_bits(chain_forward([relu], kept), want) and _same_bits(kept, values)
+
+
+def test_decoder_chain_backward_is_unchanged_by_the_in_place_relu():
+    # no Conv2d keeps its output for backward, so overwriting it changes no gradient
+    decoder = build_ae_model(3, 4, 3, AeConfig(channels=4, seed=6)).decoder
+    rng = np.random.default_rng(6)
+    t_hat = rng.random((3, 1, 4, 4))
+    dout = rng.standard_normal((3, 1, 12, 12))
+    got = chain_forward(decoder, t_hat)
+    dx = chain_backward(decoder, dout)
+    grads = [(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(decoder)]
+    zero_grads(decoder)
+    x = t_hat
+    for layer in decoder:
+        x = layer.forward(x)
+    assert _same_bits(got, x) and _same_bits(chain_backward(decoder, dout), dx)
+    for layer, (gw, gb) in zip(weighted_layers(decoder), grads):
+        assert _same_bits(layer.gw, gw) and _same_bits(layer.gb, gb)
+
+
+def _sigmoid_masked(z):
+    """nn.sigmoid before it picked its branch with np.where: two masked gathers."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_the_masked_formula_bit_for_bit():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 5e-324, -5e-324, 36.7, -36.7])
+    z = np.concatenate([z, np.random.default_rng(8).standard_normal(1000) * 40])
+    with np.errstate(over="ignore"):
+        assert _same_bits(sigmoid(z), _sigmoid_masked(z))
+        assert _same_bits(sigmoid(z.reshape(10, 101)), _sigmoid_masked(z).reshape(10, 101))
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 
 @pytest.mark.parametrize("path", sorted(CHUNKED_PATHS))

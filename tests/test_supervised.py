@@ -11,7 +11,7 @@ from cdp_authkit import checks, experiment, supervised
 from cdp_authkit.errors import DataError, TrainingError
 from cdp_authkit.experiment import run_experiment
 from cdp_authkit.nn import Dense, Relu, Workspace, chain_infer, train_epochs
-from cdp_authkit.oracles import classifier_step_chain, train_classifier_chain
+from references import classifier_step_chain, train_classifier_chain
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
     TrainConfig,

@@ -6,10 +6,12 @@ TARGETS); a renamed or removed target breaks the benchmark's traced mode
 module is loaded by path, as the harness itself loads it, and left unedited.
 
 The package's own sources are also scanned with `ast` for imports that no
-code reads.
+code reads, and for top-level functions and classes that no code in the
+package refers to.
 """
 
 import ast
+from collections import Counter
 import importlib
 import importlib.util
 from pathlib import Path
@@ -70,3 +72,45 @@ def _unused_imports(path: Path) -> list:
 def test_src_has_no_unused_import():
     unused = [entry for path in sorted(SRC.rglob("*.py")) for entry in _unused_imports(path)]
     assert not unused, f"imported and never used: {unused}"
+
+
+# Top-level names kept without a caller in src/: the loaders the README keeps
+# as library API, and the two that perfbench/tracing.py wraps by name.
+UNREFERENCED_OK = {
+    ("ocsvm", "load_model"),
+    ("supervised", "load_classifier"),
+    ("nn", "relu"),
+    ("nn", "UpsampleNearest"),
+}
+
+
+def _references(node) -> Counter:
+    """Names read (Name), attributes read (Attribute) and names imported under node."""
+    refs = Counter()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            refs[part.id] += 1
+        elif isinstance(part, ast.Attribute):
+            refs[part.attr] += 1
+        elif isinstance(part, ast.ImportFrom):
+            refs.update(alias.name for alias in part.names)
+    return refs
+
+
+def _unreferenced_definitions(src: Path) -> list:
+    """(module, name) of each top-level def or class referred to nowhere in src
+    but inside its own body."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.rglob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    return [(path.stem, node.name)
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and everywhere[node.name] == _references(node)[node.name]]
+
+
+def test_src_defines_no_unreferenced_function_or_class():
+    dead = [entry for entry in _unreferenced_definitions(SRC) if entry not in UNREFERENCED_OK]
+    assert not dead, f"defined at the top level of src/ and referred to nowhere there: {dead}"
+    # the allowlist holds only names that exist and still need it
+    assert sorted(_unreferenced_definitions(SRC)) == sorted(UNREFERENCED_OK)
