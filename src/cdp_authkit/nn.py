@@ -67,8 +67,9 @@ entries of that phase are structural zeros), and in these orders the run is
 one contiguous block of W' columns and of patch-matrix rows. Per chunk of
 samples the kernel runs im2col of the padded input with the layer's stride;
 for each p, the GEMM of the phase-p rows and live columns of W' with the
-live rows of cols; and the depth-to-space by f with the bias added, one strided
-add per phase (p, q); the f*f-times larger upsampled input is never built.
+live rows of cols; the bias, added to the GEMM result as a plane; and the
+depth-to-space by f, one strided copy per phase (p, q); the f*f-times larger
+upsampled input is never built.
 Backward rebuilds each chunk's patch matrix from the cached padded input and
 does a space-to-depth of dout into dz. The weight gradient is, for each p,
 dz_p @ cols_block^T written into phase p's block of the per-sample
@@ -110,21 +111,31 @@ chunk, a new array for a new shape. A Conv2d holds its padded input (zero
 border written once, at allocation), which is the whole of its backward
 cache under either kernel; one chunk's patch matrix; the patch GEMM result,
 shared with backward's space-to-depth; the tap accumulator and its tmp, or
-for one output plane the k*k tap product rows; the zeroed dout grid and the padded dout; the per-sample weight-gradient
-products (zeroed at allocation, so the patch kernel's unwritten blocks read
-0); dcols and the col2im target. A Relu holds its mask and logs copies of
-it in record mode. An array returned by forward or backward is always new
-and never written again by the layer; only scratch and the layer's own
-backward cache are overwritten by its next call. A Conv2d's output is such
-a new array that only the next layer sees, so `chain_forward` and
-`chain_infer` run a Relu that follows a Conv2d in place on it (fmax and
-+0.0 give the same bits in place as into a new array). At the shapes of a
-`deep-s3` autoencoder step (batch 16, 72x72 codes, 8 channels) the held
-arrays of encoder and decoder total about 19.7 MB, 9.4 MB of which is the
-padded inputs and ReLU masks a step holds anyway; the largest is the last
-decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer
-list's workspace arrays and backward caches; deepfeat calls it when
-training or feature extraction returns, so a model handed back holds none.
+for one output plane the k*k tap product rows; the zeroed dout grid and the
+padded dout; the per-sample weight-gradient products (zeroed at allocation,
+so the patch kernel's unwritten blocks read 0); dcols and the col2im
+target. A Relu holds its mask. Only scratch and a layer's own backward
+cache are overwritten by its next call, and what a layer or chain returns
+never shares memory with any Workspace, with one exception inside
+`chain_forward`/`chain_infer`. There a Relu right after a Conv2d runs
+inside that conv's forward: per chunk, the GEMM result gets its bias, then
+the mask (greater than 0), fmax and +0.0 in place, in the result's own
+layout while it is in cache, and only then is copied (depth-to-space in
+the patch kernel) to the output. When a Conv2d follows that Relu, the output
+is written into the interior of the second conv's padded input
+(`Conv2d.input_slot`), and its forward, seeing its own interior, skips the
+pad copy; the 5.3 MB 72x72 decoder tensor is then never copied again. The
+same operations run in the same order on the same values, so outputs,
+masks and gradients are the bits of running the layers one by one; record
+and replay mode run the same path (replay applies the logged mask with
+np.where). Without keep_cache (`chain_infer`) a Relu in normal mode makes
+no mask, since no backward will read it. At the shapes of a `deep-s3`
+autoencoder step (batch 16, 72x72 codes, 8 channels) the held arrays of
+encoder and decoder total about 19.7 MB, 9.4 MB of which is the padded
+inputs and ReLU masks a step holds anyway; the largest is the last decoder
+conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer list's
+workspace arrays and backward caches; deepfeat calls it when training or
+feature extraction returns, so a model handed back holds none.
 
 Dense. `Dense.forward`/`Dense.backward` serve only the autoencoder's
 discriminators; the supervised classifier keeps its weights in Dense layers
@@ -188,11 +199,21 @@ class Workspace:
         self._arrays.clear()
 
 
-def _pad2(x: np.ndarray, pad: int, work: Workspace, name: str = "xp") -> np.ndarray:
-    """x zero-padded by pad on both spatial axes, in work's zero-bordered array name."""
-    b, c, h, w = x.shape
+def _padded(shape: tuple, pad: int, work: Workspace, name: str = "xp") -> tuple:
+    """work's zero-bordered array name for a (B, C, H, W) input padded by pad, and its interior."""
+    b, c, h, w = shape
     xp = work.get(name, (b, c, h + 2 * pad, w + 2 * pad), zeroed=True)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp, xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _pad2(x: np.ndarray, pad: int, work: Workspace, name: str = "xp") -> np.ndarray:
+    """x zero-padded by pad on both spatial axes, in work's zero-bordered array name.
+
+    An x that already is that array's interior (`Conv2d.input_slot`) is not copied.
+    """
+    xp, inner = _padded(x.shape, pad, work, name)
+    if x.strides != inner.strides or x.__array_interface__["data"] != inner.__array_interface__["data"]:
+        inner[...] = x
     return xp
 
 
@@ -251,7 +272,7 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
 
 
 def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
-              fresh: bool = False) -> np.ndarray:
+              fresh: bool = False, done=None) -> np.ndarray:
     """Stride-1 valid cross-correlation of a padded (B, C, Hp, Wp) input with (O, C*k*k) weights.
 
     Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
@@ -259,18 +280,25 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
     a one-plane input goes through im2col instead, and one output plane
     through one GEMM of all taps per sample. Scratch comes from work.
     The result is a view of work's "acc", which the next call overwrites,
-    unless fresh, which makes it a new array.
+    unless fresh, which makes it a new array. done(rows, z, zv), if given,
+    is called with each chunk's finished output while it is in cache: zv =
+    result[rows], and z the contiguous accumulator rows that hold it; z's
+    other entries (the grid's dropped columns) are junk that no result reads.
     """
     b, c, hp, wp = xp.shape
     o = w.shape[0]
     oh, ow = hp - k + 1, wp - k + 1
     width = ow if c == 1 else wp
-    out = np.empty((b, o, oh * width)) if fresh else work.get("acc", (b, o, oh * width))
+    # zeroed, so the never-written tail of each plane is never uninitialized memory
+    out = np.empty((b, o, oh * width)) if fresh else work.get("acc", (b, o, oh * width), zeroed=True)
+    result = out.reshape(b, o, oh, width)[:, :, :, :ow]
+    done = done or (lambda rows, z, zv: None)
     if c == 1:
         for rows in _chunks((b, k * k, oh * ow)):
             cols, _ = im2col(xp[rows], k, 1, 0, work)
             np.matmul(w, cols, out=out[rows])
-        return out.reshape(b, o, oh, ow)
+            done(rows, out[rows], result[rows])
+        return result
     n = (oh - 1) * wp + ow
     flat = xp.reshape(b, c, hp * wp)
     if o == 1:  # one GEMM of all k*k taps per sample reads the input once
@@ -283,7 +311,8 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
             for t in range(1, k * k):
                 off = (t // k) * wp + t % k
                 acc += prods[t, off : off + n]
-        return out.reshape(b, o, oh, wp)[:, :, :, :ow]
+        done(slice(0, b), out, result)  # one plane: the batch is one chunk
+        return result
     taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
     chunks = _chunks(xp.shape)
     tmp = work.get("tmp", (chunks[0].stop, o, n))
@@ -295,7 +324,8 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
             off = (t // k) * wp + t % k
             np.matmul(taps[t], flat[rows, :, off : off + n], out=part)
             acc += part
-    return out.reshape(b, o, oh, wp)[:, :, :, :ow]
+        done(rows, out[rows], result[rows])
+    return result
 
 
 def upsample_fold(k: int, pad: int, f: int) -> np.ndarray:
@@ -378,33 +408,67 @@ class Conv2d:
         return folded.reshape(o, c, f, f, kk, kk).transpose(2, 3, 0, 4, 5, 1).reshape(
             f * f * o, kk * kk * c)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.stride == 1 and self.upsample == 1:
-            self._cache = xp = _pad2(x, self.pad, self._work)
-            return correlate(xp, self.w, self.k, self._work) + self.b[:, None, None]
+    def out_shape(self, x_shape: tuple) -> tuple:
+        """The output shape of a forward of an input of x_shape."""
         f, kk, lo = self._patch_geometry()
+        b, _, h, w = x_shape
+        s = self.stride
+        return (b, self.out_ch, f * ((h + 2 * lo - kk) // s + 1), f * ((w + 2 * lo - kk) // s + 1))
+
+    def input_slot(self, x_shape: tuple) -> np.ndarray:
+        """The interior of this layer's padded input for an input of x_shape.
+
+        A forward of this very view skips its pad copy, so a layer that writes
+        its output here hands it over without one.
+        """
+        return _padded(x_shape, self._patch_geometry()[2], self._work)[1]
+
+    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None, act=None) -> np.ndarray:
+        """The output, written into out (default: a new array) and returned.
+
+        Per chunk of samples rows, the GEMM result z gets its bias and then
+        act(z, zv, rows[, view]), if given, while it is in cache, before it is
+        copied to out[rows]. act comes from a Relu's `start`, passed by
+        `_run_chain`; it runs in place on z, in z's own layout.
+        """
+        f, kk, lo = self._patch_geometry()
+        y = np.empty(self.out_shape(x.shape)) if out is None else out
+        self._cache = xp = _pad2(x, lo, self._work)
+        if self.stride == 1 and f == 1:
+
+            def done(rows, z, zv):
+                z += np.repeat(self.b, z.shape[2]).reshape(self.out_ch, -1)
+                if act is not None:
+                    act(z, zv, rows)
+                np.copyto(y[rows], zv)
+
+            correlate(xp, self.w, self.k, self._work, done=done)
+            return y
         b, c = x.shape[:2]
         o, s = self.out_ch, self.stride
-        self._cache = xp = _pad2(x, lo, self._work)
         oh, ow = (xp.shape[2] - kk) // s + 1, (xp.shape[3] - kk) // s + 1
         wp = self._patch_weights()
         fo, kc = f * o, kk * c  # rows of one row phase (q, o); columns of one row offset (dj, c)
         chunks = _chunks((b, kk * kk * c, oh * ow))
         z = self._work.get("z", (chunks[0].stop, f * fo, oh * ow))
-        # a bias plane, not a broadcast b: numpy's strided add runs faster without a 0 stride
-        bias = np.repeat(self.b, oh * ow).reshape(o, oh, ow)
-        out = np.empty((b, o, oh, f, ow, f))
+        # the bias of each (p, q, o) row, as a plane: numpy adds a plane faster than a
+        # broadcast column, whose inner loop has a 0 stride
+        bias = np.repeat(np.tile(self.b, f * f), oh * ow).reshape(f * fo, oh * ow)
         for rows in chunks:
             m = rows.stop - rows.start
             cols, _ = im2col(xp[rows], kk, s, 0, self._work)
             for p, (a0, a1) in enumerate(self._blocks):
                 np.matmul(wp[p * fo : (p + 1) * fo, a0 * kc : a1 * kc], cols[:, a0 * kc : a1 * kc],
                           out=z[:m, p * fo : (p + 1) * fo])
-            zs = z[:m].reshape(m, f, f, o, oh, ow)
-            for p in range(f):  # bias add and depth-to-space, one phase (p, q) at a time
+            zm = z[:m]
+            zm += bias
+            zs = zm.reshape(m, f, f, o, oh, ow)
+            if act is not None:  # out[rows] split to (m, o, oh, f, ow, f), seen in z's order
+                act(zm, zs, rows, lambda a: a.reshape(m, o, oh, f, ow, f).transpose(0, 3, 5, 1, 2, 4))
+            for p in range(f):  # depth-to-space, one phase (p, q) at a time
                 for q in range(f):
-                    np.add(zs[:, p, q], bias, out=out[rows, :, :, p, :, q])
-        return out.reshape(b, o, oh * f, ow * f)
+                    np.copyto(y[rows, :, p::f, q::f], zs[:, p, q])
+        return y
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
         """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
@@ -517,20 +581,48 @@ class Relu:
         self.mask_log: list = []
         self.replay_idx = 0
 
-    def forward(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
-        """max(x, 0) as a new array, or written over x with in_place on."""
-        if self.mask_mode == "replay":
-            self._cache = self.mask_log[self.replay_idx]
+    def start(self, shape: tuple, keep: bool = True):
+        """Begin a forward over an input of shape; returns act(z, zv, rows, view=None).
+
+        act runs the forward in place on z, a buffer that holds rows of the
+        input: zv is the view of z with their values, and view(a) views an
+        array shaped like input[rows] in zv's layout (default: a itself).
+        z's entries outside zv are scratch. The mask goes to `_cache` for
+        backward: the held "mask" array, or None with keep off (normal mode:
+        nothing will read it); in record mode a new array, appended to the
+        log; in replay mode the next logged mask, which act then applies
+        instead of computing one.
+        """
+        replay = self.mask_mode == "replay"
+        if replay:
+            mask = self.mask_log[self.replay_idx]
             self.replay_idx += 1
-            return np.where(self._cache, x, 0.0)
-        self._cache = np.greater(x, 0.0, out=self._work.get("mask", x.shape, dtype=bool))
-        if self.mask_mode == "record":
-            self.mask_log.append(self._cache.copy())  # the held mask is rewritten next call
-        # np.where(x > 0, x, 0.0) bit for bit without its per-element branch: fmax
-        # sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into +0.0
-        out = np.fmax(x, 0.0, out=x if in_place else None)
-        out += 0.0
-        return out
+        elif self.mask_mode == "record":
+            mask = np.empty(shape, dtype=bool)
+            self.mask_log.append(mask)
+        else:
+            mask = self._work.get("mask", shape, dtype=bool) if keep else None
+        self._cache = mask
+
+        def act(z: np.ndarray, zv: np.ndarray, rows, view=None) -> None:
+            held = None if mask is None else mask[rows] if view is None else view(mask[rows])
+            if replay:
+                np.copyto(zv, np.where(held, zv, 0.0))
+                return
+            if held is not None:
+                np.greater(zv, 0.0, out=held)
+            # np.where(z > 0, z, 0.0) bit for bit without its per-element branch: fmax
+            # sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into +0.0
+            np.fmax(z, 0.0, out=z)
+            z += 0.0
+
+        return act
+
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """max(x, 0) as a new array; keep as in `start`."""
+        y = x.copy()
+        self.start(x.shape, keep)(y, y, slice(None))
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return np.where(self._cache, dout, 0.0)
@@ -566,17 +658,29 @@ class UpsampleNearest:
 
 
 def _run_chain(layers, x: np.ndarray, keep_cache: bool) -> np.ndarray:
-    """The forward chain. A Conv2d's output is a new array that only the next
-    layer sees, so a Relu right after a Conv2d runs in place on it."""
-    prev = None
-    for layer in layers:
-        if isinstance(layer, Relu) and isinstance(prev, Conv2d):
-            x = layer.forward(x, in_place=True)
+    """The forward chain; without keep_cache no layer keeps a cache.
+
+    A Relu right after a Conv2d runs inside that conv's forward, on each chunk
+    of its output while it is in cache, and when a Conv2d follows the Relu,
+    the first conv writes its output straight into the second's padded input.
+    """
+    i = 0
+    while i < len(layers):
+        layer, after = layers[i], layers[i + 1 : i + 3]
+        ran = layers[i : i + 1]
+        if isinstance(layer, Conv2d) and after and isinstance(after[0], Relu):
+            shape = layer.out_shape(x.shape)
+            slot = after[1].input_slot(shape) if len(after) == 2 and isinstance(after[1], Conv2d) else None
+            x = layer.forward(x, out=slot, act=after[0].start(shape, keep_cache))
+            ran = layers[i : i + 2]
+        elif isinstance(layer, Relu):
+            x = layer.forward(x, keep_cache)
         else:
             x = layer.forward(x)
         if not keep_cache:
-            layer._cache = None
-        prev = layer
+            for each in ran:
+                each._cache = None
+        i += len(ran)
     return x
 
 

@@ -1,13 +1,15 @@
 """Conv2d against a direct convolution, finite differences and its own adjoint;
 the upsampling conv against an explicit upsample and conv, and its row-phase
 blocks against the fold; batch passes against per-sample passes, bit for bit,
-and returned arrays against the layers' held scratch; Relu's mask log and its
-in-place run after a conv; sigmoid's special values; the shared epoch loop."""
+and returned arrays against the layers' held scratch; Relu's mask log, and the
+chains that run it inside the conv before it against the layers run one by one;
+sigmoid's special values; the shared epoch loop."""
 
 import numpy as np
 import pytest
 
 from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
+from cdp_authkit import nn
 from cdp_authkit.errors import ParameterError, TrainingError
 from cdp_authkit.nn import (
     Conv2d,
@@ -324,37 +326,130 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_relu_after_a_conv_runs_in_place_bit_for_bit():
-    """chain_forward and chain_infer run a Relu that follows a Conv2d in place on
-    the conv's new output; outputs, masks and gradients are the bits of the
-    layer-by-layer chain, on a conv output holding NaN, +-inf and -0.0."""
+def _special_chain(group: str):
+    """An AE encoder or decoder whose first conv's output, the first Relu's input,
+    holds NaN, +inf and -inf, plus its input batch of 7 samples. (A GEMM sum
+    starts from +0.0, so no conv output is -0.0: see the next test.)"""
+    model = build_ae_model(3, 4, 3, AeConfig(channels=3, seed=9))
+    layers = model.encoder if group == "encoder" else model.decoder
+    rng = np.random.default_rng(9)
+    for layer in weighted_layers(layers):
+        layer.b = rng.standard_normal(layer.b.shape)
+    side = 12 if group == "encoder" else 4
+    x = rng.standard_normal((7, 1, side, side))
+    x[0, 0, 1, 1], x[1, 0, 2, 2], x[2, 0, 0, 3] = np.inf, -np.inf, np.nan
+    pre = layers[0].forward(x)
+    assert np.isnan(pre).any() and np.isposinf(pre).any() and np.isneginf(pre).any()
+    return layers, x
+
+
+def test_relu_act_in_the_patch_kernels_layout_is_where_bit_for_bit():
+    """A Relu's act on a GEMM result in phase layout (m, f, f, o, oh, ow), with
+    view mapping the output's rows onto it, as the upsampling conv calls it:
+    the values and the mask are np.where's and x > 0 in output layout, on
+    NaN, +-inf and -0.0, in normal, record and replay mode."""
+    m, f, o, oh = 2, 3, 2, 3
     special = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, -1.0, 2.0]
-    values = np.resize(np.array(special), (2, 3, 4, 5))
-    handed = []
-
-    class Fixed(Conv2d):
-        def forward(self, x):
-            handed.append(values.copy())
-            return handed[-1]
-
-    def layers():
-        return [Fixed(np.random.default_rng(0), 1, 3, k=3), Relu()]
-
-    x = np.zeros((2, 1, 4, 5))
-    dout = np.resize(np.array([1.0, -np.inf, np.nan, -0.0]), values.shape)
-    ref = layers()
-    want = ref[1].forward(ref[0].forward(x))
-    want_dx = ref[1].backward(dout)
-    chain = layers()
-    got = chain_forward(chain, x)
-    assert np.shares_memory(got, handed[-1])  # the conv's output, overwritten
-    assert _same_bits(got, want) and _same_bits(chain[1]._cache, ref[1]._cache)
-    assert _same_bits(chain[1].backward(dout), want_dx)
-    assert _same_bits(chain_infer(layers(), x), want)
-    # a Relu that follows anything else still returns a new array
+    z = np.resize(np.array(special), (m, f * f * o, oh * oh))
+    zs = z.reshape(m, f, f, o, oh, oh)
+    x = np.empty((m, o, oh * f, oh * f))  # the same values in output layout
+    for p in range(f):
+        for q in range(f):
+            x[:, :, p::f, q::f] = zs[:, p, q]
+    view = lambda a: a.reshape(m, o, oh, f, oh, f).transpose(0, 3, 5, 1, 2, 4)
     relu = Relu()
+    for mode, sign in (("normal", 1.0), ("record", 1.0), ("replay", -1.0)):
+        relu.mask_mode, relu.replay_idx = mode, 0
+        got = sign * z  # replay applies the recorded mask of z to -z
+        relu.start(x.shape)(got, got.reshape(zs.shape), slice(0, m), view)
+        y = np.empty_like(x)
+        for p in range(f):
+            for q in range(f):
+                y[:, :, p::f, q::f] = got.reshape(zs.shape)[:, p, q]
+        assert _same_bits(y, np.where(x > 0, sign * x, 0.0)) and _same_bits(relu._cache, x > 0)
+    assert len(relu.mask_log) == 1
+
+
+def _layer_by_layer(layers, x):
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
+def _masks(layers):
+    return [layer._cache for layer in layers if isinstance(layer, Relu)]
+
+
+def _set_modes(layers, mode):
+    for layer in layers:
+        if isinstance(layer, Relu):
+            layer.mask_mode, layer.replay_idx = mode, 0
+
+
+def _workspace_arrays(layers):
+    return [a for layer in layers if hasattr(layer, "_work") for a in layer._work._arrays.values()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the GEMMs
+@pytest.mark.parametrize("chunk", ["one-sample", "whole-batch"])
+@pytest.mark.parametrize("mode", ["normal", "record", "replay"])
+@pytest.mark.parametrize("group", ["encoder", "decoder"])
+def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk, monkeypatch):
+    """chain_forward runs each Relu inside the Conv2d before it and writes a conv
+    that feeds a Relu and a Conv2d straight into that conv's padded input.
+    Outputs, masks, gw/gb and dx are the bits of running the layers one by one,
+    in every mask mode, at one sample per chunk and the whole batch per chunk,
+    for a full batch then a short one on the same workspaces."""
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 1 if chunk == "one-sample" else 1 << 40)
+    fused, x = _special_chain(group)
+    ref, _ = _special_chain(group)
+    for layers in (fused, ref):
+        _set_modes(layers, "record")
+    if mode == "replay":  # record on the two batches, then replay the logs on others
+        for batch in (x, x[:3]):
+            assert _same_bits(chain_forward(fused, batch), _layer_by_layer(ref, batch))
+        for layers in (fused, ref):
+            _set_modes(layers, "replay")
+        x = x[::-1].copy()
+    else:
+        for layers in (fused, ref):
+            _set_modes(layers, mode)
+    for batch in (x, x[:3]):  # a short last batch reuses the held arrays' [:b] views
+        got, want = chain_forward(fused, batch), _layer_by_layer(ref, batch)
+        assert _same_bits(got, want)
+        assert not any(np.shares_memory(got, a) for a in _workspace_arrays(fused))
+        assert all(_same_bits(a, b) for a, b in zip(_masks(fused), _masks(ref)))
+        dout = np.random.default_rng(batch.shape[0]).standard_normal(got.shape)
+        zero_grads(fused)
+        zero_grads(ref)
+        assert _same_bits(chain_backward(fused, dout), chain_backward(ref, dout))
+        for a, b in zip(weighted_layers(fused), weighted_layers(ref)):
+            assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
+    relus = [layer for layer in fused if isinstance(layer, Relu)]
+    if mode != "normal":
+        assert all(len(relu.mask_log) == 2 for relu in relus)
+        assert all(_same_bits(a.mask_log[1], b.mask_log[1])
+                   for a, b in zip(relus, [layer for layer in ref if isinstance(layer, Relu)]))
+    # forward only: the same output, no cache kept, and in normal mode no mask made
+    for layers in (fused, ref):
+        _set_modes(layers, mode)
+    fresh, _ = _special_chain(group)
+    _set_modes(fresh, mode)
+    if mode == "replay":
+        for a, b in zip(fresh, fused):
+            if isinstance(a, Relu):
+                a.mask_log = b.mask_log
+    assert _same_bits(chain_infer(fresh, x), _layer_by_layer(ref, x))
+    assert all(layer._cache is None for layer in fresh)
+    if mode == "normal":
+        assert not any("mask" in layer._work._arrays for layer in fresh if isinstance(layer, Relu))
+
+
+def test_a_relu_that_follows_no_conv_returns_a_new_array():
+    values = np.resize(np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -1.0, 2.0]), (2, 3, 4))
     kept = values.copy()
-    assert _same_bits(chain_forward([relu], kept), want) and _same_bits(kept, values)
+    got = chain_forward([Relu()], values)
+    assert _same_bits(got, np.where(values > 0, values, 0.0)) and _same_bits(values, kept)
 
 
 def test_decoder_chain_backward_is_unchanged_by_the_in_place_relu():

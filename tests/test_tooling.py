@@ -16,6 +16,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from cdp_authkit import nn
+from cdp_authkit.deepfeat import AeConfig
+from cdp_authkit.experiment import run_experiment
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -114,3 +118,33 @@ def test_src_defines_no_unreferenced_function_or_class():
     assert not dead, f"defined at the top level of src/ and referred to nowhere there: {dead}"
     # the allowlist holds only names that exist and still need it
     assert sorted(_unreferenced_definitions(SRC)) == sorted(UNREFERENCED_OK)
+
+
+def test_traced_deep_run_writes_the_same_report_and_records_every_conv_forward(
+        small_dataset, tmp_path):
+    """A Tracer-wrapped deep-scenario-3 run writes report.json byte for byte as an
+    untraced one, and every Conv2d.forward the layer chains run is a span: the
+    chains call it, whatever they fuse into it."""
+    chained = []
+    run_chain = nn._run_chain
+
+    def counting(layers, x, keep_cache):  # the Conv2d layers each chain pass runs
+        chained.append(sum(isinstance(layer, nn.Conv2d) for layer in layers))
+        return run_chain(layers, x, keep_cache)
+
+    def run(name):
+        run_experiment(small_dataset, "deep-scenario-3", runs=1, seed=2, out_dir=tmp_path / name,
+                       ae_config=AeConfig(epochs=1), jobs=1)
+        return (tmp_path / name / "report.json").read_bytes()
+
+    plain = run("plain")
+    nn._run_chain = counting
+    try:
+        with _tracing().Tracer("guard") as tracer:
+            traced = run("traced")
+    finally:
+        nn._run_chain = run_chain
+    assert traced == plain
+    forwards = [span for span in tracer.spans if span[0] == "nn.conv.fwd"]
+    assert sum(chained) > 0 and len(forwards) == sum(chained)
+    assert tracer.counts["conv_flop"] > 0
