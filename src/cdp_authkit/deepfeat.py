@@ -57,7 +57,6 @@ from .nn import (
     softplus,
     train_epochs,
     weighted_layers,
-    zero_grads,
 )
 from .rng import rng_for
 
@@ -197,8 +196,8 @@ def _logistic_term(disc, batch: np.ndarray, real: bool, weight: float, grads: bo
 
     Returns (loss, gradient w.r.t. batch); with grads off the discriminator
     keeps no cache, runs no backward and the gradient is None. With grads on,
-    the discriminator's gw/gb accumulate the term's weight gradients; the
-    gradient w.r.t. batch is None when input_grad is off.
+    the term's weight gradients are written into the discriminator's gw/gb;
+    the gradient w.r.t. batch is None when input_grad is off.
     """
     z = (chain_forward if grads else chain_infer)(disc, _flatten(batch))
     loss = weight * float(softplus(-z if real else z).mean())
@@ -222,13 +221,11 @@ def _generator_loss_and_grads(
     Returns (losses, t_hat, x_hat): the active loss terms and their "total",
     and the generator outputs (x_hat None when the x-side is off). With grads
     off the same arithmetic runs forward only: no layer keeps a cache and no
-    gw/gb is touched. The discriminators' gw/gb collect junk from the
-    adversarial terms when grads are on; their own step zeroes them first.
+    gw/gb is touched. The adversarial terms leave junk in the discriminators'
+    gw/gb when grads are on; their own step overwrites it.
     """
     cfg = model.config
     run = chain_forward if grads else chain_infer
-    if grads:
-        zero_grads(model.encoder)
     t_hat = run(model.encoder, xi)
     loss_t, d_that = _rms_loss(t_hat, ti, cfg.lambda1, grads)
     losses = {"template_rms": loss_t}
@@ -240,8 +237,6 @@ def _generator_loss_and_grads(
 
     x_hat = None
     if _x_side(model):
-        if grads:
-            zero_grads(model.decoder)
         x_hat = run(model.decoder, t_hat)
         losses["recon_rms"], d_xhat = _rms_loss(x_hat, xi, cfg.beta * cfg.lambda2, grads)
         if model.disc_x is not None:
@@ -260,14 +255,18 @@ def _generator_loss_and_grads(
 def _disc_loss_and_grads(disc, real: np.ndarray, fake: np.ndarray, grads: bool = True) -> float:
     """Logistic discriminator loss on detached real/fake batches.
 
-    With grads on, its weight gradients are left in disc (no input gradient
-    is computed); with grads off, disc runs forward only and its gw/gb are
-    not touched.
+    With grads on, its weight gradients, the real term's plus the fake
+    term's, are left in disc (no input gradient is computed); with grads
+    off, disc runs forward only and its gw/gb are not touched.
     """
-    if grads:
-        zero_grads(disc)
-    return (_logistic_term(disc, real, True, 1.0, grads, input_grad=False)[0]
-            + _logistic_term(disc, fake, False, 1.0, grads, input_grad=False)[0])
+    weighted = weighted_layers(disc)
+    loss = _logistic_term(disc, real, True, 1.0, grads, input_grad=False)[0]
+    real_grads = [(layer.gw.copy(), layer.gb.copy()) for layer in weighted] if grads else []
+    loss += _logistic_term(disc, fake, False, 1.0, grads, input_grad=False)[0]
+    for layer, (gw, gb) in zip(weighted, real_grads):
+        layer.gw += gw
+        layer.gb += gb
+    return loss
 
 
 def train_ae(

@@ -4,9 +4,11 @@ Just enough machinery for the desk-scale models in this package: dense and
 convolution layers, ReLU/sigmoid, nearest-neighbor upsampling, stable
 logistic losses, a deterministic Adam, and `train_epochs`, the epoch loop of
 every trainer. Layers keep what their backward pass needs in `_cache`;
-gradients accumulate on the layer (`gw`, `gb`) so a finite difference check
-can perturb `w`/`b` in place and re-run the forward pass. `chain_infer` runs
-a forward pass that keeps no cache, for callers that never run backward.
+each backward writes the layer's weight gradients (`gw`, `gb`) in place of
+the last pass's, so a finite difference check can perturb `w`/`b` in place
+and re-run the forward pass, and a caller that wants two passes' gradients
+summed adds them itself. `chain_infer` runs a forward pass that keeps no
+cache, for callers that never run backward.
 `Dense`, `Conv2d` and `chain_backward` take an `input_grad` flag that their
 call sites turn off where the gradient with respect to the input would be
 thrown away (the input is data, or only the weight gradients are wanted);
@@ -117,14 +119,15 @@ so the patch kernel's unwritten blocks read 0); dcols and the col2im
 target. A Relu holds its mask. Only scratch and a layer's own backward
 cache are overwritten by its next call, and what a layer or chain returns
 never shares memory with any Workspace, with one exception inside
-`chain_forward`/`chain_infer`. There a Relu right after a Conv2d runs
-inside that conv's forward: per chunk, the GEMM result gets its bias, then
-the mask (greater than 0), fmax and +0.0 in place, in the result's own
-layout while it is in cache, and only then is copied (depth-to-space in
-the patch kernel) to the output. When a Conv2d follows that Relu, the output
-is written into the interior of the second conv's padded input
-(`Conv2d.input_slot`), and its forward, seeing its own interior, skips the
-pad copy; the 5.3 MB 72x72 decoder tensor is then never copied again. The
+`chain_forward`/`chain_infer`. There a Relu right after a Conv2d or a
+Dense runs inside that layer's forward: per chunk (a Dense's output is one
+chunk), the GEMM result gets its bias, then the mask (greater than 0), fmax
+and +0.0 in place, in the result's own layout while it is in cache, and
+only then does a conv copy it (depth-to-space in the patch kernel) to the
+output; a Dense's GEMM result is its output. When a Conv2d follows that
+Relu, the output is written into the interior of the second conv's padded
+input (`Conv2d.input_slot`), and its forward, seeing its own interior, skips
+the pad copy; the 5.3 MB 72x72 decoder tensor is then never copied again. The
 same operations run in the same order on the same values, so outputs,
 masks and gradients are the bits of running the layers one by one; record
 and replay mode run the same path (replay applies the logged mask with
@@ -137,9 +140,12 @@ conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer list's
 workspace arrays and backward caches; deepfeat calls it when training or
 feature extraction returns, so a model handed back holds none.
 
-Dense. `Dense.forward`/`Dense.backward` serve only the autoencoder's
-discriminators; the supervised classifier keeps its weights in Dense layers
-but runs its own fused step over them (supervised._ce_loss_and_grads).
+Dense. The supervised classifier and both autoencoder discriminators are
+[Dense, Relu, Dense] stacks run through the layer chain. `Dense.forward`
+takes Conv2d's keyword arguments: one GEMM into out, the bias added in
+place, then act. Its backward writes gw and gb with np.matmul and
+np.add.reduce into the held arrays, so a step allocates no weight-sized
+array.
 """
 
 from __future__ import annotations
@@ -471,8 +477,8 @@ class Conv2d:
         return y
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
-        """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
-        self.gb += dout.sum(axis=(0, 2, 3))
+        """Write gw/gb; return the input gradient, or None with input_grad off."""
+        self.gb[...] = dout.sum(axis=(0, 2, 3))
         if self.stride == 1 and self.upsample == 1:
             return self._backward_taps(dout, input_grad)
         xp = self._cache
@@ -508,7 +514,7 @@ class Conv2d:
         gw = prods.sum(axis=0).reshape(f, f, o, kk, kk, c).transpose(2, 5, 0, 1, 3, 4)
         if f > 1:
             gw = gw.reshape(o * c, f * f * kk * kk) @ self._fold.T
-        self.gw += gw.reshape(o, -1)
+        self.gw[...] = gw.reshape(o, -1)
         return dx
 
     def _backward_taps(self, dout: np.ndarray, input_grad: bool):
@@ -528,7 +534,7 @@ class Conv2d:
                 np.matmul(dgrid[rows, :, :n], flat[rows, :, off : off + n].transpose(0, 2, 1),
                           out=prods[rows, t])
         # one sum over samples, in sample order, as a per-sample loop would add them
-        self.gw += prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
+        self.gw[...] = prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
         if not input_grad:
             return None
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -550,15 +556,26 @@ class Dense:
         self.gb = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def out_shape(self, x_shape: tuple) -> tuple:
+        return (x_shape[0], self.w.shape[1])
+
+    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None, act=None) -> np.ndarray:
+        """x @ w + b, written into out (default: a new array) and returned.
+
+        act, as in `Conv2d.forward`, then runs in place on the whole output.
+        """
         self._cache = x
-        return x @ self.w + self.b
+        y = np.matmul(x, self.w, out=out)
+        y += self.b
+        if act is not None:
+            act(y, y, slice(None))
+        return y
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
-        """Accumulate gw/gb; return the input gradient, or None with input_grad off."""
+        """Write gw/gb; return the input gradient, or None with input_grad off."""
         x = self._cache
-        self.gw += x.T @ dout
-        self.gb += dout.sum(axis=0)
+        np.matmul(x.T, dout, out=self.gw)
+        np.add.reduce(dout, axis=0, out=self.gb)
         return dout @ self.w.T if input_grad else None
 
 
@@ -660,15 +677,16 @@ class UpsampleNearest:
 def _run_chain(layers, x: np.ndarray, keep_cache: bool) -> np.ndarray:
     """The forward chain; without keep_cache no layer keeps a cache.
 
-    A Relu right after a Conv2d runs inside that conv's forward, on each chunk
-    of its output while it is in cache, and when a Conv2d follows the Relu,
-    the first conv writes its output straight into the second's padded input.
+    A Relu right after a Conv2d or Dense runs inside that layer's forward, on
+    each chunk of its output while it is in cache, and when a Conv2d follows
+    the Relu, the first conv writes its output straight into the second's
+    padded input.
     """
     i = 0
     while i < len(layers):
         layer, after = layers[i], layers[i + 1 : i + 3]
         ran = layers[i : i + 1]
-        if isinstance(layer, Conv2d) and after and isinstance(after[0], Relu):
+        if isinstance(layer, (Conv2d, Dense)) and after and isinstance(after[0], Relu):
             shape = layer.out_shape(x.shape)
             slot = after[1].input_slot(shape) if len(after) == 2 and isinstance(after[1], Conv2d) else None
             x = layer.forward(x, out=slot, act=after[0].start(shape, keep_cache))
@@ -716,12 +734,6 @@ def drop_scratch(layers) -> None:
 
 def weighted_layers(layers):
     return [layer for layer in layers if hasattr(layer, "w")]
-
-
-def zero_grads(layers) -> None:
-    for layer in weighted_layers(layers):
-        layer.gw[:] = 0.0
-        layer.gb[:] = 0.0
 
 
 class Adam:

@@ -3,11 +3,11 @@
 A deliberately small network (block-pooled input, one hidden ReLU layer,
 K logits) held as `nn` layers [Dense, Relu, Dense] and trained by mini-batch
 SGD on cross-entropy. The output layer is zero-initialized so training starts
-from exactly uniform class posteriors. A step (_ce_loss_and_grads) is one
-fused pass over the two Dense layers, bit for bit nn's layer chain: it runs in
-place on a Workspace, writes the gradients into each Dense's gw/gb and never
-forms the hidden layer's input gradient. The update scales gw/gb by lr in
-place, so after training they hold lr times the last batch's gradient.
+from exactly uniform class posteriors. A step (_ce_loss_and_grads) is nn's
+layer chain: chain_forward, the log-softmax in place on the logits, and
+chain_backward, which writes each Dense's gw/gb and never forms the hidden
+layer's input gradient. The update scales gw/gb by lr in place, so after
+training they hold lr times the last batch's gradient.
 Also houses the mutual-information lower-bound estimator
 I(A; C) >= H(C) - H(C|A) computed from predicted log-probabilities.
 """
@@ -23,7 +23,16 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .imageio import array_field, config_field, int_field, read_json, require_fields, write_json
-from .nn import Dense, Relu, Workspace, train_epochs, weighted_layers
+from .nn import (
+    Dense,
+    Relu,
+    Workspace,
+    chain_backward,
+    chain_forward,
+    chain_infer,
+    train_epochs,
+    weighted_layers,
+)
 from .rng import rng_for
 
 POOL_SIDE = 32  # pooled images are at most this many pixels on a side
@@ -95,18 +104,6 @@ def build_classifier_layers(d_in: int, n_classes: int, config: TrainConfig) -> l
     ]
 
 
-def _forward(layers: list, x: np.ndarray, work: Workspace):
-    """(hidden activations, logits) of rows x in work's "a" and "z"; ReLU as nn.Relu's."""
-    hidden, _, output = layers
-    a = np.matmul(x, hidden.w, out=work.get("a", (len(x), hidden.w.shape[1])))
-    a += hidden.b
-    np.fmax(a, 0.0, out=a)
-    a += 0.0
-    z = np.matmul(a, output.w, out=work.get("z", (len(x), output.w.shape[1])))
-    z += output.b
-    return a, z
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     """Overwrite logit rows z with their log-softmax."""
     z -= np.maximum.reduce(z, axis=1, keepdims=True)
@@ -114,26 +111,18 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ce_loss_and_grads(layers: list, xb: np.ndarray, yb: np.ndarray, work=None) -> float:
+def _ce_loss_and_grads(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
     """Mean cross-entropy of one batch; writes its gradients into each Dense's gw/gb.
 
     The training step itself, so the gradient checks probe what SGD consumes."""
-    work = Workspace() if work is None else work
-    hidden, _, output = layers
-    n, k = len(yb), output.w.shape[1]
-    a, logp = _forward(layers, xb, work)
-    _log_softmax(logp)
-    picked = np.arange(0, n * k, k) + yb  # flat index of each row's label
+    n = len(yb)
+    logp = _log_softmax(chain_forward(layers, xb))
+    picked = np.arange(0, logp.size, logp.shape[1]) + yb  # flat index of each row's label
     loss = -float(np.add.reduce(logp.take(picked)) / n)  # as ndarray.mean: sum, then divide
-
-    dz = np.exp(logp)
+    dz = np.exp(logp, out=logp)
     dz.reshape(-1)[picked] -= 1.0
     dz /= n
-    np.matmul(a.T, dz, out=output.gw)
-    np.add.reduce(dz, axis=0, out=output.gb)
-    dh = np.where(a > 0.0, dz @ output.w.T, 0.0)  # nn.Relu.backward; a > 0 exactly where h > 0
-    np.matmul(xb.T, dh, out=hidden.gw)  # the hidden layer's input gradient is never formed
-    np.add.reduce(dh, axis=0, out=hidden.gb)
+    chain_backward(layers, dz, input_grad=False)
     return loss
 
 
@@ -183,7 +172,7 @@ def train_classifier(
     def step(idx):
         # idx is in range, and mode="raise" would buffer the output
         xb = np.take(x, idx, axis=0, out=work.get("x", (len(idx), d)), mode="clip")
-        loss = _ce_loss_and_grads(layers, xb, y[idx], work)
+        loss = _ce_loss_and_grads(layers, xb, y[idx])
         for layer in weighted_layers(layers):
             for param, grad in ((layer.w, layer.gw), (layer.b, layer.gb)):
                 grad *= cfg.lr  # param -= grad then rounds as param -= lr * grad does
@@ -201,7 +190,7 @@ def predict(model: ClassifierModel, features: np.ndarray):
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise DataError(f"expected {model.input_dim}-dimensional features")
-    logits = _forward(model.layers, x, Workspace())[1]
+    logits = chain_infer(model.layers, x)
     return np.argmax(logits, axis=1), _log_softmax(logits)  # argmax before the overwrite
 
 

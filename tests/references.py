@@ -1,14 +1,14 @@
 """Slow reference implementations that only the tests use.
 
 Each takes a different route from the code it checks: direct loops instead
-of patch and tap GEMMs, nn's generic layer chain instead of the classifier's
-fused training step. The references that `selftest` also runs stay in
-cdp_authkit.oracles.
+of patch and tap GEMMs, a hand-derived backward pass instead of the
+classifier's step through nn's layer chain. The references that `selftest`
+also runs stay in cdp_authkit.oracles.
 """
 
 import numpy as np
 
-from cdp_authkit.nn import chain_backward, chain_forward, train_epochs, weighted_layers, zero_grads
+from cdp_authkit.nn import train_epochs, weighted_layers
 from cdp_authkit.supervised import ClassifierModel, TrainConfig, build_classifier_layers
 
 
@@ -36,38 +36,50 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int, stride: i
     return out
 
 
-def classifier_step_chain(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
-    """Mean cross-entropy of one batch, leaving its gradients on the weighted layers.
+def classifier_forward_by_hand(layers: list, x: np.ndarray) -> tuple:
+    """(hidden activations, logits) of rows x: two GEMMs and a ReLU, each a new array."""
+    hidden, _, output = layers
+    a = x @ hidden.w + hidden.b
+    a = np.where(a > 0.0, a, 0.0)
+    return a, a @ output.w + output.b
 
-    The classifier's training step run through nn's generic layer chain:
-    chain_forward, a log-softmax, zero_grads and chain_backward with the
-    input gradient off, each forming new arrays. supervised._ce_loss_and_grads
-    fuses the same arithmetic into one in-place step and must match it bit
-    for bit.
+
+def classifier_step_by_hand(layers: list, xb: np.ndarray, yb: np.ndarray) -> float:
+    """Mean cross-entropy of one batch, writing its gradients into each Dense's gw/gb.
+
+    The classifier's step with the gradients derived by hand: the output
+    layer's from a.T @ dz, the ReLU's backward as np.where on a > 0, and no
+    input gradient for the hidden layer. supervised._ce_loss_and_grads runs
+    nn's layer chain instead and must match it bit for bit.
     """
-    logits = chain_forward(layers, xb)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    hidden, _, output = layers
+    n = len(yb)
+    a, z = classifier_forward_by_hand(layers, xb)
+    shifted = z - z.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(len(yb))
+    rows = np.arange(n)
     loss = -float(logp[rows, yb].mean())
-    dlogits = np.exp(logp)
-    dlogits[rows, yb] -= 1.0
-    dlogits /= len(yb)
-    zero_grads(layers)
-    chain_backward(layers, dlogits, input_grad=False)
+    dz = np.exp(logp)
+    dz[rows, yb] -= 1.0
+    dz /= n
+    output.gw[...] = a.T @ dz
+    output.gb[...] = dz.sum(axis=0)
+    dh = np.where(a > 0.0, dz @ output.w.T, 0.0)  # a > 0 exactly where the pre-activation is
+    hidden.gw[...] = xb.T @ dh
+    hidden.gb[...] = dh.sum(axis=0)
     return loss
 
 
-def train_classifier_chain(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                           config: TrainConfig) -> ClassifierModel:
-    """supervised.train_classifier on valid input, by classifier_step_chain and
+def train_classifier_by_hand(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                             config: TrainConfig) -> ClassifierModel:
+    """supervised.train_classifier on valid input, by classifier_step_by_hand and
     w -= lr * gw, which forms lr * gw as a new array."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     layers = build_classifier_layers(x.shape[1], n_classes, config)
 
     def step(idx):
-        loss = classifier_step_chain(layers, x[idx], y[idx])
+        loss = classifier_step_by_hand(layers, x[idx], y[idx])
         for layer in weighted_layers(layers):
             layer.w -= config.lr * layer.gw
             layer.b -= config.lr * layer.gb

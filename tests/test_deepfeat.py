@@ -12,6 +12,7 @@ from cdp_authkit.deepfeat import (
     AeConfig,
     _disc_loss_and_grads,
     _generator_loss_and_grads,
+    _logistic_term,
     build_ae_model,
     decode,
     encode,
@@ -160,6 +161,26 @@ def test_forward_only_objectives_match_training_step(scenario):
     assert [_disc_loss_and_grads(*batch, grads=False) for batch in disc_batches] == disc_losses
     assert _grad_bytes(model) == grads
     assert not _cached_layers(model)
+
+
+@pytest.mark.parametrize("name", ["disc_t", "disc_x"])
+def test_disc_gradients_are_the_real_term_plus_the_fake_term(name):
+    """Each backward writes gw/gb, so the discriminator step adds its two
+    terms' gradients itself: bit for bit real-term plus fake-term."""
+    images, symbols = toy_batch((12,), 4)
+    x = images[:, None].astype(np.float64)
+    t = symbols[:, None].astype(np.float64)
+    model = build_ae_model(4, 4, 3, AeConfig(seed=5, **TINY))
+    _, t_hat, x_hat = _generator_loss_and_grads(model, x, t)
+    disc, real, fake = (model.disc_t, t, t_hat) if name == "disc_t" else (model.disc_x, x, x_hat)
+    terms, grads = [], []
+    for batch, is_real in ((real, True), (fake, False)):
+        terms.append(_logistic_term(disc, batch, is_real, 1.0, True, input_grad=False)[0])
+        grads.append([(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(disc)])
+    assert _disc_loss_and_grads(disc, real, fake) == terms[0] + terms[1]
+    for layer, (real_gw, real_gb), (fake_gw, fake_gb) in zip(weighted_layers(disc), *grads):
+        assert layer.gw.tobytes() == (real_gw + fake_gw).tobytes()
+        assert layer.gb.tobytes() == (real_gb + fake_gb).tobytes()
 
 
 def test_encode_decode_shapes_and_ranges():

@@ -1,9 +1,10 @@
 """Conv2d against a direct convolution, finite differences and its own adjoint;
 the upsampling conv against an explicit upsample and conv, and its row-phase
 blocks against the fold; batch passes against per-sample passes, bit for bit,
-and returned arrays against the layers' held scratch; Relu's mask log, and the
-chains that run it inside the conv before it against the layers run one by one;
-sigmoid's special values; the shared epoch loop."""
+and returned arrays against the layers' held scratch; backward writing every
+gradient entry; Relu's mask log, and the chains that run it inside the conv or
+dense layer before it against the layers run one by one; sigmoid's special
+values; the shared epoch loop."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cdp_authkit import nn
 from cdp_authkit.errors import ParameterError, TrainingError
 from cdp_authkit.nn import (
     Conv2d,
+    Dense,
     Relu,
     UpsampleNearest,
     chain_backward,
@@ -25,7 +27,6 @@ from cdp_authkit.nn import (
     train_epochs,
     upsample_fold,
     weighted_layers,
-    zero_grads,
 )
 from references import conv2d_direct
 
@@ -94,8 +95,6 @@ def test_gradients_match_finite_differences(in_ch, k, stride, hw, out_ch):
     layer.forward(x)
     dx = layer.backward(r)
     gw, gb = layer.gw.copy(), layer.gb.copy()
-    layer.gw[:] = 0.0
-    layer.gb[:] = 0.0
     layer.forward(x)
     assert layer.backward(r, input_grad=False) is None  # skips the input gradient only
     assert np.array_equal(layer.gw, gw) and np.array_equal(layer.gb, gb)
@@ -277,18 +276,43 @@ def test_batch_pass_is_the_per_sample_passes_bit_for_bit(path, batch):
     y = layer.forward(x)
     dx = layer.backward(dout)
     ys, dxs = [], []
-    for s in range(batch):  # twin's gw/gb add up the per-sample gradients in sample order
+    gw, gb = np.zeros_like(twin.gw), np.zeros_like(twin.gb)
+    for s in range(batch):  # add up the per-sample gradients in sample order
         ys.append(twin.forward(x[s : s + 1]))
         dxs.append(twin.backward(dout[s : s + 1]))
+        gw += twin.gw
+        gb += twin.gb
     assert np.array_equal(y, np.concatenate(ys))
     assert np.array_equal(dx, np.concatenate(dxs))
     if path == "upsample3":
         # the phase gradients add up in sample order too, but the fold back to
         # tap weights runs once on their sum, not once per sample
-        assert _rel_err(layer.gw, twin.gw) < 1e-14
+        assert _rel_err(layer.gw, gw) < 1e-14
     else:
-        assert np.array_equal(layer.gw, twin.gw)
-    assert _rel_err(layer.gb, twin.gb) < 1e-14  # numpy's own reduction order
+        assert np.array_equal(layer.gw, gw)
+    assert _rel_err(layer.gb, gb) < 1e-14  # numpy's own reduction order
+
+
+@pytest.mark.parametrize("path", sorted(CHUNKED_PATHS) + ["dense"])
+def test_backward_writes_every_gradient_entry(path):
+    """A backward writes gw/gb in place of the last pass's: NaN-prefilled
+    entries are all overwritten, and a second backward of the same pass gives
+    the same bits, not their sum."""
+    if path == "dense":
+        rng = np.random.default_rng(11)
+        layer = Dense(rng, 7, 5)
+        x, dout = rng.standard_normal((16, 7)), rng.standard_normal((16, 5))
+    else:
+        layer, _, x, dout, _ = _chunked_layer(path, 16)
+    held = layer.gw, layer.gb
+    layer.forward(x)
+    layer.gw[...], layer.gb[...] = np.nan, np.nan
+    layer.backward(dout)
+    assert layer.gw is held[0] and layer.gb is held[1]
+    assert not np.isnan(layer.gw).any() and not np.isnan(layer.gb).any()
+    first = layer.gw.copy(), layer.gb.copy()
+    layer.backward(dout)
+    assert _same_bits(layer.gw, first[0]) and _same_bits(layer.gb, first[1])
 
 
 @pytest.mark.parametrize("path", sorted(CHUNKED_PATHS))
@@ -327,17 +351,22 @@ def _same_bits(a, b) -> bool:
 
 
 def _special_chain(group: str):
-    """An AE encoder or decoder whose first conv's output, the first Relu's input,
+    """An AE encoder or decoder, or the [Dense, Relu, Dense] template
+    discriminator ("mlp"), whose first layer's output, the first Relu's input,
     holds NaN, +inf and -inf, plus its input batch of 7 samples. (A GEMM sum
     starts from +0.0, so no conv output is -0.0: see the next test.)"""
-    model = build_ae_model(3, 4, 3, AeConfig(channels=3, seed=9))
-    layers = model.encoder if group == "encoder" else model.decoder
+    model = build_ae_model(4, 4, 3, AeConfig(channels=3, disc_hidden=8, seed=9))
+    layers = {"encoder": model.encoder, "decoder": model.decoder, "mlp": model.disc_t}[group]
     rng = np.random.default_rng(9)
     for layer in weighted_layers(layers):
         layer.b = rng.standard_normal(layer.b.shape)
-    side = 12 if group == "encoder" else 4
-    x = rng.standard_normal((7, 1, side, side))
-    x[0, 0, 1, 1], x[1, 0, 2, 2], x[2, 0, 0, 3] = np.inf, -np.inf, np.nan
+    if group == "mlp":
+        x = rng.standard_normal((7, 16))
+        x[0, 1], x[1, 2], x[2, 3] = np.inf, -np.inf, np.nan
+    else:
+        side = 12 if group == "encoder" else 4
+        x = rng.standard_normal((7, 1, side, side))
+        x[0, 0, 1, 1], x[1, 0, 2, 2], x[2, 0, 0, 3] = np.inf, -np.inf, np.nan
     pre = layers[0].forward(x)
     assert np.isnan(pre).any() and np.isposinf(pre).any() and np.isneginf(pre).any()
     return layers, x
@@ -393,13 +422,14 @@ def _workspace_arrays(layers):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the GEMMs
 @pytest.mark.parametrize("chunk", ["one-sample", "whole-batch"])
 @pytest.mark.parametrize("mode", ["normal", "record", "replay"])
-@pytest.mark.parametrize("group", ["encoder", "decoder"])
+@pytest.mark.parametrize("group", ["encoder", "decoder", "mlp"])
 def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk, monkeypatch):
-    """chain_forward runs each Relu inside the Conv2d before it and writes a conv
-    that feeds a Relu and a Conv2d straight into that conv's padded input.
-    Outputs, masks, gw/gb and dx are the bits of running the layers one by one,
-    in every mask mode, at one sample per chunk and the whole batch per chunk,
-    for a full batch then a short one on the same workspaces."""
+    """chain_forward runs each Relu inside the Conv2d or Dense before it and
+    writes a conv that feeds a Relu and a Conv2d straight into that conv's
+    padded input. Outputs, masks, gw/gb and dx are the bits of running the
+    layers one by one, in every mask mode, at one sample per chunk and the
+    whole batch per chunk, for a full batch then a short one on the same
+    workspaces."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 1 if chunk == "one-sample" else 1 << 40)
     fused, x = _special_chain(group)
     ref, _ = _special_chain(group)
@@ -420,8 +450,6 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
         assert not any(np.shares_memory(got, a) for a in _workspace_arrays(fused))
         assert all(_same_bits(a, b) for a, b in zip(_masks(fused), _masks(ref)))
         dout = np.random.default_rng(batch.shape[0]).standard_normal(got.shape)
-        zero_grads(fused)
-        zero_grads(ref)
         assert _same_bits(chain_backward(fused, dout), chain_backward(ref, dout))
         for a, b in zip(weighted_layers(fused), weighted_layers(ref)):
             assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
@@ -461,7 +489,6 @@ def test_decoder_chain_backward_is_unchanged_by_the_in_place_relu():
     got = chain_forward(decoder, t_hat)
     dx = chain_backward(decoder, dout)
     grads = [(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(decoder)]
-    zero_grads(decoder)
     x = t_hat
     for layer in decoder:
         x = layer.forward(x)

@@ -10,13 +10,12 @@ import pytest
 from cdp_authkit import checks, experiment, supervised
 from cdp_authkit.errors import DataError, TrainingError
 from cdp_authkit.experiment import run_experiment
-from cdp_authkit.nn import Dense, Relu, Workspace, chain_infer, train_epochs
-from references import classifier_step_chain, train_classifier_chain
+from cdp_authkit.nn import Dense, Relu, chain_infer, train_epochs
+from references import classifier_forward_by_hand, classifier_step_by_hand, train_classifier_by_hand
 from cdp_authkit.rng import rng_for
 from cdp_authkit.supervised import (
     TrainConfig,
     _ce_loss_and_grads,
-    _forward,
     estimate_mi_lower_bound,
     images_to_features,
     load_classifier,
@@ -133,18 +132,17 @@ def _same_bits(a, b) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def test_fused_step_matches_the_layer_chain_bit_for_bit():
-    """_ce_loss_and_grads is chain_forward + zero_grads + chain_backward with the
-    input gradient off, bit for bit; gradients pre-filled with NaN show that it
-    writes every entry. One workspace serves a full, a short and a one-row batch."""
+def test_chain_step_matches_the_hand_written_step_bit_for_bit():
+    """_ce_loss_and_grads, nn's layer chain with the input gradient off, is the
+    hand-derived step bit for bit; gradients pre-filled with NaN show that it
+    writes every entry. A full, a short and a one-row batch."""
     rng = rng_for(9, "fused")
     x, y = _blobs(rng, 20, [(0,) * 6, (2,) * 6, (0, 2) * 3, (2, 0) * 3])
-    work = Workspace()
     for seed, rows in ((1, slice(0, 32)), (2, slice(32, 39)), (3, slice(39, 40))):
         xb, yb = x[rows], y[rows]
-        chain, fused = _layers(seed), _nan_grads(_layers(seed))
-        assert classifier_step_chain(chain, xb, yb) == _ce_loss_and_grads(fused, xb, yb, work)
-        for a, b in ((chain[0], fused[0]), (chain[2], fused[2])):
+        hand, chain = _layers(seed), _nan_grads(_layers(seed))
+        assert classifier_step_by_hand(hand, xb, yb) == _ce_loss_and_grads(chain, xb, yb)
+        for a, b in ((hand[0], chain[0]), (hand[2], chain[2])):
             assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
 
 
@@ -152,7 +150,7 @@ def test_predict_logits_equal_chain_infer():
     rng = rng_for(10, "predict")
     layers = _layers(4)
     x = rng.normal(size=(50, 6))
-    assert _same_bits(_forward(layers, x, Workspace())[1], chain_infer(layers, x))
+    assert _same_bits(classifier_forward_by_hand(layers, x)[1], chain_infer(layers, x))
     model = supervised.ClassifierModel(layers, 4, tuple("abcd"), TrainConfig(hidden=16))
     pred, logp = predict(model, x)
     logits = chain_infer(layers, x)
@@ -166,21 +164,21 @@ def _trained_bytes(train, tmp_path, x, y, cfg) -> bytes:
     return (tmp_path / "clf.json").read_bytes()
 
 
-def test_trained_model_bytes_equal_the_layer_chain_sgd(tmp_path):
+def test_trained_model_bytes_equal_the_hand_written_sgd(tmp_path):
     # 70 rows in batches of 32 end each epoch with a short batch of 6
     rng = rng_for(11, "sgd")
     x, y = _blobs(rng, 23, [(0, 0, 0), (3, 3, 0), (0, 3, 3)])
     x, y = np.vstack([x, x[:1]]), np.append(y, y[0])
     cfg = TrainConfig(epochs=6, hidden=8, seed=5)
     assert _trained_bytes(train_classifier, tmp_path, x, y, cfg) == _trained_bytes(
-        train_classifier_chain, tmp_path, x, y, cfg)
+        train_classifier_by_hand, tmp_path, x, y, cfg)
 
 
 def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
     tmp_path, monkeypatch
 ):
-    """The fused step never forms the hidden layer's input gradient; the layer
-    chain with that gradient forced back on must give the same gw/gb and the
+    """The step never forms the hidden layer's input gradient; with that
+    gradient forced back on it must still give the hand-derived gw/gb and the
     same saved classifier bytes."""
     rng = rng_for(8, "skip")
     x, y = _blobs(rng, 20, [(0, 0, 0), (3, 3, 0), (0, 3, 3)])
@@ -188,13 +186,13 @@ def test_skipped_input_gradient_changes_no_weight_gradient_or_model_byte(
     full_backward = Dense.backward
     monkeypatch.setattr(Dense, "backward",
                         lambda self, dout, input_grad=True: full_backward(self, dout))
-    fused, chain = _layers(8, 3, 8, 3), _layers(8, 3, 8, 3)
+    chain, hand = _layers(8, 3, 8, 3), _layers(8, 3, 8, 3)
     xb, yb = x[:16], y[:16]
-    assert _ce_loss_and_grads(fused, xb, yb) == classifier_step_chain(chain, xb, yb)
-    for a, b in ((fused[0], chain[0]), (fused[2], chain[2])):
+    assert _ce_loss_and_grads(chain, xb, yb) == classifier_step_by_hand(hand, xb, yb)
+    for a, b in ((chain[0], hand[0]), (chain[2], hand[2])):
         assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
     assert _trained_bytes(train_classifier, tmp_path, x, y, cfg) == _trained_bytes(
-        train_classifier_chain, tmp_path, x, y, cfg)
+        train_classifier_by_hand, tmp_path, x, y, cfg)
 
 
 def test_classifier_steps_allocate_no_weight_sized_array(monkeypatch):

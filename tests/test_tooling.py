@@ -148,3 +148,24 @@ def test_traced_deep_run_writes_the_same_report_and_records_every_conv_forward(
     forwards = [span for span in tracer.spans if span[0] == "nn.conv.fwd"]
     assert sum(chained) > 0 and len(forwards) == sum(chained)
     assert tracer.counts["conv_flop"] > 0
+
+
+def test_traced_classifier_run_writes_the_same_report_and_records_every_dense_pass(
+        small_dataset, tmp_path):
+    """A Tracer-wrapped supervised-5class run writes report.json byte for byte as an
+    untraced one, and the classifier runs through Dense: each SGD step is a
+    forward and a backward of both Dense layers, each predict a forward of both."""
+
+    def run(name):
+        run_experiment(small_dataset, "supervised-5class", runs=1, seed=2,
+                       out_dir=tmp_path / name, jobs=1)
+        return (tmp_path / name / "report.json").read_bytes()
+
+    plain = run("plain")
+    with _tracing().Tracer("guard") as tracer:
+        traced = run("traced")
+    assert traced == plain
+    names = Counter(span[0] for span in tracer.spans)
+    steps, predicts = tracer.counts["sgd_steps"], names["supervised.predict"]
+    assert steps > 0 and predicts > 0
+    assert names["nn.dense"] == 4 * steps + 2 * predicts
