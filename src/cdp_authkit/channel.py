@@ -337,51 +337,28 @@ def default_original_params(seed: int, plane_jitter: float = 0.03) -> ChannelPar
     return replace(DEFAULT_PRINT, seed=seed, plane_jitter=plane_jitter)
 
 
+# Per family: (morph_cleanup, reprint fields); per substrate: the reprint's albedo.
+ATTACK_FAMILIES = {
+    "fake1": (True, dict(dot_gain=0.3, blur_sigma=0.7, ink_albedo=0.10, noise_sigma=0.02,
+                         spread_radius=1)),
+    "fake2": (False, dict(dot_gain=0.9, blur_sigma=1.0, ink_albedo=0.08, noise_sigma=0.025,
+                          spread_radius=2)),
+}
+SUBSTRATE_ALBEDO = {"white": 0.95, "gray": 0.75}
+
+
 def default_attack_params(
     family: str, substrate: str, seed: int, plane_jitter: float = 0.03
 ) -> AttackParams:
     """Shipped attack configurations: family in {fake1, fake2}, substrate in {white, gray}."""
-    if family not in ("fake1", "fake2"):
+    if family not in ATTACK_FAMILIES:
         raise ParameterError("family must be 'fake1' or 'fake2'")
-    if substrate not in ("white", "gray"):
+    if substrate not in SUBSTRATE_ALBEDO:
         raise ParameterError("substrate must be 'white' or 'gray'")
-    albedo = 0.95 if substrate == "white" else 0.75
-    if family == "fake1":
-        reprint = ChannelParams(
-            dot_gain=0.3,
-            blur_sigma=0.7,
-            substrate_albedo=albedo,
-            ink_albedo=0.10,
-            noise_sigma=0.02,
-            seed=seed,
-            spread_radius=1,
-            plane_jitter=plane_jitter,
-        )
-        return AttackParams(morph_cleanup=True, reprint=reprint)
-    reprint = ChannelParams(
-        dot_gain=0.9,
-        blur_sigma=1.0,
-        substrate_albedo=albedo,
-        ink_albedo=0.08,
-        noise_sigma=0.025,
-        seed=seed,
-        spread_radius=2,
-        plane_jitter=plane_jitter,
-    )
-    return AttackParams(morph_cleanup=False, reprint=reprint)
-
-
-def strong_dot_gain_params() -> ChannelParams:
-    """The shipped strong-dot-gain setting used by the asymmetry property."""
-    return ChannelParams(
-        dot_gain=0.9,
-        blur_sigma=1.0,
-        substrate_albedo=0.95,
-        ink_albedo=0.08,
-        noise_sigma=0.0,
-        seed=0,
-        spread_radius=2,
-    )
+    cleanup, fields = ATTACK_FAMILIES[family]
+    reprint = ChannelParams(**fields, substrate_albedo=SUBSTRATE_ALBEDO[substrate],
+                            seed=seed, plane_jitter=plane_jitter)
+    return AttackParams(morph_cleanup=cleanup, reprint=reprint)
 
 
 def save_observed(code: ObservedCode, path: str | Path) -> None:

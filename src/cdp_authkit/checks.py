@@ -6,6 +6,12 @@ hold. Randomized checks take an rng stream prefix (root seed, *tags) and one
 size; the acceptance tests pass their own prefix at full size, the selftest
 passes (seed, "selftest") at the reduced sizes of SELFTEST_SUITES.
 
+The network gradient checks share one mechanism: `fd_gradient` is the
+central-difference loop, `gradient_error` compares it with the gradients a
+pass left in the weighted layers, and `gradient_check` drives both over an
+autoencoder's objectives. The ReLU masks of the analytic pass are recorded
+and replayed at every probe (`nn.set_mask_mode`).
+
 Only the test suite and the selftest command import this module.
 """
 
@@ -13,18 +19,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from dataclasses import replace
+
 from .channel import (
     AttackParams,
     acquire,
+    default_attack_params,
     estimate_template_binary,
     print_template,
-    strong_dot_gain_params,
 )
 from .decision import Thresholds, calibrate, rule_one_metric, rule_two_metric
-from .deepfeat import SCENARIOS, AeConfig, build_ae_model, gradient_check, train_ae
+from .deepfeat import (
+    SCENARIOS,
+    AeConfig,
+    AeModel,
+    _disc_loss_and_grads,
+    _generator_loss_and_grads,
+    _x_side,
+    build_ae_model,
+    train_ae,
+)
 from .experiment import DatasetConfig, config_hash
 from .metrics import hamming_symbols, lp_distances, otsu_threshold, pearson
-from .nn import Dense, Relu
+from .nn import Dense, Relu, set_mask_mode, weighted_layers
 from .ocsvm import decision_function, dual_objective, train_ocsvm
 from .oracles import (
     hamming_naive,
@@ -37,6 +54,9 @@ from .oracles import (
 from .rng import derive_seed, rng_for
 from .supervised import _ce_loss_and_grads, estimate_mi_lower_bound
 from .template import Template, generate_template, upsample_symbols
+
+
+FD_STEP = 1e-5  # central-difference step of the network gradient checks
 
 
 class CheckFailure(AssertionError):
@@ -162,6 +182,84 @@ def toy_batch(prefix: tuple, n: int) -> tuple:
     return images, symbols
 
 
+def fd_gradient(loss, param: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Central differences of loss() over every entry of param, perturbed in place."""
+    grad = np.zeros_like(param)
+    flat, gflat = param.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = loss()
+        flat[i] = orig - step
+        down = loss()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2.0 * step)
+    return grad
+
+
+def gradient_error(layers, loss) -> float:
+    """||g - g_fd|| / max(||g||, ||g_fd||) over every w and b entry of layers.
+
+    g is the gw/gb the weighted layers hold on entry, copied before the first
+    probe, so loss may write them; g_fd is `fd_gradient` of loss.
+    """
+    weighted = weighted_layers(layers)
+    analytic = np.concatenate([g.ravel() for layer in weighted for g in (layer.gw, layer.gb)])
+    fd = np.concatenate([fd_gradient(loss, p).ravel()
+                         for layer in weighted for p in (layer.w, layer.b)])
+    denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-12)
+    return float(np.linalg.norm(analytic - fd) / denom)
+
+
+def _replaying(layers, objective):
+    """objective() as a probe that first rewinds every Relu in layers to replay
+    the masks its analytic pass recorded."""
+    def loss():
+        set_mask_mode(layers, "replay")
+        return objective()
+    return loss
+
+
+def gradient_check(model: AeModel, images: np.ndarray, symbols: np.ndarray) -> float:
+    """Central finite differences vs analytic gradients for every active group.
+
+    Each objective has one definition, the training step. The analytic
+    gradients are the ones train_ae hands to Adam, from a grads-on call of
+    _generator_loss_and_grads or _disc_loss_and_grads; the finite-difference
+    probes call the same function with grads off. Each discriminator is
+    probed on the real/fake batches of the generator's analytic pass: only
+    that discriminator's weights move during its probes, so the batches
+    cannot change. Walks every coordinate of every weight array, so call it
+    on small nets only. Returns the maximum per-group `gradient_error`.
+
+    The analytic pass records the ReLU masks per forward call; the
+    finite-difference probes replay them. The comparison is then between two
+    views of the same smooth branch, so units that happen to sit at or near
+    the kink (guaranteed at initialization, where biases are exactly zero)
+    cannot flip and fake a mismatch.
+    """
+    x = np.asarray(images, dtype=np.float64)[:, None, :, :]
+    t = np.asarray(symbols, dtype=np.float64)[:, None, :, :]
+    groups = model.groups()
+    every = [layer for layers in groups.values() for layer in layers]
+
+    set_mask_mode(every, "record")
+    _, t_hat, x_hat = _generator_loss_and_grads(model, x, t)
+    generator = _replaying(
+        every, lambda: _generator_loss_and_grads(model, x, t, grads=False)[0]["total"])
+    worst = max(gradient_error(groups[name], generator)
+                for name in (("encoder", "decoder") if _x_side(model) else ("encoder",)))
+    for name, real, fake in (("disc_t", t, t_hat), ("disc_x", x, x_hat)):
+        if name in groups and fake is not None:
+            disc = groups[name]
+            set_mask_mode(every, "record")
+            _disc_loss_and_grads(disc, real, fake)
+            worst = max(worst, gradient_error(disc, _replaying(
+                every, lambda: _disc_loss_and_grads(disc, real, fake, grads=False))))
+    set_mask_mode(every, "normal")
+    return worst
+
+
 def ae_gradients(prefix: tuple, size: int) -> float:
     """Every scenario's loss gradients equal finite differences at `size` points each.
 
@@ -186,26 +284,21 @@ def ae_gradients(prefix: tuple, size: int) -> float:
     return worst
 
 
-def supervised_gradient(prefix: tuple, size: int) -> None:
-    """MLP hidden-layer gradient equals central finite differences on a `size`-row batch."""
+def supervised_gradient(prefix: tuple, size: int) -> float:
+    """Every classifier weight and bias gradient equals central finite differences
+    on a `size`-row batch, with the analytic pass's ReLU masks replayed.
+
+    Returns the relative error, which must stay below 1e-6.
+    """
     rng = rng_for(*prefix, "grad")
     layers = [Dense(rng_for(*prefix, "h"), 6, 5), Relu(), Dense(rng_for(*prefix, "o"), 5, 3)]
-    hidden = layers[0]
     x = rng.random((size, 6))
     y = rng.integers(0, 3, size)
+    set_mask_mode(layers, "record")
     _ce_loss_and_grads(layers, x, y)
-    analytic = hidden.gw.copy()
-    h = 1e-6
-    for idx in ((0, 0), (2, 3), (5, 4)):
-        orig = hidden.w[idx]
-        hidden.w[idx] = orig + h
-        up = _ce_loss_and_grads(layers, x, y)
-        hidden.w[idx] = orig - h
-        down = _ce_loss_and_grads(layers, x, y)
-        hidden.w[idx] = orig
-        fd = (up - down) / (2 * h)
-        _require(abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(fd)),
-                 f"hidden-layer gradient mismatch at {idx}")
+    err = gradient_error(layers, _replaying(layers, lambda: _ce_loss_and_grads(layers, x, y)))
+    _require(err < 1e-6, f"classifier gradient relative error {err:.2e}")
+    return err
 
 
 def mi_bounds(prefix: tuple, size: int) -> None:
@@ -269,7 +362,8 @@ def dot_gain_asymmetry() -> tuple:
         symbols=symbols, symbol_px=3, pixels=upsample_symbols(symbols, 3),
         seed=0, marker_width_px=0,
     )
-    params = strong_dot_gain_params()
+    params = replace(default_attack_params("fake2", "white", seed=0, plane_jitter=0.0).reprint,
+                     noise_sigma=0.0)
     observed = acquire(print_template(t, params, "asym"), params, "original")
     recovered = estimate_template_binary(observed, AttackParams(morph_cleanup=False))
     white_area = int((recovered[21:24, 21:24] == 0).sum())

@@ -195,6 +195,8 @@ def cmd_gen(args, config) -> int:
     seed = _seed(args, config)
     opts = _settings(args, config, "template")
     count = opts.get("count", 1)
+    if count < 1:
+        raise ParameterError(f"count must be at least 1, got {count}")
     n_sym = opts.get("n_sym", DatasetConfig.n_sym)
     symbol_px = opts.get("symbol_px", DatasetConfig.symbol_px)
     black = opts.get("black_fraction", DatasetConfig.black_fraction)

@@ -38,10 +38,6 @@ class Thresholds:
     def to_dict(self) -> dict:
         return {"gamma1": int(self.gamma1), "gamma2": float(self.gamma2)}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Thresholds":
-        return cls(gamma1=int(obj["gamma1"]), gamma2=float(obj["gamma2"]))
-
 
 def rule_one_metric(hamming_sym, gamma1: int):
     """Accept iff hamming_sym <= gamma1 (boundary inclusive).

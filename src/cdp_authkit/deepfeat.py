@@ -22,9 +22,10 @@ outputs. All RMS norms are per-sample root-mean-square, so loss scales are
 resolution independent.
 
 Each objective has one definition, the training step (_generator_loss_and_grads,
-_disc_loss_and_grads, both built on _logistic_term); gradient_check probes
-the same functions with grads off, which runs the forward pass only, and
-probes each discriminator on the batches of one generator pass.
+_disc_loss_and_grads, both built on _logistic_term). The gradient check,
+`checks.gradient_check`, probes the same functions with grads off, which
+runs the forward pass only, and probes each discriminator on the batches of
+one generator pass.
 
 Every beta-weighted computation is skipped outright when beta == 0, so
 scenario 3 reproduces scenario 1 (and 4 reproduces 2) bit-for-bit on the
@@ -62,7 +63,6 @@ from .rng import rng_for
 
 SCENARIOS = (1, 2, 3, 4)
 TRACE_KEYS = ("total", "template_rms", "adv_t", "recon_rms", "adv_x", "disc_t", "disc_x")
-FD_STEP = 1e-5  # gradient_check's central-difference step
 
 
 @dataclass
@@ -398,87 +398,6 @@ def extract_features_batch(
     for layers in model.groups().values():
         drop_scratch(layers)
     return {"hamming_sym": hamming, "recon_l2": recon_l2}
-
-
-def _set_mask_mode(model: AeModel, mode: str) -> None:
-    """Set every ReLU's mask mode and rewind its replay; other modes clear the log."""
-    for layers in model.groups().values():
-        for layer in layers:
-            if isinstance(layer, Relu):
-                layer.mask_mode = mode
-                layer.replay_idx = 0
-                if mode != "replay":
-                    layer.mask_log = []
-
-
-def gradient_check(model: AeModel, images: np.ndarray, symbols: np.ndarray) -> float:
-    """Central finite differences vs analytic gradients for every active group.
-
-    Each objective has one definition, the training step. The analytic
-    gradients are the ones train_ae hands to Adam, from a grads-on call of
-    _generator_loss_and_grads or _disc_loss_and_grads; the finite-difference
-    probes call the same function with grads off. Each discriminator is
-    probed on the real/fake batches of the generator's analytic pass: only
-    that discriminator's weights move during its probes, so the batches
-    cannot change. Walks every coordinate of every weight array, so call it
-    on small nets only. Returns the maximum per-group relative error
-    ||g_analytic - g_fd|| / max(||g_analytic||, ||g_fd||).
-
-    The analytic pass records the ReLU masks per forward call; the
-    finite-difference probes replay them. The comparison is then between two
-    views of the same smooth branch, so units that happen to sit at or near
-    the kink (guaranteed at initialization, where biases are exactly zero)
-    cannot flip and fake a mismatch.
-    """
-    x = np.asarray(images, dtype=np.float64)[:, None, :, :]
-    t = np.asarray(symbols, dtype=np.float64)[:, None, :, :]
-    groups = model.groups()
-
-    def probe(objective) -> float:
-        _set_mask_mode(model, "replay")  # replay from the analytic pass's first mask
-        return objective()
-
-    def group_errors(names, objective) -> float:
-        # forward-only probes leave gw/gb alone, so they still hold the analytic pass
-        worst = 0.0
-        for name in names:
-            fd_parts, an_parts = [], []
-            for layer in weighted_layers(groups[name]):
-                for param, grad in ((layer.w, layer.gw), (layer.b, layer.gb)):
-                    fd = np.zeros_like(param)
-                    flat = param.reshape(-1)
-                    fd_flat = fd.reshape(-1)
-                    for i in range(flat.size):
-                        orig = flat[i]
-                        flat[i] = orig + FD_STEP
-                        up = probe(objective)
-                        flat[i] = orig - FD_STEP
-                        down = probe(objective)
-                        flat[i] = orig
-                        fd_flat[i] = (up - down) / (2.0 * FD_STEP)
-                    fd_parts.append(fd.ravel())
-                    an_parts.append(grad.ravel())
-            fd_vec = np.concatenate(fd_parts)
-            an_vec = np.concatenate(an_parts)
-            denom = max(np.linalg.norm(an_vec), np.linalg.norm(fd_vec), 1e-12)
-            worst = max(worst, float(np.linalg.norm(an_vec - fd_vec) / denom))
-        return worst
-
-    _set_mask_mode(model, "record")
-    _, t_hat, x_hat = _generator_loss_and_grads(model, x, t)
-    worst = group_errors(
-        ("encoder", "decoder") if _x_side(model) else ("encoder",),
-        lambda: _generator_loss_and_grads(model, x, t, grads=False)[0]["total"],
-    )
-    for name, real, fake in (("disc_t", t, t_hat), ("disc_x", x, x_hat)):
-        if name in groups and fake is not None:
-            disc = groups[name]
-            _set_mask_mode(model, "record")
-            _disc_loss_and_grads(disc, real, fake)
-            worst = max(worst, group_errors(
-                (name,), lambda: _disc_loss_and_grads(disc, real, fake, grads=False)))
-    _set_mask_mode(model, "normal")
-    return worst
 
 
 def save_ae(model: AeModel, path: str | Path) -> None:

@@ -39,10 +39,7 @@ output, such as the decoder's last 8->1 conv at 72x72, or the input
 gradient of a one-channel input), each tap would be a matrix-vector product
 that reads the whole input again, so `correlate` runs one (k*k, C) @
 (C, Hp*Wp) GEMM per sample and adds its k*k rows, each shifted by its tap's
-offset, in tap order (kn2row's GEMM-then-shift-add form). numpy runs a
-one-row product as a GEMV, which sums the C terms in another order than a
-GEMM, so these outputs move in the low bits against trees that ran a GEMV
-per tap; at 16x8x72x72 the forward took 0.85 ms against 1.70 ms.
+offset, in tap order (kn2row's GEMM-then-shift-add form).
 
 Patches. A layer built with upsample=f > 1 (the decoder's symbol-to-pixel
 conv) is a nearest f-fold upsample followed by a stride-1 same-padded conv
@@ -84,12 +81,9 @@ col2im(dcols). So each of the three GEMMs computes 45 of the 81
 (phase, offset) slots at f = 3, and at f = 1 one block spans every column,
 so every GEMM is the dense one. The weights keep the layout and shape of
 the unfused conv (tap-major (c, ki, kj) columns), so model files of any tree
-load unchanged. Only the rounding moves, by about 1e-15 relative: at f > 1
-the fold adds the weights of taps that read the same input pixel before
-multiplying, and against trees before the phase blocks, which ran one dense
-GEMM over channel-major (c, di, dj) patches, the GEMMs sum their terms in
-another order and skip the zero slots (a one-plane strided layer keeps its
-order, since with C = 1 the two patch orders are the same).
+load unchanged. Against the unfused conv only the rounding moves, by about
+1e-15 relative: at f > 1 the fold adds the weights of taps that read the
+same input pixel before multiplying.
 
 Chunks. A loop over samples takes them max(1, CHUNK_BYTES // s) at a time,
 where s is the bytes of one sample of the array the loop streams: the
@@ -234,18 +228,15 @@ def _chunks(shape: tuple) -> list:
     return [slice(s, min(s + step, b)) for s in range(0, max(b, 1), step)]
 
 
-def im2col(x: np.ndarray, k: int, stride: int, pad: int, work: Workspace | None = None):
-    """(B, C, H, W) -> (B, k*k*C, oh*ow) offset-major patch matrix plus (oh, ow).
+def im2col(xp: np.ndarray, k: int, stride: int, work: Workspace):
+    """Already padded (B, C, H, W) -> (B, k*k*C, oh*ow) offset-major patch matrix plus (oh, ow).
 
     Row (ki*k + kj)*C + c holds input channel c shifted by (ki, kj). The
-    padded input and the patch matrix are work's "xp" and "cols" (default:
-    new arrays); with pad 0 x is read in place.
+    patch matrix is work's "cols".
     """
-    work = Workspace() if work is None else work
-    b, c, h, w = x.shape
-    xp = x if pad == 0 else _pad2(x, pad, work)
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
+    b, c, h, w = xp.shape
+    oh = (h - k) // stride + 1
+    ow = (w - k) // stride + 1
     cols = work.get("cols", (b, k, k, c, oh, ow))
     for ki in range(k):
         for kj in range(k):
@@ -255,13 +246,12 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int, work: Workspace | None 
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int,
-           work: Workspace | None = None, out: np.ndarray | None = None):
-    """Adjoint of im2col: scatter (B, k*k*C, oh*ow) patch gradients back onto the input grid.
+           work: Workspace, out: np.ndarray) -> np.ndarray:
+    """Adjoint of im2col on an input padded by pad: scatter (B, k*k*C, oh*ow)
+    patch gradients back onto the input grid.
 
-    Accumulates in work's "dxp" (default: a new array) and returns the
-    interior written into out, or as a new array.
+    Accumulates in work's "dxp" and returns out, the (B, C, H, W) interior.
     """
-    work = Workspace() if work is None else work
     b, c, h, w = x_shape
     dxp = work.get("dxp", (b, c, h + 2 * pad, w + 2 * pad))
     dxp.fill(0.0)
@@ -270,10 +260,7 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
         for kj in range(k):
             dxp[:, :, ki : ki + stride * oh : stride,
                 kj : kj + stride * ow : stride] += d6[:, ki, kj]
-    interior = dxp[:, :, pad : pad + h, pad : pad + w]
-    if out is None:
-        return interior.copy()
-    np.copyto(out, interior)
+    np.copyto(out, dxp[:, :, pad : pad + h, pad : pad + w])
     return out
 
 
@@ -301,7 +288,7 @@ def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
     done = done or (lambda rows, z, zv: None)
     if c == 1:
         for rows in _chunks((b, k * k, oh * ow)):
-            cols, _ = im2col(xp[rows], k, 1, 0, work)
+            cols, _ = im2col(xp[rows], k, 1, work)
             np.matmul(w, cols, out=out[rows])
             done(rows, out[rows], result[rows])
         return result
@@ -462,7 +449,7 @@ class Conv2d:
         bias = np.repeat(np.tile(self.b, f * f), oh * ow).reshape(f * fo, oh * ow)
         for rows in chunks:
             m = rows.stop - rows.start
-            cols, _ = im2col(xp[rows], kk, s, 0, self._work)
+            cols, _ = im2col(xp[rows], kk, s, self._work)
             for p, (a0, a1) in enumerate(self._blocks):
                 np.matmul(wp[p * fo : (p + 1) * fo, a0 * kc : a1 * kc], cols[:, a0 * kc : a1 * kc],
                           out=z[:m, p * fo : (p + 1) * fo])
@@ -498,7 +485,7 @@ class Conv2d:
         dcols = self._work.get("dcols", (n, kk * kc, oh * ow)) if input_grad else None
         for rows in chunks:
             m = rows.stop - rows.start
-            cols, _ = im2col(xp[rows], kk, s, 0, self._work)  # the forward's, rebuilt
+            cols, _ = im2col(xp[rows], kk, s, self._work)  # the forward's, rebuilt
             # space-to-depth: (o, i, p, j, q) -> (p, q, o, i, j)
             np.copyto(dz[:m].reshape(m, f, f, o, oh, ow),
                       dout[rows].reshape(m, o, oh, f, ow, f).transpose(0, 3, 5, 1, 2, 4))
@@ -588,7 +575,7 @@ class Relu:
     chosen at the base point even for units sitting exactly at the kink (the
     case at initialization, where biases are zero). A layer may run several
     times per loss evaluation (e.g. a discriminator on real then fake), hence
-    the per-call log; reset `replay_idx` before each evaluation.
+    the per-call log; `set_mask_mode` rewinds it before each evaluation.
     """
 
     def __init__(self):
@@ -643,6 +630,17 @@ class Relu:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return np.where(self._cache, dout, 0.0)
+
+
+def set_mask_mode(layers, mode: str) -> None:
+    """Set every Relu's mask mode ("normal", "record" or "replay") and rewind its
+    replay; any mode but "replay" clears the log."""
+    for layer in layers:
+        if isinstance(layer, Relu):
+            layer.mask_mode = mode
+            layer.replay_idx = 0
+            if mode != "replay":
+                layer.mask_log = []
 
 
 class Sigmoid:

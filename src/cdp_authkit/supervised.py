@@ -206,10 +206,6 @@ class MiEstimate:
     h_c_given_a: float
     lower_bound: float
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.lower_bound)
-
 
 def estimate_mi_lower_bound(labels: np.ndarray, logprobs: np.ndarray) -> MiEstimate:
     """I(A; C) >= H(C) - H(C|A) from true labels and predicted log-probs.

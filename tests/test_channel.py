@@ -30,7 +30,6 @@ from cdp_authkit.channel import (
     print_template,
     save_observed,
     spread_ink,
-    strong_dot_gain_params,
 )
 from cdp_authkit.channel import _gaussian_blur
 from cdp_authkit.errors import AttackError, ParameterError
@@ -234,7 +233,8 @@ def test_copy_attack_degrades_and_labels():
 
 def test_dot_gain_asymmetry_black_grows_white_shrinks():
     t = generate_template(15, 3, 0.5, seed=7)
-    p = strong_dot_gain_params()
+    p = replace(default_attack_params("fake2", "white", seed=0, plane_jitter=0.0).reprint,
+                noise_sigma=0.0)
     code = acquire(print_template(t, p), p)
     est = estimate_template_binary(code, AttackParams(morph_cleanup=False))
     assert est.sum() > t.pixels.sum()  # net ink growth under strong dot gain

@@ -106,6 +106,11 @@ def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_d
     assert code == 1
     assert "jobs must be at least 1, got 0" in err
 
+    code, _, err = run_cli(["gen", "--count", "0", "--out", str(tmp_path / "none")], capsys)
+    assert code == 1
+    assert "count must be at least 1, got 0" in err
+    assert not (tmp_path / "none").exists()
+
     monkeypatch.setenv("CDP_AUTHKIT_SEED", "not-a-number")
     code, _, err = run_cli(["gen", "--out", str(tmp_path / "t")], capsys)
     assert code == 1

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cdp_authkit.checks import toy_batch
+from cdp_authkit.checks import gradient_check, toy_batch
 from cdp_authkit import deepfeat
 from cdp_authkit.deepfeat import (
     SCENARIOS,
@@ -17,7 +17,6 @@ from cdp_authkit.deepfeat import (
     decode,
     encode,
     extract_features_batch,
-    gradient_check,
     load_ae,
     save_ae,
     train_ae,

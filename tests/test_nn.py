@@ -9,6 +9,7 @@ values; the shared epoch loop."""
 import numpy as np
 import pytest
 
+from cdp_authkit.checks import fd_gradient
 from cdp_authkit.deepfeat import AeConfig, build_ae_model, decode, encode
 from cdp_authkit import nn
 from cdp_authkit.errors import ParameterError, TrainingError
@@ -17,12 +18,15 @@ from cdp_authkit.nn import (
     Dense,
     Relu,
     UpsampleNearest,
+    Workspace,
     chain_backward,
     chain_forward,
     chain_infer,
     col2im,
+    drop_scratch,
     im2col,
     phase_blocks,
+    set_mask_mode,
     sigmoid,
     train_epochs,
     upsample_fold,
@@ -57,20 +61,6 @@ def _layer_and_input(in_ch, k, stride, hw, out_ch):
     return layer, x, rng
 
 
-def _fd_grad(loss, param, h=1e-6):
-    grad = np.zeros_like(param)
-    flat, gflat = param.reshape(-1), grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss()
-        flat[i] = orig - h
-        down = loss()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * h)
-    return grad
-
-
 def _rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
 
@@ -98,17 +88,19 @@ def test_gradients_match_finite_differences(in_ch, k, stride, hw, out_ch):
     layer.forward(x)
     assert layer.backward(r, input_grad=False) is None  # skips the input gradient only
     assert np.array_equal(layer.gw, gw) and np.array_equal(layer.gb, gb)
-    assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
-    assert _rel_err(layer.gw, _fd_grad(loss, layer.w)) < 1e-7
-    assert _rel_err(layer.gb, _fd_grad(loss, layer.b)) < 1e-7
+    assert _rel_err(dx, fd_gradient(loss, x, step=1e-6)) < 1e-7
+    assert _rel_err(layer.gw, fd_gradient(loss, layer.w, step=1e-6)) < 1e-7
+    assert _rel_err(layer.gb, fd_gradient(loss, layer.b, step=1e-6)) < 1e-7
 
 
 @_cases(DEEPFEAT_GEOMETRIES)
 def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, hw, out_ch):
     _, x, rng = _layer_and_input(in_ch, k, stride, hw, out_ch)
-    cols, (oh, ow) = im2col(x, k, stride, 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols, (oh, ow) = im2col(xp, k, stride, Workspace())
     d = rng.standard_normal(cols.shape)
-    lhs = float((col2im(d, x.shape, k, stride, 1, oh, ow) * x).sum())
+    dx = col2im(d, x.shape, k, stride, 1, oh, ow, Workspace(), np.empty_like(x))
+    lhs = float((dx * x).sum())
     rhs = float((d * cols).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -151,9 +143,9 @@ def test_upsampling_conv_gradients_match_finite_differences():
 
     fused.forward(x)
     dx = fused.backward(r)
-    assert _rel_err(dx, _fd_grad(loss, x)) < 1e-7
-    assert _rel_err(fused.gw, _fd_grad(loss, fused.w)) < 1e-7
-    assert _rel_err(fused.gb, _fd_grad(loss, fused.b)) < 1e-7
+    assert _rel_err(dx, fd_gradient(loss, x, step=1e-6)) < 1e-7
+    assert _rel_err(fused.gw, fd_gradient(loss, fused.w, step=1e-6)) < 1e-7
+    assert _rel_err(fused.gb, fd_gradient(loss, fused.b, step=1e-6)) < 1e-7
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -330,12 +322,12 @@ def test_returned_arrays_are_never_reused(path):
 
 def test_relu_records_a_copy_of_each_mask():
     relu = Relu()
-    relu.mask_mode = "record"
+    set_mask_mode([relu], "record")
     xs = np.random.default_rng(3).standard_normal((2, 4, 3, 5, 5))
     for x in xs:
         relu.forward(x)
     assert [np.array_equal(mask, x > 0) for mask, x in zip(relu.mask_log, xs)] == [True, True]
-    relu.mask_mode, relu.replay_idx = "replay", 0
+    set_mask_mode([relu], "replay")
     probe = np.ones_like(xs[0])
     assert [np.array_equal(relu.forward(probe), x > 0) for x in xs] == [True, True]
 
@@ -388,7 +380,7 @@ def test_relu_act_in_the_patch_kernels_layout_is_where_bit_for_bit():
     view = lambda a: a.reshape(m, o, oh, f, oh, f).transpose(0, 3, 5, 1, 2, 4)
     relu = Relu()
     for mode, sign in (("normal", 1.0), ("record", 1.0), ("replay", -1.0)):
-        relu.mask_mode, relu.replay_idx = mode, 0
+        set_mask_mode([relu], mode)
         got = sign * z  # replay applies the recorded mask of z to -z
         relu.start(x.shape)(got, got.reshape(zs.shape), slice(0, m), view)
         y = np.empty_like(x)
@@ -407,12 +399,6 @@ def _layer_by_layer(layers, x):
 
 def _masks(layers):
     return [layer._cache for layer in layers if isinstance(layer, Relu)]
-
-
-def _set_modes(layers, mode):
-    for layer in layers:
-        if isinstance(layer, Relu):
-            layer.mask_mode, layer.replay_idx = mode, 0
 
 
 def _workspace_arrays(layers):
@@ -434,16 +420,16 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
     fused, x = _special_chain(group)
     ref, _ = _special_chain(group)
     for layers in (fused, ref):
-        _set_modes(layers, "record")
+        set_mask_mode(layers, "record")
     if mode == "replay":  # record on the two batches, then replay the logs on others
         for batch in (x, x[:3]):
             assert _same_bits(chain_forward(fused, batch), _layer_by_layer(ref, batch))
         for layers in (fused, ref):
-            _set_modes(layers, "replay")
+            set_mask_mode(layers, "replay")
         x = x[::-1].copy()
     else:
         for layers in (fused, ref):
-            _set_modes(layers, mode)
+            set_mask_mode(layers, mode)
     for batch in (x, x[:3]):  # a short last batch reuses the held arrays' [:b] views
         got, want = chain_forward(fused, batch), _layer_by_layer(ref, batch)
         assert _same_bits(got, want)
@@ -458,19 +444,15 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
         assert all(len(relu.mask_log) == 2 for relu in relus)
         assert all(_same_bits(a.mask_log[1], b.mask_log[1])
                    for a, b in zip(relus, [layer for layer in ref if isinstance(layer, Relu)]))
-    # forward only: the same output, no cache kept, and in normal mode no mask made
+    # forward only, with the caches and scratch dropped first: the same output,
+    # no cache kept, and in normal mode no mask made
     for layers in (fused, ref):
-        _set_modes(layers, mode)
-    fresh, _ = _special_chain(group)
-    _set_modes(fresh, mode)
-    if mode == "replay":
-        for a, b in zip(fresh, fused):
-            if isinstance(a, Relu):
-                a.mask_log = b.mask_log
-    assert _same_bits(chain_infer(fresh, x), _layer_by_layer(ref, x))
-    assert all(layer._cache is None for layer in fresh)
+        set_mask_mode(layers, mode)
+    drop_scratch(fused)
+    assert _same_bits(chain_infer(fused, x), _layer_by_layer(ref, x))
+    assert all(layer._cache is None for layer in fused)
     if mode == "normal":
-        assert not any("mask" in layer._work._arrays for layer in fresh if isinstance(layer, Relu))
+        assert not any("mask" in layer._work._arrays for layer in fused if isinstance(layer, Relu))
 
 
 def test_a_relu_that_follows_no_conv_returns_a_new_array():

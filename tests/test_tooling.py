@@ -6,8 +6,8 @@ TARGETS); a renamed or removed target breaks the benchmark's traced mode
 module is loaded by path, as the harness itself loads it, and left unedited.
 
 The package's own sources are also scanned with `ast` for imports that no
-code reads, and for top-level functions and classes that no code in the
-package refers to.
+code reads, and for top-level functions and classes, and methods of top-level
+classes, that no code in the package refers to.
 """
 
 import ast
@@ -101,21 +101,35 @@ def _references(node) -> Counter:
     return refs
 
 
+def _definitions(tree):
+    """(qualified name, node) of each top-level def or class, and of each method
+    of a top-level class but its dunder methods."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _unreferenced_definitions(src: Path) -> list:
-    """(module, name) of each top-level def or class referred to nowhere in src
-    but inside its own body."""
+    """(module, qualified name) of each definition `_definitions` lists that is
+    referred to nowhere in src but inside its own body; a method counts as
+    referred to wherever an attribute of its name is read."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(src.rglob("*.py"))}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
-    return [(path.stem, node.name)
-            for path, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and everywhere[node.name] == _references(node)[node.name]]
+    return [(path.stem, name)
+            for path, tree in trees.items() for name, node in _definitions(tree)
+            if everywhere[node.name] == _references(node)[node.name]]
 
 
 def test_src_defines_no_unreferenced_function_or_class():
     dead = [entry for entry in _unreferenced_definitions(SRC) if entry not in UNREFERENCED_OK]
-    assert not dead, f"defined at the top level of src/ and referred to nowhere there: {dead}"
+    assert not dead, f"defined in src/ and referred to nowhere there: {dead}"
     # the allowlist holds only names that exist and still need it
     assert sorted(_unreferenced_definitions(SRC)) == sorted(UNREFERENCED_OK)
 
