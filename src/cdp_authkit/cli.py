@@ -202,11 +202,11 @@ def cmd_gen(args, config) -> int:
     black = opts.get("black_fraction", DatasetConfig.black_fraction)
     marker = opts.get("marker_width", 0)
     out = _out_path(args, config, "templates")
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(count):
         t = generate_template(n_sym, symbol_px, black, derive_seed(seed, "template", i))
         if marker:
             t = add_markers(t, marker)
+        out.mkdir(parents=True, exist_ok=True)  # once the first template has checked the options
         save_template(t, out / f"t{i:04d}")
     print(f"wrote {count} templates ({n_sym}x{n_sym} symbols at {symbol_px}px) -> {out}")
     return 0

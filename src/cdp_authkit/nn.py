@@ -69,15 +69,16 @@ for each p, the GEMM of the phase-p rows and live columns of W' with the
 live rows of cols; the bias, added to the GEMM result as a plane; and the
 depth-to-space by f, one strided copy per phase (p, q); the f*f-times larger
 upsampled input is never built.
-Backward rebuilds each chunk's patch matrix from the cached padded input and
-does a space-to-depth of dout into dz. The weight gradient is, for each p,
+Backward rebuilds each chunk's patch matrix from the cached padded input,
+takes W' from the forward's cache, and does a space-to-depth of dout into
+dz. The weight gradient is, for each p,
 dz_p @ cols_block^T written into phase p's block of the per-sample
 products, whose other blocks stay zero; the products are summed over
 samples and, at f > 1, folded back through the transposed fold matrix. The
 input gradient runs one GEMM per run of row offsets read by the same phases
 (at f = 3: offset 0 by phase 0, offset 1 by all three, offset 2 by phase 2),
-the transposed block of W' times those phases' dz rows, into dcols, and returns
-col2im(dcols). So each of the three GEMMs computes 45 of the 81
+the transposed block of W' times those phases' dz rows, into dcols, and takes
+the chunk's col2im(dcols). So each of the three GEMMs computes 45 of the 81
 (phase, offset) slots at f = 3, and at f = 1 one block spans every column,
 so every GEMM is the dense one. The weights keep the layout and shape of
 the unfused conv (tap-major (c, ki, kj) columns), so model files of any tree
@@ -104,16 +105,18 @@ Workspaces. Each Conv2d and Relu owns a `Workspace` (`_work`, apart from
 `_cache`, so `chain_infer` still leaves `_cache` None) of scratch arrays it
 reuses while their shapes repeat, a [:b] view for a smaller last batch or
 chunk, a new array for a new shape. A Conv2d holds its padded input (zero
-border written once, at allocation), which is the whole of its backward
-cache under either kernel; one chunk's patch matrix; the patch GEMM result,
-shared with backward's space-to-depth; the tap accumulator and its tmp, or
-for one output plane the k*k tap product rows; the zeroed dout grid and the
-padded dout; the per-sample weight-gradient products (zeroed at allocation,
-so the patch kernel's unwritten blocks read 0); dcols and the col2im
-target. A Relu holds its mask. Only scratch and a layer's own backward
-cache are overwritten by its next call, and what a layer or chain returns
-never shares memory with any Workspace, with one exception inside
-`chain_forward`/`chain_infer`. There a Relu right after a Conv2d or a
+border written once, at allocation), which with the patch kernel's W' is the
+whole of its backward cache; one chunk's patch matrix; the patch GEMM result,
+shared with backward's space-to-depth; one chunk's tap accumulator for the
+forward and one for the input gradient, and its tmp, or for one output plane
+the k*k tap product rows; the zeroed dout grid and the padded dout; the
+per-sample weight-gradient products (zeroed at allocation, so the patch
+kernel's unwritten blocks read 0); dcols and one chunk's col2im target. A
+Relu holds its mask. Only scratch and a layer's own backward cache are
+overwritten by its next call, and what a layer or chain returns never shares
+memory with any Workspace, with two exceptions inside the chains.
+
+In `chain_forward`/`chain_infer`, a Relu right after a Conv2d or a
 Dense runs inside that layer's forward: per chunk (a Dense's output is one
 chunk), the GEMM result gets its bias, then the mask (greater than 0), fmax
 and +0.0 in place, in the result's own layout while it is in cache, and
@@ -126,11 +129,36 @@ same operations run in the same order on the same values, so outputs,
 masks and gradients are the bits of running the layers one by one; record
 and replay mode run the same path (replay applies the logged mask with
 np.where). Without keep_cache (`chain_infer`) a Relu in normal mode makes
-no mask, since no backward will read it. At the shapes of a `deep-s3`
-autoencoder step (batch 16, 72x72 codes, 8 channels) the held arrays of
-encoder and decoder total about 19.7 MB, 9.4 MB of which is the padded
-inputs and ReLU masks a step holds anyway; the largest is the last decoder
-conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer list's
+no mask, since no backward will read it.
+
+In `chain_backward`, a Relu between two Conv2d layers, A below and B above,
+runs inside B's backward. B's weight gradient reads its padded input first
+(all of it in the tap kernel, a chunk of samples at a time in the patch
+kernel), so those rows are spent; then each chunk of B's input gradient, in
+scratch while it is in cache (`correlate`'s done hook, the patch kernel's
+col2im target), gets the ReLU backward and is written into the interior of
+B's padded input, whose zero border is never touched; A's backward reads
+that view as its dout, so a training step allocates no gradient of the
+8-plane 72x72 decoder tensor. The one exception: an A with one output
+plane runs unfused, since numpy sums a one-plane dout for gb in another
+order when it is such a view (with more planes the sum over a view and
+over a contiguous array agree bit for bit).
+
+The ReLU backward, fused or `Relu.backward`, is dout times the mask, then
++0.0, in place: a masked write over a random mask is branch-bound, and the
+multiply took 1.75 ms against 4.73 ms for np.where on 16x8x72x72 (2-core
+x86-64 host, one BLAS thread). It equals
+np.where(mask, dout, 0.0) bit for bit except at two kinds of entry: a NaN or
++-inf dout at an inactive unit gives NaN (not 0.0), and a -0.0 dout at an
+active unit gives +0.0 (not -0.0). A conv's input gradient is a GEMM sum
+that starts from +0.0, so it is never -0.0, and a non-finite one comes from
+a non-finite dout or weight of that conv, which makes its gb or w
+non-finite too.
+
+At the shapes of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8
+channels) the held arrays of encoder and decoder total about 20.1 MB, 9.4
+MB of which is the padded inputs and ReLU masks a step holds anyway; the
+largest is the last decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer list's
 workspace arrays and backward caches; deepfeat calls it when training or
 feature extraction returns, so a model handed back holds none.
 
@@ -246,11 +274,12 @@ def im2col(xp: np.ndarray, k: int, stride: int, work: Workspace):
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int,
-           work: Workspace, out: np.ndarray) -> np.ndarray:
+           work: Workspace) -> np.ndarray:
     """Adjoint of im2col on an input padded by pad: scatter (B, k*k*C, oh*ow)
     patch gradients back onto the input grid.
 
-    Accumulates in work's "dxp" and returns out, the (B, C, H, W) interior.
+    Accumulates in work's "dxp" and returns its (B, C, H, W) interior, which
+    the next call overwrites.
     """
     b, c, h, w = x_shape
     dxp = work.get("dxp", (b, c, h + 2 * pad, w + 2 * pad))
@@ -260,65 +289,63 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
         for kj in range(k):
             dxp[:, :, ki : ki + stride * oh : stride,
                 kj : kj + stride * ow : stride] += d6[:, ki, kj]
-    np.copyto(out, dxp[:, :, pad : pad + h, pad : pad + w])
-    return out
+    return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
-def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace,
-              fresh: bool = False, done=None) -> np.ndarray:
+def correlate(xp: np.ndarray, w: np.ndarray, k: int, work: Workspace, done,
+              name: str = "acc") -> None:
     """Stride-1 valid cross-correlation of a padded (B, C, Hp, Wp) input with (O, C*k*k) weights.
 
-    Returns (B, O, Hp - k + 1, Wp - k + 1), summed tap by tap over the
+    The (B, O, Hp - k + 1, Wp - k + 1) result is summed tap by tap over the
     flattened input, a chunk of samples per GEMM (see the module docstring);
     a one-plane input goes through im2col instead, and one output plane
-    through one GEMM of all taps per sample. Scratch comes from work.
-    The result is a view of work's "acc", which the next call overwrites,
-    unless fresh, which makes it a new array. done(rows, z, zv), if given,
-    is called with each chunk's finished output while it is in cache: zv =
-    result[rows], and z the contiguous accumulator rows that hold it; z's
-    other entries (the grid's dropped columns) are junk that no result reads.
+    through one GEMM of all taps per sample. Scratch comes from work, and
+    each chunk's result from its array name, which the next chunk overwrites.
+    done(rows, z, zv) is called with each chunk's finished output while it is
+    in cache: zv = result[rows], and z the contiguous accumulator rows that
+    hold it; z's other entries (the grid's dropped columns) are junk that no
+    result reads.
     """
     b, c, hp, wp = xp.shape
     o = w.shape[0]
     oh, ow = hp - k + 1, wp - k + 1
-    width = ow if c == 1 else wp
-    # zeroed, so the never-written tail of each plane is never uninitialized memory
-    out = np.empty((b, o, oh * width)) if fresh else work.get("acc", (b, o, oh * width), zeroed=True)
-    result = out.reshape(b, o, oh, width)[:, :, :, :ow]
-    done = done or (lambda rows, z, zv: None)
-    if c == 1:
-        for rows in _chunks((b, k * k, oh * ow)):
-            cols, _ = im2col(xp[rows], k, 1, work)
-            np.matmul(w, cols, out=out[rows])
-            done(rows, out[rows], result[rows])
-        return result
     n = (oh - 1) * wp + ow
+    width = ow if c == 1 else wp
     flat = xp.reshape(b, c, hp * wp)
-    if o == 1:  # one GEMM of all k*k taps per sample reads the input once
+    if c == 1:
+        chunks = _chunks((b, k * k, oh * ow))
+    elif o == 1:  # one GEMM of all k*k taps per sample reads the input once
+        chunks = [slice(0, b)]  # one plane: the batch is one chunk
         prods = work.get("taps", (k * k, hp * wp))
         taps = w.reshape(c, k * k).T.copy()
-        for s in range(b):
-            np.matmul(taps, flat[s], out=prods)
-            acc = out[s, 0, :n]
-            np.copyto(acc, prods[0, :n])
+    else:  # a chunk of samples keeps the accumulator in cache
+        chunks = _chunks(xp.shape)
+        tmp = work.get("tmp", (chunks[0].stop, o, n))
+        taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
+    # zeroed, so the never-written tail of each plane is never uninitialized memory
+    out = work.get(name, (chunks[0].stop, o, oh * width), zeroed=True)
+    for rows in chunks:
+        m = rows.stop - rows.start
+        z = out[:m]
+        if c == 1:
+            cols, _ = im2col(xp[rows], k, 1, work)
+            np.matmul(w, cols, out=z)
+        elif o == 1:
+            for s in range(m):
+                np.matmul(taps, flat[rows.start + s], out=prods)
+                total = z[s, 0, :n]
+                np.copyto(total, prods[0, :n])
+                for t in range(1, k * k):
+                    off = (t // k) * wp + t % k
+                    total += prods[t, off : off + n]
+        else:
+            total, part = z[:, :, :n], tmp[:m]
+            np.matmul(taps[0], flat[rows, :, :n], out=total)
             for t in range(1, k * k):
                 off = (t // k) * wp + t % k
-                acc += prods[t, off : off + n]
-        done(slice(0, b), out, result)  # one plane: the batch is one chunk
-        return result
-    taps = w.reshape(o, c, k * k).transpose(2, 0, 1).copy()
-    chunks = _chunks(xp.shape)
-    tmp = work.get("tmp", (chunks[0].stop, o, n))
-    for rows in chunks:  # a chunk of samples keeps the accumulator in cache
-        acc = out[rows, :, :n]
-        part = tmp[: rows.stop - rows.start]
-        np.matmul(taps[0], flat[rows, :, :n], out=acc)
-        for t in range(1, k * k):
-            off = (t // k) * wp + t % k
-            np.matmul(taps[t], flat[rows, :, off : off + n], out=part)
-            acc += part
-        done(rows, out[rows], result[rows])
-    return result
+                np.matmul(taps[t], flat[rows, :, off : off + n], out=part)
+                total += part
+        done(rows, z, z.reshape(m, o, oh, width)[:, :, :, :ow])
 
 
 def upsample_fold(k: int, pad: int, f: int) -> np.ndarray:
@@ -426,8 +453,9 @@ class Conv2d:
         """
         f, kk, lo = self._patch_geometry()
         y = np.empty(self.out_shape(x.shape)) if out is None else out
-        self._cache = xp = _pad2(x, lo, self._work)
+        xp = _pad2(x, lo, self._work)
         if self.stride == 1 and f == 1:
+            self._cache = (xp, None)
 
             def done(rows, z, zv):
                 z += np.repeat(self.b, z.shape[2]).reshape(self.out_ch, -1)
@@ -435,12 +463,13 @@ class Conv2d:
                     act(z, zv, rows)
                 np.copyto(y[rows], zv)
 
-            correlate(xp, self.w, self.k, self._work, done=done)
+            correlate(xp, self.w, self.k, self._work, done)
             return y
         b, c = x.shape[:2]
         o, s = self.out_ch, self.stride
         oh, ow = (xp.shape[2] - kk) // s + 1, (xp.shape[3] - kk) // s + 1
         wp = self._patch_weights()
+        self._cache = (xp, wp)
         fo, kc = f * o, kk * c  # rows of one row phase (q, o); columns of one row offset (dj, c)
         chunks = _chunks((b, kk * kk * c, oh * ow))
         z = self._work.get("z", (chunks[0].stop, f * fo, oh * ow))
@@ -463,25 +492,46 @@ class Conv2d:
                     np.copyto(y[rows, :, p::f, q::f], zs[:, p, q])
         return y
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True):
-        """Write gw/gb; return the input gradient, or None with input_grad off."""
+    def backward(self, dout: np.ndarray, input_grad: bool = True, mask: np.ndarray | None = None):
+        """Write gw/gb; return the input gradient, or None with input_grad off.
+
+        The input gradient is a new array, unless mask, the mask of a Relu
+        between the layer below and this one, is given: then each chunk of it
+        gets `Relu.backward`'s mask multiply while it is in cache and is written
+        into the interior of this layer's padded input, once the weight gradient
+        has read those rows, and that view is returned. The forward's input is
+        then spent: a next backward needs a forward first.
+        """
+        xp, wp = self._cache
         self.gb[...] = dout.sum(axis=(0, 2, 3))
-        if self.stride == 1 and self.upsample == 1:
-            return self._backward_taps(dout, input_grad)
-        xp = self._cache
         f, kk, lo = self._patch_geometry()
         b, c, hp, wpad = xp.shape
+        x_shape = (b, c, hp - 2 * lo, wpad - 2 * lo)
+        if not input_grad:
+            dx = finish = None
+        elif mask is None:
+            dx = np.empty(x_shape)
+
+            def finish(rows, g):  # g: the input gradient of samples rows, in scratch
+                np.copyto(dx[rows], g)
+        else:
+            dx = xp[:, :, lo : hp - lo, lo : wpad - lo]
+
+            def finish(rows, g):
+                np.multiply(g, mask[rows], out=g)
+                np.add(g, 0.0, out=dx[rows])
+
+        if self.stride == 1 and f == 1:
+            self._backward_taps(xp, dout, finish)
+            return dx
         o, s = self.out_ch, self.stride
         oh, ow = dout.shape[2] // f, dout.shape[3] // f
-        wp = self._patch_weights()
         fo, kc = f * o, kk * c
         chunks = _chunks((b, kk * kk * c, oh * ow))
         n = chunks[0].stop  # samples in a chunk
         dz = self._work.get("z", (n, f * fo, oh * ow))  # the forward's z is spent
         # the weight gradient's blocks outside a phase's offsets are never written
         prods = self._work.get("wgrad", (b, f * fo, kk * kc), zeroed=True)
-        x_shape = (b, c, hp - 2 * lo, wpad - 2 * lo)
-        dx = np.empty(x_shape) if input_grad else None
         dcols = self._work.get("dcols", (n, kk * kc, oh * ow)) if input_grad else None
         for rows in chunks:
             m = rows.stop - rows.start
@@ -497,15 +547,16 @@ class Conv2d:
                 for a0, a1, p0, p1 in self._runs:
                     np.matmul(wp[p0 * fo : p1 * fo, a0 * kc : a1 * kc].T, dz[:m, p0 * fo : p1 * fo],
                               out=dcols[:m, a0 * kc : a1 * kc])
-                col2im(dcols[:m], (m, *x_shape[1:]), kk, s, lo, oh, ow, self._work, out=dx[rows])
+                finish(rows, col2im(dcols[:m], (m, *x_shape[1:]), kk, s, lo, oh, ow, self._work))
         gw = prods.sum(axis=0).reshape(f, f, o, kk, kk, c).transpose(2, 5, 0, 1, 3, 4)
         if f > 1:
             gw = gw.reshape(o * c, f * f * kk * kk) @ self._fold.T
         self.gw[...] = gw.reshape(o, -1)
         return dx
 
-    def _backward_taps(self, dout: np.ndarray, input_grad: bool):
-        xp = self._cache
+    def _backward_taps(self, xp: np.ndarray, dout: np.ndarray, finish) -> None:
+        """The tap kernel's gw, then, unless finish is None, its input gradient
+        chunk by chunk through finish(rows, chunk)."""
         b, c, hp, wp = xp.shape
         o, k = self.out_ch, self.k
         oh, ow = dout.shape[2:]
@@ -522,11 +573,13 @@ class Conv2d:
                           out=prods[rows, t])
         # one sum over samples, in sample order, as a per-sample loop would add them
         self.gw[...] = prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
-        if not input_grad:
-            return None
+        if finish is None:
+            return
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dp = _pad2(dout, k - 1 - self.pad, self._work, "dpad")
-        return correlate(dp, flipped.reshape(c, o * k * k), k, self._work, fresh=True)
+        # its own accumulator: the forward's has another shape at one plane in or out
+        correlate(dp, flipped.reshape(c, o * k * k), k, self._work,
+                  lambda rows, z, zv: finish(rows, zv), "dacc")
 
 
 class Dense:
@@ -629,7 +682,16 @@ class Relu:
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._cache, dout, 0.0)
+        """dout times the mask, plus 0.0, written over dout and returned.
+
+        That is np.where(mask, dout, 0.0) but at two kinds of entry (module
+        docstring). In a chain, dout is the new input gradient of the layer
+        above (a Dense's, in the package's chains), or chain_backward's own
+        dout when the Relu is the last layer.
+        """
+        np.multiply(dout, self._cache, out=dout)
+        dout += 0.0
+        return dout
 
 
 def set_mask_mode(layers, mode: str) -> None:
@@ -713,10 +775,21 @@ def chain_backward(layers, dout: np.ndarray, input_grad: bool = True):
     """Backward through layers in reverse order; returns the input gradient.
 
     With input_grad off the first layer, a Dense or Conv2d, skips its input
-    gradient and None is returned.
+    gradient and None is returned. A Relu between two Conv2d layers runs
+    inside the upper conv's backward (`Conv2d.backward`'s mask), unless the
+    lower conv has one output plane: numpy sums a one-plane dout for gb in
+    another order when it is a view into a padded array.
     """
-    for layer in reversed(layers[1:]):
-        dout = layer.backward(dout)
+    i = len(layers) - 1
+    while i > 0:
+        layer, middle, lower = layers[i], layers[i - 1], layers[i - 2] if i > 1 else None
+        if (isinstance(layer, Conv2d) and isinstance(middle, Relu) and isinstance(lower, Conv2d)
+                and lower.out_ch > 1):
+            dout = layer.backward(dout, mask=middle._cache)
+            i -= 2
+        else:
+            dout = layer.backward(dout)
+            i -= 1
     if input_grad:
         return layers[0].backward(dout)
     return layers[0].backward(dout, input_grad=False)

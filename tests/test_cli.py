@@ -110,6 +110,11 @@ def test_validation_errors_exit_1(tmp_path, capsys, monkeypatch, small_dataset_d
     assert code == 1
     assert "count must be at least 1, got 0" in err
     assert not (tmp_path / "none").exists()
+    for flags in (["--n-sym", "0"], ["--symbol-px", "0"], ["--marker-width", "-2"],
+                  ["--black-fraction", "1.5"]):  # template options are checked before the mkdir
+        code, _, err = run_cli(["gen", *flags, "--out", str(tmp_path / "none")], capsys)
+        assert code == 1 and err.startswith("error: "), (flags, err)
+        assert not (tmp_path / "none").exists(), flags
 
     monkeypatch.setenv("CDP_AUTHKIT_SEED", "not-a-number")
     code, _, err = run_cli(["gen", "--out", str(tmp_path / "t")], capsys)

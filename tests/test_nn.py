@@ -3,7 +3,8 @@ the upsampling conv against an explicit upsample and conv, and its row-phase
 blocks against the fold; batch passes against per-sample passes, bit for bit,
 and returned arrays against the layers' held scratch; backward writing every
 gradient entry; Relu's mask log, and the chains that run it inside the conv or
-dense layer before it against the layers run one by one; sigmoid's special
+dense layer before it (and, backward, inside the conv after it) against the
+layers run one by one; the ReLU backward against np.where; sigmoid's special
 values; the shared epoch loop."""
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_col2im_is_adjoint_of_im2col(in_ch, k, stride, hw, out_ch):
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     cols, (oh, ow) = im2col(xp, k, stride, Workspace())
     d = rng.standard_normal(cols.shape)
-    dx = col2im(d, x.shape, k, stride, 1, oh, ow, Workspace(), np.empty_like(x))
+    dx = col2im(d, x.shape, k, stride, 1, oh, ow, Workspace())
     lhs = float((dx * x).sum())
     rhs = float((d * cols).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -397,6 +398,12 @@ def _layer_by_layer(layers, x):
     return x
 
 
+def _backward_layer_by_layer(layers, dout):
+    for layer in reversed(layers):
+        dout = layer.backward(dout)
+    return dout
+
+
 def _masks(layers):
     return [layer._cache for layer in layers if isinstance(layer, Relu)]
 
@@ -412,10 +419,11 @@ def _workspace_arrays(layers):
 def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk, monkeypatch):
     """chain_forward runs each Relu inside the Conv2d or Dense before it and
     writes a conv that feeds a Relu and a Conv2d straight into that conv's
-    padded input. Outputs, masks, gw/gb and dx are the bits of running the
-    layers one by one, in every mask mode, at one sample per chunk and the
-    whole batch per chunk, for a full batch then a short one on the same
-    workspaces."""
+    padded input; chain_backward runs a Relu between two Conv2d layers inside
+    the upper one's backward. Outputs, masks, gw/gb and dx are the bits of
+    running the layers one by one, in every mask mode, at one sample per
+    chunk and the whole batch per chunk, for a full batch then a short one on
+    the same workspaces, and neither output shares memory with a Workspace."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 1 if chunk == "one-sample" else 1 << 40)
     fused, x = _special_chain(group)
     ref, _ = _special_chain(group)
@@ -436,7 +444,9 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
         assert not any(np.shares_memory(got, a) for a in _workspace_arrays(fused))
         assert all(_same_bits(a, b) for a, b in zip(_masks(fused), _masks(ref)))
         dout = np.random.default_rng(batch.shape[0]).standard_normal(got.shape)
-        assert _same_bits(chain_backward(fused, dout), chain_backward(ref, dout))
+        dx = chain_backward(fused, dout)
+        assert _same_bits(dx, _backward_layer_by_layer(ref, dout))
+        assert not any(np.shares_memory(dx, a) for a in _workspace_arrays(fused))
         for a, b in zip(weighted_layers(fused), weighted_layers(ref)):
             assert _same_bits(a.gw, b.gw) and _same_bits(a.gb, b.gb)
     relus = [layer for layer in fused if isinstance(layer, Relu)]
@@ -453,6 +463,96 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
     assert all(layer._cache is None for layer in fused)
     if mode == "normal":
         assert not any("mask" in layer._work._arrays for layer in fused if isinstance(layer, Relu))
+
+
+@pytest.mark.parametrize("group", ["encoder", "decoder"])
+def test_a_forward_after_a_fused_backward_is_a_fresh_chains_forward(group):
+    """A fused backward writes gradients only into the interior of a conv's
+    held padded input, so the next forward reads a zero border, as a fresh
+    chain with the same weights does."""
+    layers, x = _special_chain(group)
+    with np.errstate(invalid="ignore"):  # inf - inf in the GEMMs
+        y = chain_forward(layers, x)
+        chain_backward(layers, np.random.default_rng(1).standard_normal(y.shape))
+    fresh, _ = _special_chain(group)
+    probe = np.random.default_rng(2).random(x.shape)
+    assert _same_bits(chain_forward(layers, probe), chain_forward(fresh, probe))
+    assert _same_bits(_layer_by_layer(layers, probe), _layer_by_layer(fresh, probe))
+
+
+def test_a_one_plane_conv_below_a_relu_keeps_the_layer_by_layer_bits():
+    """chain_backward does not fuse a Relu above a one-output-plane conv: numpy
+    would sum gb over the view into a padded input in another order than over
+    the contiguous array a layer-by-layer pass hands it."""
+    rng = np.random.default_rng(13)
+    layers = [Conv2d(rng, 1, 1, k=3), Relu(), Conv2d(rng, 1, 2, k=3)]
+    x = rng.standard_normal((16, 1, 24, 24))
+    dout = rng.standard_normal(chain_forward(layers, x).shape)
+    dx = chain_backward(layers, dout)
+    grads = [(layer.gw.copy(), layer.gb.copy()) for layer in weighted_layers(layers)]
+    _layer_by_layer(layers, x)
+    assert _same_bits(dx, _backward_layer_by_layer(layers, dout))
+    for layer, (gw, gb) in zip(weighted_layers(layers), grads):
+        assert _same_bits(layer.gw, gw) and _same_bits(layer.gb, gb)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0.0
+@pytest.mark.parametrize("mode", ["normal", "replay"])
+@pytest.mark.parametrize("path", ["relu", "taps", "patches"])
+def test_relu_backward_is_where_but_at_two_kinds_of_entry(path, mode, monkeypatch):
+    """Relu.backward, and a Relu run inside the backward of the conv above it
+    (through the tap kernel's correlate or the patch kernel's col2im), give
+    np.where(mask, dout, 0.0) bit for bit, except that a NaN or +-inf dout at
+    an inactive unit gives NaN and a -0.0 dout at an active unit gives +0.0.
+    The conv's own input gradient is replaced by dout, since a GEMM sum never
+    ends at -0.0."""
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 1 << 40)  # one chunk: the whole batch
+    rng = np.random.default_rng(12)
+    lower = Conv2d(rng, 1, 2, k=1, pad=0)
+    lower.w = np.array([[1.0], [-1.0]])  # exactly one of the two planes is active per pixel
+    relu = Relu()
+    upper = Conv2d(rng, 2, 3, k=3, upsample=3 if path == "patches" else 1)
+    x = rng.standard_normal((2, 1, 4, 4))
+    if mode == "replay":  # backward applies the mask recorded on x, not -x's
+        set_mask_mode([relu], "record")
+        chain_forward([lower, relu], x)
+        set_mask_mode([relu], "replay")
+    y = chain_forward([lower, relu, upper], -x if mode == "replay" else x)
+    mask = relu._cache
+    assert _same_bits(mask[:, 0], x[:, 0] > 0) and _same_bits(mask[:, 1], x[:, 0] < 0)
+    special = np.resize(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.0, 2.0]),
+                        (2, 1, 4, 4))
+    dout = np.concatenate([special, special], axis=1)  # each value active once, inactive once
+
+    if path == "relu":
+        got = relu.backward(dout.copy())
+    elif path == "taps":
+        correlate = nn.correlate
+
+        def injected(xp, w, k, work, done, name="acc"):
+            def replaced(rows, z, zv):
+                np.copyto(zv, dout[rows])
+                done(rows, z, zv)
+            correlate(xp, w, k, work, replaced, name)
+
+        monkeypatch.setattr(nn, "correlate", injected)
+        got = upper.backward(np.ones_like(y), mask=mask)
+    else:
+        col2im = nn.col2im
+
+        def injected(*args):
+            g = col2im(*args)
+            np.copyto(g, dout)
+            return g
+
+        monkeypatch.setattr(nn, "col2im", injected)
+        got = upper.backward(np.ones_like(y), mask=mask)
+    want = np.where(mask, dout, 0.0)
+    want[~mask & ~np.isfinite(dout)] = np.nan
+    want[mask & (dout == 0.0)] = 0.0
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and _same_bits(got[~nan], want[~nan])
+    assert (~mask & np.isinf(dout)).any() and (mask & np.signbit(dout) & (dout == 0.0)).any()
 
 
 def test_a_relu_that_follows_no_conv_returns_a_new_array():
