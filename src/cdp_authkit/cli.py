@@ -286,7 +286,7 @@ def cmd_calibrate(args, config) -> int:
     model = load_ae(args.model)
     assignment = manifest_assignment(data)
     val_codes = codes_in_split(data, assignment, "val", ("original",))
-    feats = deep_features(data, model, val_codes)
+    [feats] = deep_features(data, model, val_codes)
     # models without a decoder calibrate the hamming threshold alone
     thr = calibrate(feats["hamming_sym"], feats.get("recon_l2"))
     out = _out_path(args, config, "thresholds.json")

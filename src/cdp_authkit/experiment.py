@@ -180,11 +180,16 @@ def _check_jobs(jobs: int) -> None:
 def synthesize_dataset(
     config: DatasetConfig, out_dir: Union[str, Path], jobs: int = 1
 ) -> DatasetManifest:
-    """Write templates, codes, and manifest.json under out_dir. Deterministic."""
+    """Write templates, codes, and manifest.json under out_dir. Deterministic.
+
+    An old manifest.json is deleted before any raster is written, and the new
+    one is written last, so a run stopped midway leaves no loadable dataset.
+    """
     _check_jobs(jobs)
     out = Path(out_dir)
     (out / "templates").mkdir(parents=True, exist_ok=True)
     (out / "codes").mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
 
     indices = range(config.n_templates)
     if jobs > 1:
@@ -221,7 +226,8 @@ def synthesize_dataset(
 
 
 def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
-    """Read manifest.json; DataError naming the file (and entry) when it is malformed.
+    """Read manifest.json; DataError naming the file (and entry) when it is malformed,
+    or missing from a directory that exists.
 
     Each code entry holds string path, label, template_id and split, with a
     known label and split, and its path is codes/<template_id>_<label><ext>
@@ -231,6 +237,8 @@ def load_manifest(dataset_dir: Union[str, Path]) -> DatasetManifest:
     original code, in the split of that template's other codes.
     """
     path = Path(dataset_dir) / "manifest.json"
+    if path.parent.is_dir() and not path.exists():
+        raise DataError(f"{path}: missing: not a dataset, or its synthesis did not finish")
     obj = read_json(path)
     require_fields(obj, path, "config", "config_hash", template_ids="list", codes="list")
     config = config_field(obj, path, "config", DatasetConfig)
@@ -733,19 +741,16 @@ def ae_training_arrays(data: Dataset, assignment: dict) -> tuple:
     return images, symbols
 
 
-def deep_features(data: Dataset, model, codes: Sequence[ObservedCode]) -> dict:
-    images = np.stack([c.image for c in codes])
-    symbols = np.stack([data.templates[c.template_id].symbols for c in codes])
-    return extract_features_batch(model, images, symbols)
-
-
-def deep_features_per_set(data: Dataset, model, *code_sets: Sequence[ObservedCode]) -> list:
-    """deep_features of each code list, from one extraction call over all of them.
+def deep_features(data: Dataset, model, *code_sets: Sequence[ObservedCode]) -> list:
+    """Deep features of each code list, one dict per list, from one extraction call.
 
     One call builds the layers' scratch once; features are per-probe
-    arithmetic, so each list's arrays are the bits deep_features gives it.
+    arithmetic, so each list's arrays are the bits of a call with that list alone.
     """
-    feats = deep_features(data, model, [code for codes in code_sets for code in codes])
+    every = [code for codes in code_sets for code in codes]
+    images = np.stack([c.image for c in every])
+    symbols = np.stack([data.templates[c.template_id].symbols for c in every])
+    feats = extract_features_batch(model, images, symbols)
     out, start = [], 0
     for codes in code_sets:
         stop = start + len(codes)
@@ -770,7 +775,7 @@ def _run_deep(
     # the train originals' features feed only the two-metric one-class SVM
     train_codes = (codes_in_split(data, assignment, "train", ("original",))
                    if model.decoder is not None else [])
-    val_feats, test_feats, train_feats = deep_features_per_set(
+    val_feats, test_feats, train_feats = deep_features(
         data, model, val_codes, test_codes, train_codes)
 
     rates = {}

@@ -23,14 +23,16 @@ Vasudevan et al. 2017). `correlate` views the padded (B, C, Hp, Wp) input as
 contiguous slice starting at ki*Wp + kj, of length (oh - 1)*Wp + ow, so the
 output on an (oh, Wp) grid is the sum of k*k GEMMs w_tap (out_ch x C) @
 slice, and the last Wp - ow columns of each grid row are dropped. Each tap
-GEMM is one np.matmul over a chunk of samples (see "Chunks" below). The
-weight gradient is dout_grid @ slice^T per tap and sample, with dout placed
-on a zeroed (oh, Wp) grid so the dropped columns contribute exact zeros; the
-per-sample products land in one (B, k*k, out_ch, C) array that is summed
-once over samples, in sample order, as a per-sample loop would add them.
-The input gradient is the full correlation of dout with the flipped,
-channel-transposed weights, the same `correlate` on dout padded by
-k - 1 - pad (so stride-1 layers need pad < k). Where the GEMM's inner
+GEMM is one np.matmul over a chunk of samples (see "Chunks" below). A
+stride-1 layer has k = 2*pad + 1 (Conv2d refuses any other), so dout padded
+by pad has rows Wp wide, and from offset pad*(Wp + 1) its flat plane is
+dout on the (oh, Wp) grid, with the zero border in the dropped columns. The
+weight gradient is that grid @ slice^T per tap and sample, so the dropped
+columns contribute exact zeros; the per-sample products land in one
+(B, k*k, out_ch, C) array that is summed once over samples, in sample
+order, as a per-sample loop would add them. The input gradient is the full
+correlation of dout with the flipped, channel-transposed weights, the same
+`correlate` on the same padded dout (k - 1 - pad = pad). Where the GEMM's inner
 dimension is one plane (a one-channel input, or the input gradient of a
 one-channel output), each tap would be an outer product, so `correlate`
 uses im2col's (B, k*k, oh*ow) patch matrix of that one plane and one GEMM
@@ -101,48 +103,51 @@ between the GEMM and the depth-to-space. Every GEMM still
 multiplies one sample's matrices, and each sum adds in the same order, so
 the chunk size never changes a bit of any result.
 
-Workspaces. Each Conv2d and Relu owns a `Workspace` (`_work`, apart from
-`_cache`, so `chain_infer` still leaves `_cache` None) of scratch arrays it
-reuses while their shapes repeat, a [:b] view for a smaller last batch or
-chunk, a new array for a new shape. A Conv2d holds its padded input (zero
-border written once, at allocation), which with the patch kernel's W' is the
-whole of its backward cache; one chunk's patch matrix; the patch GEMM result,
-shared with backward's space-to-depth; one chunk's tap accumulator for the
-forward and one for the input gradient, and its tmp, or for one output plane
-the k*k tap product rows; the zeroed dout grid and the padded dout; the
-per-sample weight-gradient products (zeroed at allocation, so the patch
-kernel's unwritten blocks read 0); dcols and one chunk's col2im target. A
-Relu holds its mask. Only scratch and a layer's own backward cache are
-overwritten by its next call, and what a layer or chain returns never shares
-memory with any Workspace, with two exceptions inside the chains.
+Workspaces. Each Conv2d owns a `Workspace` (`_work`, apart from `_cache`,
+so `chain_infer` still leaves `_cache` None) of scratch arrays it reuses
+while their shapes repeat, a [:b] view for a smaller last batch or chunk, a
+new array for a new shape. It holds its padded input (zero border written
+once, at allocation), which with the patch kernel's W' is the whole of its
+backward cache; one chunk's patch matrix; the patch GEMM result, shared
+with backward's space-to-depth; one chunk's tap accumulator for the forward
+and one for the input gradient, and its tmp, or for one output plane the
+k*k tap product rows; the padded dout; the per-sample weight-gradient
+products (zeroed at allocation, so the patch kernel's unwritten blocks read
+0); dcols and one chunk's col2im target. Only scratch and a layer's own
+backward cache are overwritten by its next call, and what a layer or chain
+returns never shares memory with any Workspace, with two exceptions inside
+the chains.
 
-In `chain_forward`/`chain_infer`, a Relu right after a Conv2d or a
-Dense runs inside that layer's forward: per chunk (a Dense's output is one
-chunk), the GEMM result gets its bias, then the mask (greater than 0), fmax
-and +0.0 in place, in the result's own layout while it is in cache, and
-only then does a conv copy it (depth-to-space in the patch kernel) to the
-output; a Dense's GEMM result is its output. When a Conv2d follows that
-Relu, the output is written into the interior of the second conv's padded
-input (`Conv2d.input_slot`), and its forward, seeing its own interior, skips
-the pad copy; the 5.3 MB 72x72 decoder tensor is then never copied again. The
-same operations run in the same order on the same values, so outputs,
-masks and gradients are the bits of running the layers one by one; record
-and replay mode run the same path (replay applies the logged mask with
-np.where). Without keep_cache (`chain_infer`) a Relu in normal mode makes
-no mask, since no backward will read it.
+A Relu holds no mask: `relu` (fmax, then +0.0) maps NaN, -inf and -0.0 to
++0.0, so relu(z) > 0 is z > 0 at every float64, and a Relu holds its output
+and reads the mask off it. In `chain_forward`/`chain_infer`, a Relu right
+after a Conv2d or a Dense runs inside that layer's forward (its rectify
+flag): per chunk (a Dense's output is one chunk), the GEMM result gets its
+bias, then `relu` in place, in the result's own layout while it is in
+cache, and only then does a conv copy it (depth-to-space in the patch
+kernel) to the output; a Dense's GEMM result is its output. When a Conv2d
+follows that Relu, the output is written into the interior of the second
+conv's padded input (`Conv2d.input_slot`), and its forward, seeing its own
+interior, skips the pad copy; the 5.3 MB 72x72 decoder tensor is then never
+copied again. The Relu holds that output, the interior or the Dense's
+output, without a copy. The same operations run in the same order on the
+same values, so outputs, masks and gradients are the bits of running the
+layers one by one. Record mode runs the same path and logs output > 0;
+replay mode runs the Relu on its own in both directions, applying and
+holding the logged mask.
 
 In `chain_backward`, a Relu between two Conv2d layers, A below and B above,
 runs inside B's backward. B's weight gradient reads its padded input first
 (all of it in the tap kernel, a chunk of samples at a time in the patch
 kernel), so those rows are spent; then each chunk of B's input gradient, in
 scratch while it is in cache (`correlate`'s done hook, the patch kernel's
-col2im target), gets the ReLU backward and is written into the interior of
-B's padded input, whose zero border is never touched; A's backward reads
-that view as its dout, so a training step allocates no gradient of the
-8-plane 72x72 decoder tensor. The one exception: an A with one output
-plane runs unfused, since numpy sums a one-plane dout for gb in another
-order when it is such a view (with more planes the sum over a view and
-over a contiguous array agree bit for bit).
+col2im target), gets the ReLU backward, with the mask read off those rows
+of B's padded input, and is written over them; the zero border is never
+touched. A's backward reads that view as its dout, so a training step
+allocates no gradient of the 8-plane 72x72 decoder tensor. The one
+exception: an A with one output plane runs unfused, since numpy sums a
+one-plane dout for gb in another order when it is such a view (with more
+planes the sum over a view and over a contiguous array agree bit for bit).
 
 The ReLU backward, fused or `Relu.backward`, is dout times the mask, then
 +0.0, in place: a masked write over a random mask is branch-bound, and the
@@ -156,18 +161,19 @@ a non-finite dout or weight of that conv, which makes its gb or w
 non-finite too.
 
 At the shapes of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8
-channels) the held arrays of encoder and decoder total about 20.1 MB, 9.4
-MB of which is the padded inputs and ReLU masks a step holds anyway; the
-largest is the last decoder conv's padded 72x72 input (5.6 MB). `drop_scratch` frees a layer list's
-workspace arrays and backward caches; deepfeat calls it when training or
-feature extraction returns, so a model handed back holds none.
+channels) the held arrays of encoder and decoder total about 17.3 MB, 8.5
+MB of which is the padded inputs a step holds anyway, with the ReLU outputs
+in them; the largest is the last decoder conv's padded 72x72 input
+(5.6 MB). `drop_scratch` frees a layer list's workspace arrays and backward
+caches; deepfeat calls it when training or feature extraction returns, so a
+model handed back holds none.
 
 Dense. The supervised classifier and both autoencoder discriminators are
 [Dense, Relu, Dense] stacks run through the layer chain. `Dense.forward`
 takes Conv2d's keyword arguments: one GEMM into out, the bias added in
-place, then act. Its backward writes gw and gb with np.matmul and
-np.add.reduce into the held arrays, so a step allocates no weight-sized
-array.
+place, then, with rectify on, `relu`. Its backward writes gw and gb with
+np.matmul and np.add.reduce into the held arrays, so a step allocates no
+weight-sized array.
 """
 
 from __future__ import annotations
@@ -182,8 +188,17 @@ from .rng import rng_for
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(z: np.ndarray) -> np.ndarray:
+    """max(z, 0) written over z, which is returned.
+
+    np.where(z > 0, z, 0.0) bit for bit without its per-element branch: fmax
+    sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into
+    +0.0. So relu(z) > 0 is z > 0 at every float64: a ReLU's output is its
+    own mask.
+    """
+    np.fmax(z, 0.0, out=z)
+    z += 0.0
+    return z
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -386,8 +401,8 @@ class Conv2d:
 
     def __init__(self, rng: np.random.Generator, in_ch: int, out_ch: int, k: int,
                  stride: int = 1, pad: int = 1, upsample: int = 1):
-        if upsample > 1 and (stride != 1 or k != 2 * pad + 1):
-            raise ParameterError("an upsampling conv needs stride 1 and k = 2*pad + 1")
+        if stride == 1 and k != 2 * pad + 1 or upsample > 1 and stride != 1:
+            raise ParameterError("a stride-1 conv needs k = 2*pad + 1, an upsampling conv stride 1")
         fan_in = in_ch * k * k
         self.w = rng.standard_normal((out_ch, fan_in)) * np.sqrt(2.0 / fan_in)
         self.b = np.zeros(out_ch)
@@ -443,13 +458,13 @@ class Conv2d:
         """
         return _padded(x_shape, self._patch_geometry()[2], self._work)[1]
 
-    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None, act=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None,
+                rectify: bool = False) -> np.ndarray:
         """The output, written into out (default: a new array) and returned.
 
-        Per chunk of samples rows, the GEMM result z gets its bias and then
-        act(z, zv, rows[, view]), if given, while it is in cache, before it is
-        copied to out[rows]. act comes from a Relu's `start`, passed by
-        `_run_chain`; it runs in place on z, in z's own layout.
+        Per chunk of samples, the GEMM result gets its bias and then, with
+        rectify on, `relu` in place while it is in cache, before it is copied
+        to out.
         """
         f, kk, lo = self._patch_geometry()
         y = np.empty(self.out_shape(x.shape)) if out is None else out
@@ -459,8 +474,8 @@ class Conv2d:
 
             def done(rows, z, zv):
                 z += np.repeat(self.b, z.shape[2]).reshape(self.out_ch, -1)
-                if act is not None:
-                    act(z, zv, rows)
+                if rectify:
+                    relu(z)
                 np.copyto(y[rows], zv)
 
             correlate(xp, self.w, self.k, self._work, done)
@@ -484,23 +499,24 @@ class Conv2d:
                           out=z[:m, p * fo : (p + 1) * fo])
             zm = z[:m]
             zm += bias
+            if rectify:
+                relu(zm)
             zs = zm.reshape(m, f, f, o, oh, ow)
-            if act is not None:  # out[rows] split to (m, o, oh, f, ow, f), seen in z's order
-                act(zm, zs, rows, lambda a: a.reshape(m, o, oh, f, ow, f).transpose(0, 3, 5, 1, 2, 4))
             for p in range(f):  # depth-to-space, one phase (p, q) at a time
                 for q in range(f):
                     np.copyto(y[rows, :, p::f, q::f], zs[:, p, q])
         return y
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True, mask: np.ndarray | None = None):
+    def backward(self, dout: np.ndarray, input_grad: bool = True, rectified: bool = False):
         """Write gw/gb; return the input gradient, or None with input_grad off.
 
-        The input gradient is a new array, unless mask, the mask of a Relu
-        between the layer below and this one, is given: then each chunk of it
-        gets `Relu.backward`'s mask multiply while it is in cache and is written
-        into the interior of this layer's padded input, once the weight gradient
-        has read those rows, and that view is returned. The forward's input is
-        then spent: a next backward needs a forward first.
+        The input gradient is a new array, unless rectified says that the
+        forward's input is a Relu's output: then each chunk of it gets
+        `Relu.backward`'s multiply by that input > 0 while it is in cache and
+        is written into the interior of this layer's padded input, once the
+        weight gradient and the mask have read those rows, and that view is
+        returned. The forward's input is then spent: a next backward needs a
+        forward first.
         """
         xp, wp = self._cache
         self.gb[...] = dout.sum(axis=(0, 2, 3))
@@ -509,7 +525,7 @@ class Conv2d:
         x_shape = (b, c, hp - 2 * lo, wpad - 2 * lo)
         if not input_grad:
             dx = finish = None
-        elif mask is None:
+        elif not rectified:
             dx = np.empty(x_shape)
 
             def finish(rows, g):  # g: the input gradient of samples rows, in scratch
@@ -518,7 +534,7 @@ class Conv2d:
             dx = xp[:, :, lo : hp - lo, lo : wpad - lo]
 
             def finish(rows, g):
-                np.multiply(g, mask[rows], out=g)
+                g *= dx[rows] > 0
                 np.add(g, 0.0, out=dx[rows])
 
         if self.stride == 1 and f == 1:
@@ -558,25 +574,25 @@ class Conv2d:
         """The tap kernel's gw, then, unless finish is None, its input gradient
         chunk by chunk through finish(rows, chunk)."""
         b, c, hp, wp = xp.shape
-        o, k = self.out_ch, self.k
+        o, k, pad = self.out_ch, self.k, self.pad
         oh, ow = dout.shape[2:]
         n = (oh - 1) * wp + ow
-        grid = self._work.get("grid", (b, o, oh, wp), zeroed=True)
-        grid[:, :, :, :ow] = dout  # the dropped columns stay zero
-        dgrid = grid.reshape(b, o, oh * wp)
+        # dout padded by pad (k = 2*pad + 1) has rows wp wide: from pad*(wp + 1) on, its
+        # flat plane is dout on the (oh, wp) grid, zero in the dropped columns
+        dp = _pad2(dout, pad, self._work, "dpad")
+        dgrid = dp.reshape(b, o, hp * wp)[:, :, pad * (wp + 1) : pad * (wp + 1) + n]
         flat = xp.reshape(b, c, hp * wp)
         prods = self._work.get("wgrad", (b, k * k, o, c))
         for rows in _chunks(xp.shape):
             for t in range(k * k):
                 off = (t // k) * wp + t % k
-                np.matmul(dgrid[rows, :, :n], flat[rows, :, off : off + n].transpose(0, 2, 1),
+                np.matmul(dgrid[rows], flat[rows, :, off : off + n].transpose(0, 2, 1),
                           out=prods[rows, t])
         # one sum over samples, in sample order, as a per-sample loop would add them
         self.gw[...] = prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
         if finish is None:
             return
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dp = _pad2(dout, k - 1 - self.pad, self._work, "dpad")
         # its own accumulator: the forward's has another shape at one plane in or out
         correlate(dp, flipped.reshape(c, o * k * k), k, self._work,
                   lambda rows, z, zv: finish(rows, zv), "dacc")
@@ -599,16 +615,15 @@ class Dense:
     def out_shape(self, x_shape: tuple) -> tuple:
         return (x_shape[0], self.w.shape[1])
 
-    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None, act=None) -> np.ndarray:
-        """x @ w + b, written into out (default: a new array) and returned.
-
-        act, as in `Conv2d.forward`, then runs in place on the whole output.
-        """
+    def forward(self, x: np.ndarray, *, out: np.ndarray | None = None,
+                rectify: bool = False) -> np.ndarray:
+        """x @ w + b, written into out (default: a new array), with rectify on
+        passed through `relu` in place, and returned."""
         self._cache = x
         y = np.matmul(x, self.w, out=out)
         y += self.b
-        if act is not None:
-            act(y, y, slice(None))
+        if rectify:
+            relu(y)
         return y
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
@@ -622,74 +637,49 @@ class Dense:
 class Relu:
     """max(x, 0), with mask record/replay for finite-difference checks.
 
-    In "record" mode every forward appends its active mask to a log; in
-    "replay" mode forwards consume the logged masks in call order instead of
-    recomputing them, so a finite-difference probe stays on the smooth branch
-    chosen at the base point even for units sitting exactly at the kink (the
-    case at initialization, where biases are zero). A layer may run several
-    times per loss evaluation (e.g. a discriminator on real then fake), hence
-    the per-call log; `set_mask_mode` rewinds it before each evaluation.
+    Its mask is its output > 0 (`relu`), so it holds its output and nothing
+    else: a new array from `forward`, or, in a chain, the output of the
+    layer it runs inside, which it does not copy. In "record" mode every
+    forward also appends output > 0 to a log; in "replay" mode forwards
+    apply the logged masks in call order with np.where, and hold them,
+    instead of recomputing them, so a finite-difference probe stays on the
+    smooth branch chosen at the base point even for units sitting exactly at
+    the kink (the case at initialization, where biases are zero). A layer
+    may run several times per loss evaluation (e.g. a discriminator on real
+    then fake), hence the per-call log; `set_mask_mode` rewinds it before
+    each evaluation.
     """
 
     def __init__(self):
         self._cache = None
-        self._work = Workspace()
         self.mask_mode = "normal"
         self.mask_log: list = []
         self.replay_idx = 0
 
-    def start(self, shape: tuple, keep: bool = True):
-        """Begin a forward over an input of shape; returns act(z, zv, rows, view=None).
-
-        act runs the forward in place on z, a buffer that holds rows of the
-        input: zv is the view of z with their values, and view(a) views an
-        array shaped like input[rows] in zv's layout (default: a itself).
-        z's entries outside zv are scratch. The mask goes to `_cache` for
-        backward: the held "mask" array, or None with keep off (normal mode:
-        nothing will read it); in record mode a new array, appended to the
-        log; in replay mode the next logged mask, which act then applies
-        instead of computing one.
-        """
-        replay = self.mask_mode == "replay"
-        if replay:
-            mask = self.mask_log[self.replay_idx]
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """max(x, 0) as a new array; in replay mode np.where(the next logged mask, x, 0.0)."""
+        if self.mask_mode == "replay":
+            self._cache = self.mask_log[self.replay_idx]
             self.replay_idx += 1
-        elif self.mask_mode == "record":
-            mask = np.empty(shape, dtype=bool)
-            self.mask_log.append(mask)
-        else:
-            mask = self._work.get("mask", shape, dtype=bool) if keep else None
-        self._cache = mask
+            return np.where(self._cache, x, 0.0)
+        return self.hold(relu(x.copy()))
 
-        def act(z: np.ndarray, zv: np.ndarray, rows, view=None) -> None:
-            held = None if mask is None else mask[rows] if view is None else view(mask[rows])
-            if replay:
-                np.copyto(zv, np.where(held, zv, 0.0))
-                return
-            if held is not None:
-                np.greater(zv, 0.0, out=held)
-            # np.where(z > 0, z, 0.0) bit for bit without its per-element branch: fmax
-            # sends NaN and -inf to 0.0, and adding +0.0 turns fmax(-0.0, 0.0) into +0.0
-            np.fmax(z, 0.0, out=z)
-            z += 0.0
-
-        return act
-
-    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
-        """max(x, 0) as a new array; keep as in `start`."""
-        y = x.copy()
-        self.start(x.shape, keep)(y, y, slice(None))
+    def hold(self, y: np.ndarray) -> np.ndarray:
+        """Keep y, this Relu's output, for backward (and log y > 0 in record mode); return y."""
+        self._cache = y
+        if self.mask_mode == "record":
+            self.mask_log.append(y > 0)
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """dout times the mask, plus 0.0, written over dout and returned.
+        """dout times the mask (the held output, or logged mask, > 0), plus 0.0,
+        written over dout and returned.
 
         That is np.where(mask, dout, 0.0) but at two kinds of entry (module
         docstring). In a chain, dout is the new input gradient of the layer
-        above (a Dense's, in the package's chains), or chain_backward's own
-        dout when the Relu is the last layer.
+        above, or chain_backward's own dout when the Relu is the last layer.
         """
-        np.multiply(dout, self._cache, out=dout)
+        np.multiply(dout, self._cache > 0, out=dout)
         dout += 0.0
         return dout
 
@@ -737,22 +727,21 @@ class UpsampleNearest:
 def _run_chain(layers, x: np.ndarray, keep_cache: bool) -> np.ndarray:
     """The forward chain; without keep_cache no layer keeps a cache.
 
-    A Relu right after a Conv2d or Dense runs inside that layer's forward, on
-    each chunk of its output while it is in cache, and when a Conv2d follows
-    the Relu, the first conv writes its output straight into the second's
-    padded input.
+    A Relu right after a Conv2d or Dense, but in replay mode, runs inside
+    that layer's forward (rectify), on each chunk of its output while it is in
+    cache, and holds that output; when a Conv2d follows the Relu, the first
+    conv writes its output straight into the second's padded input.
     """
     i = 0
     while i < len(layers):
         layer, after = layers[i], layers[i + 1 : i + 3]
         ran = layers[i : i + 1]
-        if isinstance(layer, (Conv2d, Dense)) and after and isinstance(after[0], Relu):
-            shape = layer.out_shape(x.shape)
-            slot = after[1].input_slot(shape) if len(after) == 2 and isinstance(after[1], Conv2d) else None
-            x = layer.forward(x, out=slot, act=after[0].start(shape, keep_cache))
+        if (isinstance(layer, (Conv2d, Dense)) and after and isinstance(after[0], Relu)
+                and after[0].mask_mode != "replay"):
+            slot = (after[1].input_slot(layer.out_shape(x.shape))
+                    if len(after) == 2 and isinstance(after[1], Conv2d) else None)
+            x = after[0].hold(layer.forward(x, out=slot, rectify=True))
             ran = layers[i : i + 2]
-        elif isinstance(layer, Relu):
-            x = layer.forward(x, keep_cache)
         else:
             x = layer.forward(x)
         if not keep_cache:
@@ -776,16 +765,17 @@ def chain_backward(layers, dout: np.ndarray, input_grad: bool = True):
 
     With input_grad off the first layer, a Dense or Conv2d, skips its input
     gradient and None is returned. A Relu between two Conv2d layers runs
-    inside the upper conv's backward (`Conv2d.backward`'s mask), unless the
-    lower conv has one output plane: numpy sums a one-plane dout for gb in
-    another order when it is a view into a padded array.
+    inside the upper conv's backward (`Conv2d.backward`'s rectified), unless
+    it is in replay mode, whose forward ran it on its own, or the lower conv
+    has one output plane: numpy sums a one-plane dout for gb in another order
+    when it is a view into a padded array.
     """
     i = len(layers) - 1
     while i > 0:
         layer, middle, lower = layers[i], layers[i - 1], layers[i - 2] if i > 1 else None
         if (isinstance(layer, Conv2d) and isinstance(middle, Relu) and isinstance(lower, Conv2d)
-                and lower.out_ch > 1):
-            dout = layer.backward(dout, mask=middle._cache)
+                and lower.out_ch > 1 and middle.mask_mode != "replay"):
+            dout = layer.backward(dout, rectified=True)
             i -= 2
         else:
             dout = layer.backward(dout)

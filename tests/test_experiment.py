@@ -24,7 +24,6 @@ from cdp_authkit.experiment import (
     codes_in_split,
     config_hash,
     deep_features,
-    deep_features_per_set,
     fit_spatial_ocsvm,
     load_dataset,
     load_manifest,
@@ -156,6 +155,31 @@ def test_code_sidecars_of_older_datasets_are_ignored(small_dataset_dir, small_da
         run_experiment(data, "ocsvm-spatial", runs=2, seed=3, out_dir=tmp_path / f"r-{name}")
     for name in ("report.json", "runs.csv", "report.md"):
         assert (tmp_path / "r-old" / name).read_bytes() == (tmp_path / "r-new" / name).read_bytes()
+
+
+def test_a_stopped_synthesis_leaves_no_loadable_dataset(tmp_path, monkeypatch):
+    """Synthesis over an existing dataset deletes its manifest before it writes
+    a raster and writes the new one last: a run stopped at a template leaves a
+    directory that load_dataset refuses, not new rasters under the old manifest."""
+    out = tmp_path / "ds"
+    synthesize_dataset(DatasetConfig(n_templates=4, n_sym=8, seed=11), out)
+    manifest = (out / "manifest.json").read_bytes()
+    real = experiment._synthesize_template
+
+    def stopped(config, index, out_dir):
+        if index == 2:
+            raise RuntimeError("stopped")
+        return real(config, index, out_dir)
+
+    monkeypatch.setattr(experiment, "_synthesize_template", stopped)
+    with pytest.raises(RuntimeError, match="stopped"):
+        synthesize_dataset(DatasetConfig(n_templates=4, n_sym=8, seed=12), out)
+    with pytest.raises(DataError, match="manifest.json: missing"):
+        load_dataset(out)
+    monkeypatch.undo()
+    synthesize_dataset(DatasetConfig(n_templates=4, n_sym=8, seed=11), out)
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert load_dataset(out).manifest.template_ids == ("t0000", "t0001", "t0002", "t0003")
 
 
 def test_synthesis_deterministic_and_parallel_equal(tmp_path):
@@ -462,8 +486,8 @@ def test_one_extraction_call_per_deep_run_gives_the_per_split_features(small_dat
     assert any(len(codes) % 4 for codes in sets)
     model = build_ae_model(3, SMALL_CONFIG.n_sym, SMALL_CONFIG.symbol_px,
                            AeConfig(batch_size=4, seed=2))
-    for got, codes in zip(deep_features_per_set(data, model, *sets), sets):
-        want = deep_features(data, model, codes)
+    for got, codes in zip(deep_features(data, model, *sets), sets):
+        [want] = deep_features(data, model, codes)
         for key in ("hamming_sym", "recon_l2"):
             assert got[key].tobytes() == want[key].tobytes(), key
     calls = []

@@ -2,10 +2,10 @@
 the upsampling conv against an explicit upsample and conv, and its row-phase
 blocks against the fold; batch passes against per-sample passes, bit for bit,
 and returned arrays against the layers' held scratch; backward writing every
-gradient entry; Relu's mask log, and the chains that run it inside the conv or
-dense layer before it (and, backward, inside the conv after it) against the
-layers run one by one; the ReLU backward against np.where; sigmoid's special
-values; the shared epoch loop."""
+gradient entry; Relu's mask log, its output as its own mask, and the chains
+that run it inside the conv or dense layer before it (and, backward, inside
+the conv after it) against the layers run one by one; the ReLU forward and
+backward against np.where; sigmoid's special values; the shared epoch loop."""
 
 import numpy as np
 import pytest
@@ -170,6 +170,8 @@ def test_upsampling_conv_needs_a_same_padded_stride_1_conv():
     for k, stride, pad in ((3, 2, 1), (3, 1, 0), (4, 1, 1)):
         with pytest.raises(ParameterError):
             Conv2d(rng, 2, 2, k=k, stride=stride, pad=pad, upsample=2)
+    with pytest.raises(ParameterError):  # the tap backward reads dout padded by pad
+        Conv2d(rng, 2, 2, k=3, stride=1, pad=0)
 
 
 def test_decode_matches_the_unfused_decoder_on_the_same_weights():
@@ -334,9 +336,14 @@ def test_relu_records_a_copy_of_each_mask():
 
 
 def test_relu_forward_is_where_bit_for_bit_on_special_values():
-    x = np.array([[np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf]])
-    got = Relu().forward(x)
-    assert np.array_equal(got.view(np.int64), np.where(x > 0, x, 0.0).view(np.int64))
+    # and its output is its own mask: relu(x) > 0 is x > 0 at every kind of float64;
+    # the lengths put -0.0 both in numpy's vector loops and in their scalar tails
+    special = [-0.0, np.nan, -np.inf, -1.0, 0.0, 5e-324, -5e-324, 1.0, np.inf]
+    for n in range(1, 21):
+        x = np.resize(np.array(special), (1, n))
+        got = Relu().forward(x)
+        assert np.array_equal(got.view(np.int64), np.where(x > 0, x, 0.0).view(np.int64))
+        assert np.array_equal(got > 0, x > 0)
 
 
 def _same_bits(a, b) -> bool:
@@ -365,31 +372,25 @@ def _special_chain(group: str):
     return layers, x
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the GEMMs
 def test_relu_act_in_the_patch_kernels_layout_is_where_bit_for_bit():
-    """A Relu's act on a GEMM result in phase layout (m, f, f, o, oh, ow), with
-    view mapping the output's rows onto it, as the upsampling conv calls it:
-    the values and the mask are np.where's and x > 0 in output layout, on
-    NaN, +-inf and -0.0, in normal, record and replay mode."""
-    m, f, o, oh = 2, 3, 2, 3
-    special = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, -1.0, 2.0]
-    z = np.resize(np.array(special), (m, f * f * o, oh * oh))
-    zs = z.reshape(m, f, f, o, oh, oh)
-    x = np.empty((m, o, oh * f, oh * f))  # the same values in output layout
-    for p in range(f):
-        for q in range(f):
-            x[:, :, p::f, q::f] = zs[:, p, q]
-    view = lambda a: a.reshape(m, o, oh, f, oh, f).transpose(0, 3, 5, 1, 2, 4)
-    relu = Relu()
-    for mode, sign in (("normal", 1.0), ("record", 1.0), ("replay", -1.0)):
-        set_mask_mode([relu], mode)
-        got = sign * z  # replay applies the recorded mask of z to -z
-        relu.start(x.shape)(got, got.reshape(zs.shape), slice(0, m), view)
-        y = np.empty_like(x)
-        for p in range(f):
-            for q in range(f):
-                y[:, :, p::f, q::f] = got.reshape(zs.shape)[:, p, q]
-        assert _same_bits(y, np.where(x > 0, sign * x, 0.0)) and _same_bits(relu._cache, x > 0)
-    assert len(relu.mask_log) == 1
+    """forward(x, rectify=True) runs `relu` on each chunk's GEMM result in its
+    own layout, phase layout (m, f, f, o, oh, ow) in the upsampling conv, and
+    gives np.where(y > 0, y, 0.0) of the plain forward's y, bit for bit, on
+    outputs holding NaN and +-inf: in the upsampling and the strided conv's
+    patch kernel, the tap kernel and a Dense."""
+    rng = np.random.default_rng(21)
+    layers = [(Conv2d(rng, 2, 3, k=3, upsample=3), (4, 2, 6, 6)),
+              (Conv2d(rng, 2, 3, k=5, stride=3), (4, 2, 6, 6)),
+              (Conv2d(rng, 2, 3, k=3), (4, 2, 6, 6)),
+              (Dense(rng, 6, 5), (4, 6))]
+    for layer, shape in layers:
+        layer.b = rng.standard_normal(layer.b.shape)
+        x = rng.standard_normal(shape)
+        x.reshape(4, -1)[1:, 0] = np.inf, -np.inf, np.nan  # one special input per sample
+        y = layer.forward(x)
+        assert np.isnan(y).any() and np.isposinf(y).any() and np.isneginf(y).any()
+        assert _same_bits(layer.forward(x, rectify=True), np.where(y > 0, y, 0.0))
 
 
 def _layer_by_layer(layers, x):
@@ -405,11 +406,18 @@ def _backward_layer_by_layer(layers, dout):
 
 
 def _masks(layers):
-    return [layer._cache for layer in layers if isinstance(layer, Relu)]
+    return [layer._cache > 0 for layer in layers if isinstance(layer, Relu)]
 
 
 def _workspace_arrays(layers):
     return [a for layer in layers if hasattr(layer, "_work") for a in layer._work._arrays.values()]
+
+
+def _held_arrays(layers):
+    """The layers' Workspace arrays and the arrays in their backward caches."""
+    cached = [a for layer in layers
+              for a in (layer._cache if isinstance(layer._cache, tuple) else (layer._cache,))]
+    return _workspace_arrays(layers) + [a for a in cached if isinstance(a, np.ndarray)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the GEMMs
@@ -423,7 +431,9 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
     the upper one's backward. Outputs, masks, gw/gb and dx are the bits of
     running the layers one by one, in every mask mode, at one sample per
     chunk and the whole batch per chunk, for a full batch then a short one on
-    the same workspaces, and neither output shares memory with a Workspace."""
+    the same workspaces, and neither output shares memory with a Workspace.
+    In normal mode no layer holds a bool array: a Relu's mask is its held
+    output > 0."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 1 if chunk == "one-sample" else 1 << 40)
     fused, x = _special_chain(group)
     ref, _ = _special_chain(group)
@@ -443,6 +453,8 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
         assert _same_bits(got, want)
         assert not any(np.shares_memory(got, a) for a in _workspace_arrays(fused))
         assert all(_same_bits(a, b) for a, b in zip(_masks(fused), _masks(ref)))
+        if mode == "normal":
+            assert not any(a.dtype == bool for a in _held_arrays(fused))
         dout = np.random.default_rng(batch.shape[0]).standard_normal(got.shape)
         dx = chain_backward(fused, dout)
         assert _same_bits(dx, _backward_layer_by_layer(ref, dout))
@@ -462,7 +474,7 @@ def test_fused_chain_is_the_layer_by_layer_chain_bit_for_bit(group, mode, chunk,
     assert _same_bits(chain_infer(fused, x), _layer_by_layer(ref, x))
     assert all(layer._cache is None for layer in fused)
     if mode == "normal":
-        assert not any("mask" in layer._work._arrays for layer in fused if isinstance(layer, Relu))
+        assert not any(a.dtype == bool for a in _held_arrays(fused))
 
 
 @pytest.mark.parametrize("group", ["encoder", "decoder"])
@@ -500,12 +512,14 @@ def test_a_one_plane_conv_below_a_relu_keeps_the_layer_by_layer_bits():
 @pytest.mark.parametrize("mode", ["normal", "replay"])
 @pytest.mark.parametrize("path", ["relu", "taps", "patches"])
 def test_relu_backward_is_where_but_at_two_kinds_of_entry(path, mode, monkeypatch):
-    """Relu.backward, and a Relu run inside the backward of the conv above it
-    (through the tap kernel's correlate or the patch kernel's col2im), give
-    np.where(mask, dout, 0.0) bit for bit, except that a NaN or +-inf dout at
-    an inactive unit gives NaN and a -0.0 dout at an active unit gives +0.0.
-    The conv's own input gradient is replaced by dout, since a GEMM sum never
-    ends at -0.0."""
+    """Relu.backward, with the mask read off its held output or, in replay
+    mode, the logged mask, and chain_backward through [conv, Relu, conv] (the
+    tap kernel's correlate or the patch kernel's col2im above the Relu, which
+    runs inside that conv's backward with the mask read off its padded input,
+    or on its own in replay mode) give np.where(mask, dout, 0.0) bit for bit,
+    except that a NaN or +-inf dout at an inactive unit gives NaN and a -0.0
+    dout at an active unit gives +0.0. The upper conv's own input gradient is
+    replaced by dout, since a GEMM sum never ends at -0.0."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 1 << 40)  # one chunk: the whole batch
     rng = np.random.default_rng(12)
     lower = Conv2d(rng, 1, 2, k=1, pad=0)
@@ -518,7 +532,7 @@ def test_relu_backward_is_where_but_at_two_kinds_of_entry(path, mode, monkeypatc
         chain_forward([lower, relu], x)
         set_mask_mode([relu], "replay")
     y = chain_forward([lower, relu, upper], -x if mode == "replay" else x)
-    mask = relu._cache
+    mask = relu._cache > 0  # a copy: the fused backward overwrites the held output
     assert _same_bits(mask[:, 0], x[:, 0] > 0) and _same_bits(mask[:, 1], x[:, 0] < 0)
     special = np.resize(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.0, 2.0]),
                         (2, 1, 4, 4))
@@ -536,7 +550,6 @@ def test_relu_backward_is_where_but_at_two_kinds_of_entry(path, mode, monkeypatc
             correlate(xp, w, k, work, replaced, name)
 
         monkeypatch.setattr(nn, "correlate", injected)
-        got = upper.backward(np.ones_like(y), mask=mask)
     else:
         col2im = nn.col2im
 
@@ -546,7 +559,11 @@ def test_relu_backward_is_where_but_at_two_kinds_of_entry(path, mode, monkeypatc
             return g
 
         monkeypatch.setattr(nn, "col2im", injected)
-        got = upper.backward(np.ones_like(y), mask=mask)
+    if path != "relu":  # the gradient that reaches the lower conv
+        reached = []
+        monkeypatch.setattr(lower, "backward", lambda d: reached.append(d.copy()))
+        chain_backward([lower, relu, upper], np.ones_like(y))
+        [got] = reached
     want = np.where(mask, dout, 0.0)
     want[~mask & ~np.isfinite(dout)] = np.nan
     want[mask & (dout == 0.0)] = 0.0

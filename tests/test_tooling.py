@@ -79,11 +79,10 @@ def test_src_has_no_unused_import():
 
 
 # Top-level names kept without a caller in src/: the loaders the README keeps
-# as library API, and the two that perfbench/tracing.py wraps by name.
+# as library API, and UpsampleNearest, which perfbench/tracing.py wraps by name.
 UNREFERENCED_OK = {
     ("ocsvm", "load_model"),
     ("supervised", "load_classifier"),
-    ("nn", "relu"),
     ("nn", "UpsampleNearest"),
 }
 
