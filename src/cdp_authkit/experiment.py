@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -44,7 +43,7 @@ from .channel import (
 from .decision import calibrate, rule_ocsvm, rule_one_metric, rule_two_metric
 from .deepfeat import AeConfig, extract_features_batch, train_ae
 from .errors import DataError, DegenerateImageError, ParameterError
-from .imageio import check_type, config_field, read_json, require_fields, write_json
+from .imageio import check_type, config_field, read_json, replacing, require_fields, write_json
 from .metrics import FEATURE_NAMES, feature_vector, symbol_grid
 from .ocsvm import select_nu, train_ocsvm
 from .rng import derive_seed, rng_for
@@ -193,6 +192,8 @@ def synthesize_dataset(
 
     indices = range(config.n_templates)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a jobs-1 run never loads multiprocessing
+
         n = config.n_templates
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_template = list(pool.map(_synthesize_template, [config] * n, indices, [out] * n))
@@ -465,10 +466,10 @@ def load_report(path: Union[str, Path]) -> ErrorReport:
 
 
 def write_runs_csv(report: ErrorReport, path: Union[str, Path]) -> None:
-    """Per-run values behind every aggregated number, one value per line."""
+    """Per-run values behind every aggregated number, one value per line; all or nothing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "setup", "class_label", "metric", "value"])
         for entry in report.rows:
@@ -482,7 +483,7 @@ def write_runs_csv(report: ErrorReport, path: Union[str, Path]) -> None:
 
 
 def write_report_markdown(report: ErrorReport, path: Union[str, Path]) -> None:
-    """Rate tables in percent, one table per setup, classes as columns."""
+    """Rate tables in percent, one table per setup, classes as columns; all or nothing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     setups = []
@@ -510,7 +511,8 @@ def write_report_markdown(report: ErrorReport, path: Union[str, Path]) -> None:
         for name, agg in report.extras.items():
             lines.append(f"- {name}: {agg['mean']:.6g} (±{agg['std']:.6g})")
         lines.append("")
-    path.write_text("\n".join(lines))
+    with replacing(path) as fh:
+        fh.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +555,15 @@ def _supervised_features(codes: Sequence[ObservedCode], augmented: bool) -> tupl
     """Pooled feature rows of the codes (each code's AUGMENT_TAGS variants with
     augmented on) and the label of each row.
 
-    One code's variants are made as its rows are pooled, so no full-resolution
-    variant list of all codes is held.
+    One code's variants are made as its rows are pooled into the preallocated
+    matrix, so neither a full-resolution variant list of all codes nor a list
+    of pooled rows is held.
     """
     variants = (image for code in codes
                 for image in (augment(code.image) if augmented else (code.image,)))
     per_code = len(AUGMENT_TAGS) if augmented else 1
     names = [code.label for code in codes for _ in range(per_code)]
-    return images_to_features(variants), names
+    return images_to_features(variants, len(names)), names
 
 
 def fit_classifier(
@@ -766,9 +769,11 @@ def _run_deep(
     scenario: int,
     ae_config: Optional[AeConfig] = None,
 ) -> tuple:
-    images, symbols = ae_training_arrays(data, assignment)
     base = ae_config if ae_config is not None else AeConfig()
-    model = train_ae(images, symbols, scenario, replace(base, seed=derive_seed(run_seed, "ae")))
+    # no name here holds the augmented training set, so it is freed when
+    # train_ae returns, before the extraction below makes its own arrays
+    model = train_ae(*ae_training_arrays(data, assignment), scenario,
+                     replace(base, seed=derive_seed(run_seed, "ae")))
 
     val_codes = codes_in_split(data, assignment, "val", ("original",))
     test_codes = codes_in_split(data, assignment, "test", CLASS_ORDER)
@@ -873,7 +878,8 @@ def run_experiment(
     for byte, sequential or parallel. With jobs > 1 each worker process gets
     the loaded dataset once, at start-up, and then takes run seeds, so its
     runs share one spatial feature table. When out_dir is given, writes
-    report.json, report.md and runs.csv there.
+    report.md, runs.csv and then report.json there, each to a temporary file
+    that replaces the old one whole.
     """
     if preset not in PRESETS:
         raise ParameterError(
@@ -886,6 +892,8 @@ def run_experiment(
     run_seeds = [derive_seed(seed, "run", r) for r in range(runs)]
 
     if jobs > 1 and runs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # as in synthesize_dataset
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, runs),
             initializer=_init_run_worker,
@@ -906,9 +914,9 @@ def run_experiment(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_report_json(report, out / "report.json")
         write_report_markdown(report, out / "report.md")
         write_runs_csv(report, out / "runs.csv")
+        write_report_json(report, out / "report.json")  # last: it marks a finished report
     return report
 
 

@@ -3,12 +3,15 @@
 Grayscale images go to binary PGM (P5, maxval 255), color stacks to binary
 PPM (P6). Intensity convention follows reflectance: 0 is ink/black, 255 is
 bare substrate/white. JSON is written with sorted keys and a trailing
-newline so repeated writes of equal content are byte-identical.
+newline so repeated writes of equal content are byte-identical, and through
+`replacing`, so a write that fails leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -103,10 +106,30 @@ def from_uint8(image: np.ndarray) -> np.ndarray:
     return np.asarray(image, dtype=np.float64) / 255.0
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path, **open_kwargs):
+    """A text file, open for writing, that replaces path whole when the block ends.
+
+    It is a temporary file in path's directory, moved over path by one
+    os.replace; if the block raises, path keeps its old bytes (or stays
+    absent) and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
-    """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
+    """Canonical JSON: sorted keys, 2-space indent, trailing newline; all or nothing."""
     text = json.dumps(obj, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with replacing(path, encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def read_json(path: str | Path):

@@ -32,7 +32,9 @@ columns contribute exact zeros; the per-sample products land in one
 (B, k*k, out_ch, C) array that is summed once over samples, in sample
 order, as a per-sample loop would add them. The input gradient is the full
 correlation of dout with the flipped, channel-transposed weights, the same
-`correlate` on the same padded dout (k - 1 - pad = pad). Where the GEMM's inner
+`correlate` on the same padded dout (k - 1 - pad = pad). Backward pads one
+chunk of dout at a time and makes that chunk's weight-gradient products and
+then its input gradient, so the padded dout is never full-batch. Where the GEMM's inner
 dimension is one plane (a one-channel input, or the input gradient of a
 one-channel output), each tap would be an outer product, so `correlate`
 uses im2col's (B, k*k, oh*ow) patch matrix of that one plane and one GEMM
@@ -69,7 +71,9 @@ one contiguous block of W' columns and of patch-matrix rows. Per chunk of
 samples the kernel runs im2col of the padded input with the layer's stride;
 for each p, the GEMM of the phase-p rows and live columns of W' with the
 live rows of cols; the bias, added to the GEMM result as a plane; and the
-depth-to-space by f, one strided copy per phase (p, q); the f*f-times larger
+depth-to-space by f, f strided copies, one per column phase q, each through
+a (m, o, i, p, j, q) view of the output's rows, so that it also fits an
+output that is the next conv's padded-input interior; the f*f-times larger
 upsampled input is never built.
 Backward rebuilds each chunk's patch matrix from the cached padded input,
 takes W' from the forward's cache, and does a space-to-depth of dout into
@@ -92,7 +96,8 @@ Chunks. A loop over samples takes them max(1, CHUNK_BYTES // s) at a time,
 where s is the bytes of one sample of the array the loop streams: the
 padded input of a tap GEMM, the patch matrix of a one-plane correlation or
 of the patch kernel (a one-output-plane correlation takes one sample per
-GEMM). CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
+GEMM), and in the tap backward, which streams the padded input and the
+padded dout, the wider of the two. CHUNK_BYTES (350 KiB) is where chunked tap GEMMs
 were fastest on a 2-core x86-64 host at one BLAS thread: a 16-sample 24x24
 8->8 correlation took 2.27 ms one sample per GEMM, 1.45 ms in chunks of 8
 and 2.36 ms in chunks of 16; at 72x72 one sample per GEMM was fastest. So
@@ -109,10 +114,11 @@ while their shapes repeat, a [:b] view for a smaller last batch or chunk, a
 new array for a new shape. It holds its padded input (zero border written
 once, at allocation), which with the patch kernel's W' is the whole of its
 backward cache; one chunk's patch matrix; the patch GEMM result, shared
-with backward's space-to-depth; one chunk's tap accumulator for the forward
-and one for the input gradient, and its tmp, or for one output plane the
-k*k tap product rows; the padded dout; the per-sample weight-gradient
-products (zeroed at allocation, so the patch kernel's unwritten blocks read
+with backward's space-to-depth; one chunk's tap accumulator, which the
+forward and the input gradient share when they have one shape (as many
+planes in as out; at one plane in or out the input gradient has its own),
+and its tmp, or for one output plane the k*k tap product rows; one chunk of
+the padded dout; the per-sample weight-gradient products (zeroed at allocation, so the patch kernel's unwritten blocks read
 0); dcols and one chunk's col2im target. Only scratch and a layer's own
 backward cache are overwritten by its next call, and what a layer or chain
 returns never shares memory with any Workspace, with two exceptions inside
@@ -161,7 +167,7 @@ a non-finite dout or weight of that conv, which makes its gb or w
 non-finite too.
 
 At the shapes of a `deep-s3` autoencoder step (batch 16, 72x72 codes, 8
-channels) the held arrays of encoder and decoder total about 17.3 MB, 8.5
+channels) the held arrays of encoder and decoder total about 15.5 MB, 8.5
 MB of which is the padded inputs a step holds anyway, with the ReLU outputs
 in them; the largest is the last decoder conv's padded 72x72 input
 (5.6 MB). `drop_scratch` frees a layer list's workspace arrays and backward
@@ -502,9 +508,11 @@ class Conv2d:
             if rectify:
                 relu(zm)
             zs = zm.reshape(m, f, f, o, oh, ow)
-            for p in range(f):  # depth-to-space, one phase (p, q) at a time
-                for q in range(f):
-                    np.copyto(y[rows, :, p::f, q::f], zs[:, p, q])
+            # depth-to-space, one column phase q at a time, through a view of y's
+            # rows as (m, o, i, p, j, q); copy=False raises where that needs a copy
+            y6 = y[rows].reshape(m, o, oh, f, ow, f, copy=False)
+            for q in range(f):
+                np.copyto(y6[..., q], zs[:, :, q].transpose(0, 2, 3, 1, 4))
         return y
 
     def backward(self, dout: np.ndarray, input_grad: bool = True, rectified: bool = False):
@@ -571,31 +579,36 @@ class Conv2d:
         return dx
 
     def _backward_taps(self, xp: np.ndarray, dout: np.ndarray, finish) -> None:
-        """The tap kernel's gw, then, unless finish is None, its input gradient
-        chunk by chunk through finish(rows, chunk)."""
+        """The tap kernel's gw and, unless finish is None, its input gradient,
+        one chunk of samples at a time: each chunk's input gradient goes
+        through finish(rows, chunk) once its weight-gradient products are made."""
         b, c, hp, wp = xp.shape
         o, k, pad = self.out_ch, self.k, self.pad
         oh, ow = dout.shape[2:]
         n = (oh - 1) * wp + ow
-        # dout padded by pad (k = 2*pad + 1) has rows wp wide: from pad*(wp + 1) on, its
-        # flat plane is dout on the (oh, wp) grid, zero in the dropped columns
-        dp = _pad2(dout, pad, self._work, "dpad")
-        dgrid = dp.reshape(b, o, hp * wp)[:, :, pad * (wp + 1) : pad * (wp + 1) + n]
         flat = xp.reshape(b, c, hp * wp)
         prods = self._work.get("wgrad", (b, k * k, o, c))
-        for rows in _chunks(xp.shape):
+        flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        flipped = flipped.reshape(c, o * k * k)
+        # the forward's accumulator where it has this shape; at one plane in or out it
+        # has another, and sharing its name would reallocate it every call
+        acc = "acc" if c == o else "dacc"
+        for rows in _chunks((b, max(c, o), hp, wp)):  # the wider of xp and the padded dout
+            # a chunk of dout padded by pad (k = 2*pad + 1) has rows wp wide: from
+            # pad*(wp + 1) on, its flat plane is dout on the (oh, wp) grid, zero in
+            # the dropped columns
+            dp = _pad2(dout[rows], pad, self._work, "dpad")
+            dgrid = dp.reshape(len(dp), o, hp * wp)[:, :, pad * (wp + 1) : pad * (wp + 1) + n]
             for t in range(k * k):
                 off = (t // k) * wp + t % k
-                np.matmul(dgrid[rows], flat[rows, :, off : off + n].transpose(0, 2, 1),
+                np.matmul(dgrid, flat[rows, :, off : off + n].transpose(0, 2, 1),
                           out=prods[rows, t])
+            if finish is not None:
+                start = rows.start
+                correlate(dp, flipped, k, self._work,
+                          lambda r, z, zv: finish(slice(start + r.start, start + r.stop), zv), acc)
         # one sum over samples, in sample order, as a per-sample loop would add them
         self.gw[...] = prods.sum(axis=0).transpose(1, 2, 0).reshape(o, c * k * k)
-        if finish is None:
-            return
-        flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        # its own accumulator: the forward's has another shape at one plane in or out
-        correlate(dp, flipped.reshape(c, o * k * k), k, self._work,
-                  lambda rows, z, zv: finish(rows, zv), "dacc")
 
 
 class Dense:

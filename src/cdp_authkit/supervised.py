@@ -8,6 +8,9 @@ layer chain: chain_forward, the log-softmax in place on the logits, and
 chain_backward, which writes each Dense's gw/gb and never forms the hidden
 layer's input gradient. The update scales gw/gb by lr in place, so after
 training they hold lr times the last batch's gradient.
+The feature matrix is built in place: images_to_features pools each image,
+as it is made, into its row of one preallocated (n, d) matrix, so the
+pooled training set is held once, with no list of rows beside it.
 Also houses the mutual-information lower-bound estimator
 I(A; C) >= H(C) - H(C|A) computed from predicted log-probabilities.
 """
@@ -84,12 +87,23 @@ def pool_image(image: np.ndarray) -> np.ndarray:
     return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def images_to_features(images: Iterable[np.ndarray]) -> np.ndarray:
-    """Pool and flatten images into a fixed-size feature matrix, one image at a time.
+def images_to_features(images: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Pool and flatten n images into an (n, d) feature matrix, one image at a time.
 
-    `images` may be a generator: only the pooled rows are kept.
+    Each pooled row is written into one preallocated matrix, so `images` may
+    be a generator and no list of rows is held. DataError unless there are n
+    images and each pools to as many values as the first.
     """
-    return np.stack([pool_image(img).ravel() for img in images])
+    x, count = None, 0
+    for count, img in enumerate(images, 1):
+        row = pool_image(img).ravel()
+        x = np.empty((n, row.size)) if x is None else x
+        if count > n or row.size != x.shape[1]:
+            raise DataError(f"expected {n} images, each pooling to {x.shape[1]} values")
+        x[count - 1] = row
+    if x is None or count != n:
+        raise DataError(f"expected {n} images, got {count}")
+    return x
 
 
 def build_classifier_layers(d_in: int, n_classes: int, config: TrainConfig) -> list:

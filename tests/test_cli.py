@@ -573,6 +573,18 @@ def test_console_script(tmp_path):
     assert "wrote 1 templates" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only --jobs above 1 starts workers, so only then is multiprocessing imported
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cdp_authkit.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_ae_model_bytes_independent_of_blas_thread_count(tmp_path, capsys):
     # OpenBLAS reads its thread count when numpy loads, so each count needs its
     # own process; the variable is set in the child environment only.

@@ -3,7 +3,11 @@
 import csv
 import itertools
 import json
+import resource
 import shutil
+import signal
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from cdp_authkit.experiment import (
     CLASS_ORDER,
     PRESETS,
     DatasetConfig,
+    ErrorReport,
     _supervised_features,
     ae_training_arrays,
     augment,
@@ -34,11 +39,14 @@ from cdp_authkit.experiment import (
     split_by_template,
     synthesize_dataset,
     write_features_csv,
+    write_report_json,
+    write_report_markdown,
+    write_runs_csv,
 )
 from cdp_authkit.imageio import config_field
 from cdp_authkit.metrics import feature_vector
 from cdp_authkit.rng import rng_for
-from cdp_authkit.supervised import images_to_features
+from cdp_authkit.supervised import pool_image
 
 from conftest import SMALL_CONFIG
 
@@ -281,19 +289,56 @@ def test_ae_training_arrays_stack_augment_with_matching_symbols(small_dataset):
 
 
 def test_supervised_features_equal_pooling_the_full_augmented_list(small_dataset):
-    # _supervised_features pools one code's variants at a time; the rows and
-    # labels must be those of pooling every variant of every code in one list
+    # _supervised_features pools one code's variants at a time into one matrix;
+    # the rows and labels must be those of stacking the pooled rows of every
+    # variant of every code
     codes = codes_in_split(small_dataset, manifest_assignment(small_dataset), "train", CLASS_ORDER)
     images, labels = [], []
     for code in codes:
         images += augment(code.image)
         labels += [code.label] * len(AUGMENT_TAGS)
     x, names = _supervised_features(codes, augmented=True)
-    assert np.array_equal(x, images_to_features(images))
+    assert np.array_equal(x, np.stack([pool_image(image).ravel() for image in images]))
     assert names == labels
     x_plain, plain_names = _supervised_features(codes, augmented=False)
-    assert np.array_equal(x_plain, images_to_features([code.image for code in codes]))
+    assert np.array_equal(x_plain, np.stack([pool_image(code.image).ravel() for code in codes]))
     assert plain_names == [code.label for code in codes]
+
+
+def test_supervised_features_hold_the_pooled_rows_once(small_dataset):
+    """The augmented training rows are pooled into one matrix: the call's peak
+    stays below 1.25 times it (a list of the rows beside its stacked copy is 2)."""
+    codes = codes_in_split(small_dataset, manifest_assignment(small_dataset), "train", CLASS_ORDER)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        x, _ = _supervised_features(codes, augmented=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes, (peak, x.nbytes)
+
+
+def test_a_deep_run_frees_its_training_set_before_extraction(small_dataset, monkeypatch):
+    """No array of the augmented training set outlives train_ae: none is alive
+    when the run's one extraction call starts."""
+    made, alive = [], []
+    arrays, extract = experiment.ae_training_arrays, experiment.extract_features_batch
+
+    def tracked_arrays(*args):
+        images, symbols = arrays(*args)
+        made.extend((weakref.ref(images), weakref.ref(symbols)))
+        return images, symbols
+
+    def checked_extract(*args):
+        alive.append([ref() is not None for ref in made])
+        return extract(*args)
+
+    monkeypatch.setattr(experiment, "ae_training_arrays", tracked_arrays)
+    monkeypatch.setattr(experiment, "extract_features_batch", checked_extract)
+    run_experiment(small_dataset, "deep-scenario-3", runs=1, seed=2, ae_config=AeConfig(epochs=1))
+    assert len(made) == 2 and alive == [[False, False]], alive
 
 
 def test_codes_in_split_and_pair_features(small_dataset):
@@ -398,6 +443,51 @@ def test_report_bytes_independent_of_jobs(small_dataset_dir, tmp_path, preset):
                        ae_config=AeConfig(epochs=1), jobs=jobs)
     for name in ("report.json", "runs.csv", "report.md"):
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+
+def _big_report(n_rows: int) -> ErrorReport:
+    rows = [{"setup": f"setup-{i}", "class_label": "originals", "metric": "p_miss",
+             "mean": 0.25, "std": 0.0, "per_run": [0.25, 0.25]} for i in range(n_rows)]
+    return ErrorReport(preset="p", runs=2, seed=0, dataset_hash="h", rows=rows,
+                       extras={"nu": {"mean": 0.1, "std": 0.0, "per_run": [0.1, 0.1]}})
+
+
+@pytest.mark.parametrize("writer", [write_report_json, write_report_markdown, write_runs_csv])
+def test_a_report_write_that_fails_partway_keeps_the_old_file(tmp_path, writer):
+    """A write that fails after some bytes are out, here on a file size limit
+    (as on a full disk), leaves the previous file byte-identical and no
+    temporary file behind."""
+    path = tmp_path / "out"
+    writer(_big_report(1), path)
+    old = path.read_bytes()
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write, not the process
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, limits[1]))
+    try:
+        with pytest.raises(OSError):
+            writer(_big_report(500), path)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    writer(_big_report(500), path)  # and the same write without the limit replaces it
+    assert len(path.read_bytes()) > 4096
+
+
+def test_report_json_is_written_last(small_dataset, tmp_path, monkeypatch):
+    """report.json marks a finished report: a failure writing the others keeps the old one."""
+    out = tmp_path / "r"
+    run_experiment(small_dataset, "ocsvm-spatial-digital-gray", runs=1, seed=0, out_dir=out)
+    old = (out / "report.json").read_bytes()
+
+    def fail(report, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "write_runs_csv", fail)
+    with pytest.raises(OSError):
+        run_experiment(small_dataset, "ocsvm-spatial-digital-gray", runs=1, seed=1, out_dir=out)
+    assert (out / "report.json").read_bytes() == old
 
 
 def test_runs_csv_recomputes_report_means(small_dataset, tmp_path):

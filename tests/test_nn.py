@@ -135,6 +135,25 @@ def test_upsampling_conv_matches_upsample_then_conv(f, in_ch, out_ch):
     assert fused.backward(dout, input_grad=False) is None
 
 
+@pytest.mark.parametrize("chunk", ["one-sample", "whole-batch"])
+def test_depth_to_space_writes_through_a_view_of_the_slot(monkeypatch, chunk):
+    """The upsampling conv writes its output into the next conv's padded input
+    through a (m, o, i, p, j, q) view of the slot's rows, one column phase at a
+    time: the same bits as into a new array, and the zero border untouched."""
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 1 if chunk == "one-sample" else 1 << 40)
+    fused, _, x = _upsampling_pair(3, 8, 8, (4, 3))
+    above = Conv2d(np.random.default_rng(1), 8, 1, k=3, stride=1, pad=1)
+    want = fused.forward(x)
+    slot = above.input_slot(want.shape)
+    b, o, h, w = slot.shape
+    assert np.shares_memory(slot[:1].reshape(1, o, h // 3, 3, w // 3, 3, copy=False), slot)
+    assert fused.forward(x, out=slot) is slot
+    assert _same_bits(slot.copy(), want)
+    border = above._work._arrays["xp"].copy()
+    border[:, :, 1:-1, 1:-1] = 0.0
+    assert not border.any()
+
+
 def test_upsampling_conv_gradients_match_finite_differences():
     fused, _, x = _upsampling_pair(3, 2, 3, (4, 3))
     r = np.random.default_rng(7).standard_normal(fused.forward(x).shape)

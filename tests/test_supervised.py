@@ -233,8 +233,11 @@ def test_pooling_and_feature_shapes():
     assert pooled[0, 0] == pytest.approx(img[:2, :2].mean())
     small = rng.random((12, 12))
     assert np.array_equal(pool_image(small), small)
-    feats = images_to_features([img, rng.random((64, 64))])
+    feats = images_to_features((im for im in [img, rng.random((64, 64))]), 2)
     assert feats.shape == (2, 1024)
+    for images, n in (([img], 2), ([img, img, img], 2), ([img, small], 2), ([], 1)):
+        with pytest.raises(DataError):
+            images_to_features(images, n)
 
 
 def test_mi_bound_reference_values():
